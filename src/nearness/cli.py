@@ -156,6 +156,12 @@ def _metric_text(value) -> str:
     return fmt_float(value)
 
 
+def _finite_by_minute(records, metric: str) -> dict[int, float]:
+    """{minute: metric value} over the records whose value is finite."""
+    values = {r.minute: float(_metric_value(r, metric)) for r in records}
+    return {m: v for m, v in values.items() if v != float("inf")}
+
+
 def cmd_analyze(args) -> int:
     pair = _parse_pair(args.pair)
     log = RecordLog.open(args.log)
@@ -168,17 +174,15 @@ def cmd_analyze(args) -> int:
     lines += [f"{r.minute},{_metric_text(_metric_value(r, args.metric))}"
               for r in records]
 
-    reverse = log.query(pair[::-1], args.from_min, args.to_min)
-    forward_series = [float(_metric_value(r, args.metric)) for r in records
-                      if _metric_value(r, args.metric) != float("inf")]
-    reverse_series = [float(_metric_value(r, args.metric)) for r in reverse
-                      if _metric_value(r, args.metric) != float("inf")]
-    corr = None
-    if len(forward_series) == len(reverse_series):
-        corr = engine_mod.pearson_correlation(forward_series, reverse_series)
+    forward = _finite_by_minute(records, args.metric)
+    reverse = _finite_by_minute(log.query(pair[::-1], args.from_min, args.to_min),
+                                args.metric)
+    both = sorted(forward.keys() & reverse.keys())
+    corr = engine_mod.pearson_correlation([forward[m] for m in both],
+                                          [reverse[m] for m in both])
     corr_text = "n/a" if corr is None else fmt_float(corr)
-    mean_text = ("n/a" if not forward_series
-                 else fmt_float(sum(forward_series) / len(forward_series)))
+    mean_text = ("n/a" if not forward
+                 else fmt_float(sum(forward.values()) / len(forward)))
 
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as handle:

@@ -11,6 +11,9 @@ ends):
 
 Reals are serialized with ``repr`` so that parse(format(x)) == x bit for bit;
 ``d_m`` is written as ``inf`` when the pair had no fresh distance estimate.
+Trace files need only be time-ordered within each stream (one per ordered
+observer/subject pair, one per node for accel and sound); reading sorts the
+sightings by (t_ms, observer, subject) and each node's series by time.
 Parsing is strict: the first malformed header, non-numeric field, range
 violation, out-of-order timestamp or self-sighting aborts with its line and
 column.
@@ -22,6 +25,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -47,7 +51,7 @@ SIGHTINGS_FILENAME = "sightings.csv"
 ACCEL_FILENAME = "accel.csv"
 SOUND_FILENAME = "sound.csv"
 
-_WRITE_CHUNK = 65536
+_WRITE_CHUNK = 16384
 
 
 class ParseError(ValueError):
@@ -69,7 +73,12 @@ def fmt_float(x) -> str:
 
 @dataclass(frozen=True)
 class SightingTable:
-    """All radio sightings, column-wise, sorted by (t_ms, observer, subject)."""
+    """All radio sightings, column-wise, sorted by (t_ms, observer, subject).
+
+    Files need only keep each (observer, subject) stream in time order;
+    `read_traces` sorts the rows into this canonical order (stably, so rows
+    with equal keys keep their file order).
+    """
     t_ms: np.ndarray        # int64
     observer: np.ndarray    # object (str)
     subject: np.ndarray     # object (str)
@@ -136,16 +145,11 @@ class TraceSet:
             yield SoundSample(int(s.t_ms[k]), node, float(s.amplitude[k]))
 
     def max_t_ms(self) -> int:
-        best = -1
-        if len(self.sightings):
-            best = max(best, int(self.sightings.t_ms[-1]))
-        for series in self.accel.values():
-            if len(series):
-                best = max(best, int(series.t_ms[-1]))
-        for series in self.sound.values():
-            if len(series):
-                best = max(best, int(series.t_ms[-1]))
-        return best
+        """Latest timestamp over all streams, -1 when there is none."""
+        columns = [self.sightings.t_ms]
+        columns += [s.t_ms for s in self.accel.values()]
+        columns += [s.t_ms for s in self.sound.values()]
+        return max((int(c.max()) for c in columns if len(c)), default=-1)
 
 
 def empty_traceset() -> TraceSet:
@@ -216,6 +220,42 @@ def traces_equal(a: TraceSet, b: TraceSet) -> bool:
 
 
 # --- reading -----------------------------------------------------------------
+#
+# Trace files are parsed a chunk of lines at a time into numpy columns.  Each
+# chunk is split into columns and converted with Python's own int/float, then
+# checked with vectorised rules; the stream-order rule runs once over the
+# whole file.  When a check fails, the first offending row in file order is
+# re-checked field by field with the scalar helpers below, so the ParseError
+# names the same line, column and message a row-at-a-time reader would:
+# within a row the fields are checked left to right, and stream order last.
+
+_READ_CHUNK = 1 << 20      # characters of CSV text converted per step
+_CSV_CHUNK_ROWS = 16384    # rows per step once csv.reader does the splitting
+# characters csv.reader treats specially: quotes, line ends, and NUL, which
+# it rejects before Python 3.11
+_CSV_SPECIAL = ('"', "\r", "\0")
+_T_MAX = int(np.iinfo(np.int64).max)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Column rules of one trace file.
+
+    `kinds` holds one letter per column: ``t`` timestamp, ``n`` node id,
+    ``s`` node id that must differ from the node id before it (the sighted
+    subject), ``r`` finite real.  `bounds` maps a real column's index to
+    (lo, hi, name, range text) for a closed range check.
+    """
+    header: list[str]
+    kinds: str
+    bounds: dict = field(default_factory=dict)
+
+
+_SIGHTINGS = _Layout(SIGHTINGS_HEADER, "tnsr", {
+    3: (RSSI_MIN_DBM, RSSI_MAX_DBM, "rssi", f"[{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]")})
+_ACCEL = _Layout(ACCEL_HEADER, "tnrrr")
+_SOUND = _Layout(SOUND_HEADER, "tnr", {2: (0.0, 1.0, "amplitude", "[0, 1]")})
+
 
 def _open_rows(path):
     handle = open(path, "r", newline="", encoding="utf-8")
@@ -257,169 +297,325 @@ def _parse_t(path, line, column, text, epoch_ms) -> int:
     if t < 0:
         raise ParseError(path, line, column,
                          f"timestamp {text} before the scenario epoch")
+    if t > _T_MAX:
+        raise ParseError(path, line, column,
+                         f"timestamp {text} beyond the 64-bit range")
     return t
 
 
-def _check_monotone(path, line, last_t: dict, key, t: int) -> None:
-    prev = last_t.get(key)
-    if prev is not None and t < prev:
+def _raise_row_error(path, line, row, layout, epoch_ms) -> None:
+    """Re-check one row field by field and raise its first violation."""
+    if len(row) != len(layout.header):
         raise ParseError(path, line, 1,
-                         f"timestamp decreases within stream {key}: {t} after {prev}")
-    last_t[key] = t
+                         f"expected {len(layout.header)} fields, got {len(row)}")
+    node = None
+    for column, (kind, text) in enumerate(zip(layout.kinds, row), start=1):
+        if kind == "t":
+            _parse_t(path, line, column, text, epoch_ms)
+        elif kind == "r":
+            value = _parse_float(path, line, column, text)
+            bounds = layout.bounds.get(column - 1)
+            if bounds and not bounds[0] <= value <= bounds[1]:
+                raise ParseError(path, line, column,
+                                 f"{bounds[2]} {text} outside {bounds[3]}")
+        else:
+            previous, node = node, _parse_node(path, line, column, text)
+            if kind == "s" and node == previous:
+                raise ParseError(path, line, column, f"{node!r} sighted itself")
+    raise AssertionError(f"{path}:{line}: row flagged but passes every check")
+
+
+def _data_chunks(handle, ncols: int):
+    """Yield the data rows as (columns, count, size, row_at) per chunk.
+
+    `columns` holds the first `count` of the chunk's `size` rows as `ncols`
+    sequences of field text; if `count < size`, row `count` has the wrong
+    number of fields.  `row_at(k)` gives row k split exactly as
+    `csv.reader` splits it.  Lines are split on commas until a chunk holds a
+    character only `csv.reader` splits correctly, or a line longer than its
+    field size limit; from there on `csv.reader` splits the rest of the file.
+    """
+    while True:
+        lines = handle.readlines(_READ_CHUNK)
+        if not lines:
+            return
+        text = "".join(lines)
+        if (any(c in text for c in _CSV_SPECIAL)
+                or max(map(len, lines)) > csv.field_size_limit()):
+            break
+        commas = np.fromiter(map(str.count, lines, repeat(",")),
+                             dtype=np.int64, count=len(lines))
+        wrong = np.flatnonzero(commas != ncols - 1)
+        count = int(wrong[0]) if len(wrong) else len(lines)
+        if count < len(lines):
+            text = "".join(lines[:count])
+        if count:
+            flat = text.removesuffix("\n").replace("\n", ",").split(",")
+            columns = [flat[k::ncols] for k in range(ncols)]
+        else:
+            columns = [[] for _ in range(ncols)]
+
+        def row_at(k, lines=lines):
+            line = lines[k].removesuffix("\n")
+            return line.split(",") if line else []
+
+        yield columns, count, len(lines), row_at
+
+    reader = csv.reader(chain(lines, handle))
+    while True:
+        rows: list[list[str]] = []
+        try:
+            rows.extend(islice(reader, _CSV_CHUNK_ROWS))
+        except csv.Error:
+            # the rows before the one csv rejects are checked first
+            if rows:
+                yield _csv_chunk(rows, ncols)
+            raise
+        if not rows:
+            return
+        yield _csv_chunk(rows, ncols)
+
+
+def _csv_chunk(rows: list[list[str]], ncols: int):
+    count = next((k for k, row in enumerate(rows) if len(row) != ncols), len(rows))
+    columns = list(zip(*rows[:count])) if count else [()] * ncols
+    return columns, count, len(rows), rows.__getitem__
+
+
+def _convert_chunk(columns, count: int, layout: _Layout, epoch_ms: int,
+                   codes: dict, names: list):
+    """Convert one chunk's columns and apply the per-row rules.
+
+    Returns the converted columns (node ids as codes into `names`) cut
+    before the chunk's first offending row, and that row's index (`count`
+    when every row passes).
+    """
+    bad = count
+    out = []
+    previous = None
+    for column, (kind, text) in enumerate(zip(layout.kinds, columns)):
+        if kind == "t":
+            values: list = []
+            try:
+                values.extend(map(int, text))
+            except ValueError:
+                pass      # `values` ends before the first non-integer
+            if epoch_ms:
+                values = [v - epoch_ms for v in values]
+            if values and (min(values) < 0 or max(values) > _T_MAX):
+                values = values[:next(k for k, v in enumerate(values)
+                                      if not 0 <= v <= _T_MAX)]
+            bad = min(bad, len(values))
+            out.append(np.array(values, dtype=np.int64))
+        elif kind == "r":
+            values = []
+            try:
+                values.extend(map(float, text))
+            except ValueError:
+                pass
+            bad = min(bad, len(values))
+            arr = np.array(values, dtype=np.float64)
+            ok = np.isfinite(arr)
+            bounds = layout.bounds.get(column)
+            if bounds:
+                ok &= (arr >= bounds[0]) & (arr <= bounds[1])
+            out.append(arr)
+            bad = _first_false(ok, bad)
+        else:
+            for name in set(text).difference(codes):
+                try:
+                    validate_node_id(name)
+                except DomainError:
+                    codes[name] = -1
+                else:
+                    codes[name] = len(names)
+                    names.append(name)
+            arr = np.fromiter(map(codes.__getitem__, text), dtype=np.int64,
+                              count=len(text))
+            ok = arr >= 0
+            if kind == "s":
+                ok &= arr != previous
+            out.append(arr)
+            bad = _first_false(ok, bad)
+            previous = arr
+    return [arr[:bad] for arr in out], bad
+
+
+def _first_false(ok: np.ndarray, limit: int) -> int:
+    wrong = np.flatnonzero(~ok[:limit])
+    return int(wrong[0]) if len(wrong) else limit
+
+
+def _stream_order(t: np.ndarray, key: np.ndarray):
+    """Stable sort by stream key, and the stream contract's first breach.
+
+    Returns the sort order and, if a stream's timestamp ever decreases, the
+    first such row in file order with the timestamp before it in its stream
+    (else None).
+    """
+    order = np.argsort(key, kind="stable")
+    t_sorted, key_sorted = t[order], key[order]
+    drops = np.flatnonzero((key_sorted[1:] == key_sorted[:-1])
+                           & (t_sorted[1:] < t_sorted[:-1]))
+    if not len(drops):
+        return order, None
+    k = drops[np.argmin(order[drops + 1])]
+    return order, (int(order[k + 1]), int(t_sorted[k]))
+
+
+def _read_columns(path, layout: _Layout, epoch_ms: int):
+    """Parse one trace file into columns in file order; checks every rule.
+
+    Returns (columns, names, order): node columns are codes into `names`,
+    and `order` stably sorts the rows by stream (observer and subject for
+    sightings, node otherwise).
+    """
+    ncols = len(layout.header)
+    node_columns = [k for k, kind in enumerate(layout.kinds) if kind in "ns"]
+    codes: dict[str, int] = {}
+    names: list[str] = []
+    parts: list[list[np.ndarray]] = [[] for _ in range(ncols)]
+
+    def columns():
+        cols = [np.concatenate(part) if part
+                else np.empty(0, dtype=np.float64 if kind == "r" else np.int64)
+                for part, kind in zip(parts, layout.kinds)]
+        parts[:] = [[c] for c in cols]    # frees the chunks
+        return cols
+
+    def stream_order(cols):
+        key = cols[node_columns[0]]
+        for k in node_columns[1:]:
+            key = key * len(names) + cols[k]
+        order, breach = _stream_order(cols[0], key)
+        if breach is not None:
+            row, prev = breach
+            stream = tuple(names[cols[k][row]] for k in node_columns)
+            raise ParseError(path, row + 2, 1,
+                             f"timestamp decreases within stream "
+                             f"{stream if len(stream) > 1 else stream[0]}: "
+                             f"{int(cols[0][row])} after {prev}")
+        return order
+
+    with open(path, "r", newline="", encoding="utf-8") as handle:
+        first = handle.readline()
+        if first:
+            _check_header(path, next(csv.reader([first])), layout.header)
+        line = 2
+        try:
+            for text_columns, count, size, row_at in _data_chunks(handle, ncols):
+                converted, bad = _convert_chunk(text_columns, count, layout,
+                                                epoch_ms, codes, names)
+                for part, arr in zip(parts, converted):
+                    part.append(arr)
+                if bad < size:
+                    stream_order(columns())       # an earlier order breach wins
+                    _raise_row_error(path, line + bad, row_at(bad), layout, epoch_ms)
+                line += size
+        except csv.Error:
+            stream_order(columns())
+            raise
+    cols = columns()
+    return cols, names, stream_order(cols)
+
+
+def _node_ranks(names: list[str]) -> np.ndarray:
+    """rank[code] is the position of names[code] in sorted order."""
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return rank
+
+
+def _per_node(cols, names, order) -> dict:
+    """Split stream-sorted columns into {node: [t_ms, values...]}, by node name."""
+    starts = np.searchsorted(cols[1][order], np.arange(len(names) + 1))
+    series = {}
+    for code in sorted(range(len(names)), key=names.__getitem__):
+        rows = order[starts[code]:starts[code + 1]]
+        series[names[code]] = [cols[0][rows]] + [c[rows] for c in cols[2:]]
+    return series
 
 
 def read_traces(sightings_path, accel_path, sound_path, epoch_ms: int = 0) -> TraceSet:
     """Parse and validate the three trace files into a TraceSet.
 
     `epoch_ms` is subtracted from every timestamp, mapping wall-clock inputs
-    onto the scenario-relative axis.  The first violation of the stream
-    contract aborts with the offending line and column.
+    onto the scenario-relative axis.  Files need only be time-ordered within
+    each stream; sightings come back sorted by (t_ms, observer, subject) and
+    each node's accel and sound series by time (rows with equal keys keep
+    their file order).  The first violation of the stream contract, in file
+    order, aborts with the offending line and column.
     """
-    s_t, s_obs, s_subj, s_rssi = [], [], [], []
-    handle, rows = _open_rows(sightings_path)
-    with handle:
-        last_t: dict = {}
-        for line, row in enumerate(rows, start=1):
-            if line == 1:
-                _check_header(sightings_path, row, SIGHTINGS_HEADER)
-                continue
-            if len(row) != 4:
-                raise ParseError(sightings_path, line, 1,
-                                 f"expected 4 fields, got {len(row)}")
-            t = _parse_t(sightings_path, line, 1, row[0], epoch_ms)
-            obs = _parse_node(sightings_path, line, 2, row[1])
-            subj = _parse_node(sightings_path, line, 3, row[2])
-            if obs == subj:
-                raise ParseError(sightings_path, line, 3,
-                                 f"{obs!r} sighted itself")
-            rssi = _parse_float(sightings_path, line, 4, row[3])
-            if not (RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM):
-                raise ParseError(sightings_path, line, 4,
-                                 f"rssi {row[3]} outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]")
-            _check_monotone(sightings_path, line, last_t, (obs, subj), t)
-            s_t.append(t); s_obs.append(obs); s_subj.append(subj); s_rssi.append(rssi)
-
-    accel_data: dict[str, list] = {}
-    handle, rows = _open_rows(accel_path)
-    with handle:
-        last_t = {}
-        for line, row in enumerate(rows, start=1):
-            if line == 1:
-                _check_header(accel_path, row, ACCEL_HEADER)
-                continue
-            if len(row) != 5:
-                raise ParseError(accel_path, line, 1,
-                                 f"expected 5 fields, got {len(row)}")
-            t = _parse_t(accel_path, line, 1, row[0], epoch_ms)
-            node = _parse_node(accel_path, line, 2, row[1])
-            ax = _parse_float(accel_path, line, 3, row[2])
-            ay = _parse_float(accel_path, line, 4, row[3])
-            az = _parse_float(accel_path, line, 5, row[4])
-            _check_monotone(accel_path, line, last_t, node, t)
-            accel_data.setdefault(node, []).append((t, ax, ay, az))
-
-    sound_data: dict[str, list] = {}
-    handle, rows = _open_rows(sound_path)
-    with handle:
-        last_t = {}
-        for line, row in enumerate(rows, start=1):
-            if line == 1:
-                _check_header(sound_path, row, SOUND_HEADER)
-                continue
-            if len(row) != 3:
-                raise ParseError(sound_path, line, 1,
-                                 f"expected 3 fields, got {len(row)}")
-            t = _parse_t(sound_path, line, 1, row[0], epoch_ms)
-            node = _parse_node(sound_path, line, 2, row[1])
-            amp = _parse_float(sound_path, line, 3, row[2])
-            if not (0.0 <= amp <= 1.0):
-                raise ParseError(sound_path, line, 3,
-                                 f"amplitude {row[2]} outside [0, 1]")
-            _check_monotone(sound_path, line, last_t, node, t)
-            sound_data.setdefault(node, []).append((t, amp))
-
-    accel_series = {}
-    for node in sorted(accel_data):
-        t, ax, ay, az = zip(*accel_data[node])
-        accel_series[node] = AccelSeries(np.asarray(t, dtype=np.int64),
-                                         np.asarray(ax, dtype=np.float64),
-                                         np.asarray(ay, dtype=np.float64),
-                                         np.asarray(az, dtype=np.float64))
-    sound_series = {}
-    for node in sorted(sound_data):
-        t, amp = zip(*sound_data[node])
-        sound_series[node] = SoundSeries(np.asarray(t, dtype=np.int64),
-                                         np.asarray(amp, dtype=np.float64))
-    return TraceSet(_sighting_table(s_t, s_obs, s_subj, s_rssi),
-                    accel_series, sound_series)
+    (t, obs, subj, rssi), names, _ = _read_columns(sightings_path, _SIGHTINGS, epoch_ms)
+    rank = _node_ranks(names)
+    order = np.lexsort((rank[subj], rank[obs], t))
+    name_of = np.array(names, dtype=object)
+    sightings = SightingTable(t[order], name_of[obs[order]], name_of[subj[order]],
+                              rssi[order])
+    accel = {node: AccelSeries(*cols) for node, cols
+             in _per_node(*_read_columns(accel_path, _ACCEL, epoch_ms)).items()}
+    sound = {node: SoundSeries(*cols) for node, cols
+             in _per_node(*_read_columns(sound_path, _SOUND, epoch_ms)).items()}
+    return TraceSet(sightings, accel, sound)
 
 
 # --- writing -----------------------------------------------------------------
 
-def _write_lines(handle, lines: list[str]) -> None:
-    handle.writelines(lines)
-    lines.clear()
+def _write_csv(path, header: list[str], columns: list[np.ndarray],
+               order: np.ndarray | None, format_rows) -> None:
+    """Write a header and the rows of `columns`, `_WRITE_CHUNK` rows at a time.
+
+    Rows go out in `order` (row indices), or as stored when it is None.
+    `format_rows` maps one block of columns, as Python lists (ints and
+    floats, so ``!r`` gives the repr form), to its text lines.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _WRITE_CHUNK):
+            hi = lo + _WRITE_CHUNK
+            rows = slice(lo, hi) if order is None else order[lo:hi]
+            handle.writelines(format_rows(*(c[rows].tolist() for c in columns)))
 
 
 def write_traces(traces: TraceSet, out_dir) -> tuple[str, str, str]:
     """Write the three trace CSVs into `out_dir`; returns their paths.
 
-    Reading the files back reproduces the TraceSet exactly.
+    Sightings are written in table order, accel and sound rows merged over
+    all nodes by (t_ms, node).  Reading the files back reproduces the
+    TraceSet exactly.
     """
     os.makedirs(out_dir, exist_ok=True)
     s_path = os.path.join(out_dir, SIGHTINGS_FILENAME)
     a_path = os.path.join(out_dir, ACCEL_FILENAME)
     d_path = os.path.join(out_dir, SOUND_FILENAME)
-
     tab = traces.sightings
-    with open(s_path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(SIGHTINGS_HEADER) + "\n")
-        lines: list[str] = []
-        for k in range(len(tab)):
-            lines.append(f"{int(tab.t_ms[k])},{tab.observer[k]},"
-                         f"{tab.subject[k]},{fmt_float(tab.rssi_dbm[k])}\n")
-            if len(lines) >= _WRITE_CHUNK:
-                _write_lines(handle, lines)
-        _write_lines(handle, lines)
-
-    with open(a_path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(ACCEL_HEADER) + "\n")
-        lines = []
-        for node, t, row_of in _merged_rows(traces.accel):
-            series = traces.accel[node]
-            k = row_of
-            lines.append(f"{int(t)},{node},{fmt_float(series.ax[k])},"
-                         f"{fmt_float(series.ay[k])},{fmt_float(series.az[k])}\n")
-            if len(lines) >= _WRITE_CHUNK:
-                _write_lines(handle, lines)
-        _write_lines(handle, lines)
-
-    with open(d_path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(SOUND_HEADER) + "\n")
-        lines = []
-        for node, t, row_of in _merged_rows(traces.sound):
-            series = traces.sound[node]
-            lines.append(f"{int(t)},{node},{fmt_float(series.amplitude[row_of])}\n")
-            if len(lines) >= _WRITE_CHUNK:
-                _write_lines(handle, lines)
-        _write_lines(handle, lines)
-
+    _write_csv(s_path, SIGHTINGS_HEADER,
+               [np.asarray(tab.t_ms, dtype=np.int64), tab.observer, tab.subject,
+                np.asarray(tab.rssi_dbm, dtype=np.float64)], None,
+               lambda t, obs, subj, rssi: [f"{a},{b},{c},{d!r}\n" for a, b, c, d
+                                           in zip(t, obs, subj, rssi)])
+    _write_csv(a_path, ACCEL_HEADER, *_merged_columns(traces.accel, ("ax", "ay", "az")),
+               lambda t, node, ax, ay, az: [f"{a},{b},{x!r},{y!r},{z!r}\n" for a, b, x, y, z
+                                            in zip(t, node, ax, ay, az)])
+    _write_csv(d_path, SOUND_HEADER, *_merged_columns(traces.sound, ("amplitude",)),
+               lambda t, node, amp: [f"{a},{b},{x!r}\n" for a, b, x in zip(t, node, amp)])
     return (s_path, a_path, d_path)
 
 
-def _merged_rows(series_by_node: dict):
-    """Yield (node, t_ms, row_index) over all nodes, sorted by (t_ms, node)."""
+def _merged_columns(series_by_node: dict, values: tuple[str, ...]):
+    """Columns [t_ms, node, *values] of all nodes' series, and the row order
+    that sorts them by (t_ms, node)."""
     nodes = sorted(series_by_node)
-    if not nodes:
-        return
-    all_t = np.concatenate([series_by_node[n].t_ms for n in nodes])
-    codes = np.concatenate([np.full(len(series_by_node[n].t_ms), c, dtype=np.int32)
-                            for c, n in enumerate(nodes)])
-    rows = np.concatenate([np.arange(len(series_by_node[n].t_ms), dtype=np.int64)
-                           for n in nodes])
-    order = np.lexsort((codes, all_t))
-    for idx in order:
-        yield nodes[codes[idx]], all_t[idx], rows[idx]
+    parts = [series_by_node[n] for n in nodes]
+    codes = np.repeat(np.arange(len(nodes)), [len(p.t_ms) for p in parts])
+
+    def joined(name, dtype):
+        return np.concatenate([getattr(p, name) for p in parts] or [[]]).astype(dtype, copy=False)
+
+    t = joined("t_ms", np.int64)
+    columns = [t, np.array(nodes, dtype=object)[codes]]
+    columns += [joined(v, np.float64) for v in values]
+    return columns, np.lexsort((codes, t))
 
 
 # --- minute-record codec -------------------------------------------------------
@@ -474,6 +670,11 @@ def parse_record_row(row: list[str] | str) -> MinuteRecord:
         raise ValueError(f"unknown nearness label {fields[10]!r}")
     return MinuteRecord(minute, i, j, n_i, m_i, v_i, d_m, s_s, p, si,
                         _NEARNESS_BY_NAME[fields[10]])
+
+
+def _write_lines(handle, lines: list[str]) -> None:
+    handle.writelines(lines)
+    lines.clear()
 
 
 def write_minute_records(records, path) -> None:

@@ -107,19 +107,21 @@ class RecordLog:
         """Append one minute's batch; empty batches are a no-op.
 
         Every record key must exceed the last stored key: minutes only move
-        forward, and within a minute only new pairs may arrive.
+        forward, and within a minute only new pairs may arrive.  The whole
+        batch is checked before anything is written, so a rejected batch
+        leaves the log as it was.
         """
         records = list(records)
         if not records:
             return
         if self._handle is None:
             raise StoreError(f"{self.path}: log opened read-only")
+        last = self._last_key
         for record in records:
             key = record.key()
-            if self._last_key is not None and key <= self._last_key:
-                raise StoreError(
-                    f"out-of-order append: {key} after {self._last_key}")
-            self._last_key = key
+            if last is not None and key <= last:
+                raise StoreError(f"out-of-order append: {key} after {last}")
+            last = key
         frames = bytearray()
         for record in records:
             payload = format_record_row(record).encode("utf-8")
@@ -128,6 +130,7 @@ class RecordLog:
         self._handle.write(frames)
         self._handle.flush()
         self._records.extend(records)
+        self._last_key = last
 
     # -- reads ------------------------------------------------------------------
 

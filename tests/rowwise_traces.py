@@ -1,0 +1,176 @@
+"""Reference trace reader: one row at a time, every field checked in order.
+
+This is the reader `nearness.ingest.read_traces` replaced.  It keeps the rows
+in file order, so `canonical` puts its result into the order the columnar
+reader promises before the two are compared.  Tests use it as an oracle for
+the accepted values and for the exact ParseError of a rejected file.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+
+import numpy as np
+
+from nearness.domain import RSSI_MAX_DBM, RSSI_MIN_DBM, DomainError, validate_node_id
+from nearness.ingest import (
+    ACCEL_HEADER,
+    SIGHTINGS_HEADER,
+    SOUND_HEADER,
+    AccelSeries,
+    ParseError,
+    SightingTable,
+    SoundSeries,
+    TraceSet,
+)
+
+
+def _open_rows(path):
+    handle = open(path, "r", newline="", encoding="utf-8")
+    return handle, csv.reader(handle)
+
+
+def _check_header(path, row, expected):
+    if row != expected:
+        raise ParseError(path, 1, 1,
+                         f"malformed header: expected {','.join(expected)}")
+
+
+def _parse_int(path, line, column, text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(path, line, column, f"invalid integer {text!r}") from None
+
+
+def _parse_float(path, line, column, text) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(path, line, column, f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(path, line, column, f"non-finite value {text!r}")
+    return value
+
+
+def _parse_node(path, line, column, text) -> str:
+    try:
+        return validate_node_id(text)
+    except DomainError as exc:
+        raise ParseError(path, line, column, str(exc)) from None
+
+
+def _parse_t(path, line, column, text, epoch_ms) -> int:
+    t = _parse_int(path, line, column, text) - epoch_ms
+    if t < 0:
+        raise ParseError(path, line, column,
+                         f"timestamp {text} before the scenario epoch")
+    return t
+
+
+def _check_monotone(path, line, last_t: dict, key, t: int) -> None:
+    prev = last_t.get(key)
+    if prev is not None and t < prev:
+        raise ParseError(path, line, 1,
+                         f"timestamp decreases within stream {key}: {t} after {prev}")
+    last_t[key] = t
+
+
+def read_traces_rowwise(sightings_path, accel_path, sound_path,
+                        epoch_ms: int = 0) -> TraceSet:
+    """Parse the three trace files row by row; sightings stay in file order."""
+    s_t, s_obs, s_subj, s_rssi = [], [], [], []
+    handle, rows = _open_rows(sightings_path)
+    with handle:
+        last_t: dict = {}
+        for line, row in enumerate(rows, start=1):
+            if line == 1:
+                _check_header(sightings_path, row, SIGHTINGS_HEADER)
+                continue
+            if len(row) != 4:
+                raise ParseError(sightings_path, line, 1,
+                                 f"expected 4 fields, got {len(row)}")
+            t = _parse_t(sightings_path, line, 1, row[0], epoch_ms)
+            obs = _parse_node(sightings_path, line, 2, row[1])
+            subj = _parse_node(sightings_path, line, 3, row[2])
+            if obs == subj:
+                raise ParseError(sightings_path, line, 3,
+                                 f"{obs!r} sighted itself")
+            rssi = _parse_float(sightings_path, line, 4, row[3])
+            if not (RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM):
+                raise ParseError(sightings_path, line, 4,
+                                 f"rssi {row[3]} outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]")
+            _check_monotone(sightings_path, line, last_t, (obs, subj), t)
+            s_t.append(t); s_obs.append(obs); s_subj.append(subj); s_rssi.append(rssi)
+
+    accel_data: dict[str, list] = {}
+    handle, rows = _open_rows(accel_path)
+    with handle:
+        last_t = {}
+        for line, row in enumerate(rows, start=1):
+            if line == 1:
+                _check_header(accel_path, row, ACCEL_HEADER)
+                continue
+            if len(row) != 5:
+                raise ParseError(accel_path, line, 1,
+                                 f"expected 5 fields, got {len(row)}")
+            t = _parse_t(accel_path, line, 1, row[0], epoch_ms)
+            node = _parse_node(accel_path, line, 2, row[1])
+            ax = _parse_float(accel_path, line, 3, row[2])
+            ay = _parse_float(accel_path, line, 4, row[3])
+            az = _parse_float(accel_path, line, 5, row[4])
+            _check_monotone(accel_path, line, last_t, node, t)
+            accel_data.setdefault(node, []).append((t, ax, ay, az))
+
+    sound_data: dict[str, list] = {}
+    handle, rows = _open_rows(sound_path)
+    with handle:
+        last_t = {}
+        for line, row in enumerate(rows, start=1):
+            if line == 1:
+                _check_header(sound_path, row, SOUND_HEADER)
+                continue
+            if len(row) != 3:
+                raise ParseError(sound_path, line, 1,
+                                 f"expected 3 fields, got {len(row)}")
+            t = _parse_t(sound_path, line, 1, row[0], epoch_ms)
+            node = _parse_node(sound_path, line, 2, row[1])
+            amp = _parse_float(sound_path, line, 3, row[2])
+            if not (0.0 <= amp <= 1.0):
+                raise ParseError(sound_path, line, 3,
+                                 f"amplitude {row[2]} outside [0, 1]")
+            _check_monotone(sound_path, line, last_t, node, t)
+            sound_data.setdefault(node, []).append((t, amp))
+
+    accel_series = {}
+    for node in sorted(accel_data):
+        t, ax, ay, az = zip(*accel_data[node])
+        accel_series[node] = AccelSeries(np.asarray(t, dtype=np.int64),
+                                         np.asarray(ax, dtype=np.float64),
+                                         np.asarray(ay, dtype=np.float64),
+                                         np.asarray(az, dtype=np.float64))
+    sound_series = {}
+    for node in sorted(sound_data):
+        t, amp = zip(*sound_data[node])
+        sound_series[node] = SoundSeries(np.asarray(t, dtype=np.int64),
+                                         np.asarray(amp, dtype=np.float64))
+    table = SightingTable(np.asarray(s_t, dtype=np.int64),
+                          np.asarray(s_obs, dtype=object),
+                          np.asarray(s_subj, dtype=object),
+                          np.asarray(s_rssi, dtype=np.float64))
+    return TraceSet(table, accel_series, sound_series)
+
+
+def canonical(traces: TraceSet) -> TraceSet:
+    """Sightings stably sorted by (t_ms, observer, subject), with a plain sort."""
+    tab = traces.sightings
+    rows = sorted(zip(tab.t_ms.tolist(), tab.observer.tolist(),
+                      tab.subject.tolist(), tab.rssi_dbm.tolist()),
+                  key=lambda r: r[:3])
+    t, obs, subj, rssi = zip(*rows) if rows else ((), (), (), ())
+    table = SightingTable(np.asarray(t, dtype=np.int64),
+                          np.asarray(obs, dtype=object),
+                          np.asarray(subj, dtype=object),
+                          np.asarray(rssi, dtype=np.float64))
+    return TraceSet(table, traces.accel, traces.sound)

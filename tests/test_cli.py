@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from nearness.cli import main
-from nearness.ingest import read_traces, write_traces
+from nearness.domain import MinuteRecord, Nearness
+from nearness.ingest import fmt_float, read_traces, write_traces
 from nearness.store import RecordLog
 
 TINY_SCENARIO = """
@@ -139,6 +141,26 @@ class TestRun:
             read_bytes(tmp_path / "r2" / "records.log")
 
 
+    def test_traces_in_per_stream_order_run_in_full(self, tmp_path, capsys):
+        # a->b for 10 minutes, then a->c for the first 5: each stream is in
+        # time order, the file as a whole is not
+        rows = [f"{t},a,b,-50.0" for t in range(0, 600_000, 10_000)]
+        rows += [f"{t},a,c,-50.0" for t in range(0, 300_000, 10_000)]
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "sightings.csv").write_text(
+            "t_ms,observer,subject,rssi_dbm\n" + "\n".join(rows) + "\n")
+        (traces / "accel.csv").write_text("t_ms,node,ax,ay,az\n")
+        (traces / "sound.csv").write_text("t_ms,node,amplitude\n")
+        out = tmp_path / "out"
+        assert main(["run", "--traces", str(traces), "--out", str(out)]) == 0
+        assert "minutes: 10 " in capsys.readouterr().out
+        log = RecordLog.open(out / "records.log")
+        degree = {r.minute: r.n_i for r in log.query(("a", "b"))}
+        # a sights c within the trailing two minutes up to minute 5's end
+        assert degree == {m: 2 if m <= 5 else 1 for m in range(10)}
+
+
 @pytest.fixture
 def run_dir(tiny_scn, tmp_path):
     out = tmp_path / "run"
@@ -175,6 +197,24 @@ class TestAnalyze:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "minute,metric_value"
         assert len(lines) == 11
+
+    def test_symmetry_pairs_values_by_minute(self, tmp_path, capsys):
+        forward = [1.0, None, 3.0, 4.5, 5.0]     # None: out of range (d = inf)
+        reverse = [1.5, 2.0, 2.5, None, 6.0]
+        log_path = tmp_path / "records.log"
+        with RecordLog.create(log_path) as log:
+            for minute, (d_ab, d_ba) in enumerate(zip(forward, reverse)):
+                log.append([MinuteRecord(minute, i, j, 1, 1, 0, d, 60.0,
+                                         0.0 if d is None else 1.0,
+                                         0.0 if d is None else 0.5, Nearness.LOW)
+                            for i, j, d in (("a", "b", d_ab), ("b", "a", d_ba))])
+        assert main(["analyze", "--log", str(log_path), "--pair", "a,b",
+                     "--metric", "d"]) == 0
+        out = capsys.readouterr().out
+        # only minutes 0, 2 and 4 are finite in both directions
+        want = np.corrcoef([1.0, 3.0, 5.0], [1.5, 2.5, 6.0])[0, 1]
+        assert f"symmetry correlation vs b,a: {fmt_float(want)}" in out
+        assert f"mean {fmt_float((1.0 + 3.0 + 4.5 + 5.0) / 4)}" in out
 
     def test_bad_pair_flag_is_input_error(self, run_dir):
         assert main(["analyze", "--log", str(run_dir / "records.log"),

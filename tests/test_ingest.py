@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from nearness.domain import AccelSample, BtSighting, MinuteRecord, Nearness, SoundSample
 from nearness.ingest import (
+    AccelSeries,
     ParseError,
+    SoundSeries,
+    TraceSet,
+    _sighting_table,
     empty_traceset,
     format_record_row,
     parse_record_row,
@@ -72,6 +76,30 @@ class TestRoundtrip:
         traces, _ = generate(config)
         out = tmp_path_factory.mktemp("rt")
         assert traces_equal(traces, write_then_read(traces, out))
+
+    def test_max_t_ms_looks_past_the_last_row(self):
+        traces = TraceSet(_sighting_table([90_000, 30_000], ["a", "a"], ["b", "c"],
+                                          [-50.0, -50.0]),
+                          accel={"a": AccelSeries(np.array([5, 1]), np.zeros(2),
+                                                  np.zeros(2), np.zeros(2))},
+                          sound={"a": SoundSeries(np.array([120_000, 7]), np.zeros(2))})
+        assert traces.max_t_ms() == 120_000
+        assert empty_traceset().max_t_ms() == -1
+
+    def test_rows_come_back_in_canonical_order(self, tmp_path):
+        paths = trace_files(
+            tmp_path,
+            sightings="600,a,b,-50.0\n0,a,c,-51.0\n300,b,a,-52.0\n0,B,a,-53.0\n",
+            accel="50,b,0,0,3\n0,a,0,0,2\n100,b,0,0,1\n",
+            sound="9,b,0.5\n1,a,0.25\n")
+        traces = read_traces(*paths)
+        tab = traces.sightings
+        assert list(zip(tab.t_ms.tolist(), tab.observer, tab.subject)) == [
+            (0, "B", "a"), (0, "a", "c"), (300, "b", "a"), (600, "a", "b")]
+        assert list(traces.accel) == ["a", "b"]
+        assert traces.accel["b"].t_ms.tolist() == [50, 100]
+        assert traces.accel["b"].az.tolist() == [3.0, 1.0]
+        assert list(traces.sound) == ["a", "b"]
 
     def test_single_row_maps_to_sighting(self, tmp_path):
         (tmp_path / "s.csv").write_text(
@@ -154,6 +182,13 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             read_traces(*paths)
         assert err.value.column == 3
+
+    def test_timestamp_beyond_int64_rejected(self, tmp_path):
+        paths = trace_files(tmp_path, sightings="0,a,b,-40.0\n" + "9" * 20 + ",a,b,-40.0\n")
+        with pytest.raises(ParseError) as err:
+            read_traces(*paths)
+        assert (err.value.line, err.value.column) == (3, 1)
+        assert "64-bit" in str(err.value)
 
 
 class TestEpochMapping:

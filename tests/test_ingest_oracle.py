@@ -1,0 +1,223 @@
+"""The columnar trace reader against the row-at-a-time reference reader.
+
+Valid files must read to the same TraceSet (after the reference's rows are
+put in canonical order) and write back byte-stably.  Corrupted files must
+fail with the identical ParseError: same path, line, column and message.
+Each case also runs with tiny read chunks, so rules and errors that cross a
+chunk boundary are exercised on small files.
+"""
+
+import csv
+import random
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nearness import ingest
+from nearness.ingest import ParseError, read_traces, traces_equal, write_traces
+from rowwise_traces import canonical, read_traces_rowwise
+
+NODES = ["a", "b", "c", "B", "n 1", "zé"]
+HEADERS = ("t_ms,observer,subject,rssi_dbm", "t_ms,node,ax,ay,az", "t_ms,node,amplitude")
+CHUNKS = st.sampled_from([(1, 1), (40, 3), (1 << 20, 16384)])
+
+
+def awkward_text(x: float, style: int) -> str:
+    """A spelling of `x` that float() reads back as exactly `x`."""
+    return (repr(x), f"{x:.17g}", f"{x:.17e}", f" {x!r}")[style]
+
+
+@st.composite
+def streams(draw, kind):
+    """(stream key, rows) of one stream: non-decreasing times, fields per file kind."""
+    n = draw(st.integers(0, 6))
+    times = sorted(draw(st.lists(st.integers(0, 5_000), min_size=n, max_size=n)))
+    if kind == "sightings":
+        obs, subj = draw(st.lists(st.sampled_from(NODES), min_size=2, max_size=2,
+                                  unique=True))
+        reals = st.floats(-120.0, 0.0)
+        return (obs, subj), [(t, [obs, subj, draw(reals)]) for t in times]
+    node = draw(st.sampled_from(NODES))
+    if kind == "accel":
+        reals = st.floats(allow_nan=False, allow_infinity=False)
+        return node, [(t, [node, draw(reals), draw(reals), draw(reals)]) for t in times]
+    return node, [(t, [node, draw(st.floats(0.0, 1.0))]) for t in times]
+
+
+@st.composite
+def trace_texts(draw):
+    """The three files' data lines, per-stream ordered but globally shuffled."""
+    epoch = draw(st.sampled_from([0, 1_700_000_000_000]))
+    files = []
+    for kind in ("sightings", "accel", "sound"):
+        keyed = draw(st.lists(streams(kind), max_size=4, unique_by=lambda g: g[0]))
+        groups = [rows for _, rows in keyed]
+        tokens = [k for k, g in enumerate(groups) for _ in g]
+        draw(st.randoms(use_true_random=False)).shuffle(tokens)
+        position = [0] * len(groups)
+        lines = []
+        for k in tokens:
+            t, fields = groups[k][position[k]]
+            position[k] += 1
+            texts = [str(t + epoch)]
+            for value in fields:
+                texts.append(value if isinstance(value, str)
+                             else awkward_text(value, draw(st.integers(0, 3))))
+            lines.append(",".join(texts))
+        files.append(lines)
+    return epoch, files
+
+
+def write_files(directory: Path, files) -> list[Path]:
+    paths = []
+    for name, header, lines in zip(("s.csv", "a.csv", "d.csv"), HEADERS, files):
+        path = directory / name
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in [header] + lines))
+        paths.append(path)
+    return paths
+
+
+def outcome(reader, paths, epoch):
+    try:
+        return reader(*paths, epoch_ms=epoch)
+    except ParseError as exc:
+        return str(exc)
+    except csv.Error as exc:     # a NUL byte, before Python 3.11
+        return f"csv.Error: {exc}"
+
+
+def read_both(paths, epoch, chunks):
+    with mock.patch.object(ingest, "_READ_CHUNK", chunks[0]), \
+            mock.patch.object(ingest, "_CSV_CHUNK_ROWS", chunks[1]):
+        new = outcome(read_traces, paths, epoch)
+    old = outcome(read_traces_rowwise, paths, epoch)
+    return new, old
+
+
+def assert_same_outcome(new, old):
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert not isinstance(new, str), new
+        assert traces_equal(new, canonical(old))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=trace_texts(), chunks=CHUNKS)
+def test_valid_files_read_like_the_reference(data, chunks):
+    epoch, files = data
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_files(Path(tmp), files)
+        new, old = read_both(paths, epoch, chunks)
+        assert_same_outcome(new, old)
+
+        first = write_traces(new, Path(tmp) / "one")
+        again = read_traces(*first)
+        assert traces_equal(new, again)
+        second = write_traces(again, Path(tmp) / "two")
+        for a, b in zip(first, second):
+            assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+BAD_TOKENS = ["x", "nan", "inf", "-inf", "1.5", "1e3", "-1", "999", "2", " 3", "-121",
+              "a", "b", "1_0", "a,b", '"q"', '"q', "q\r", "\r", "x" * 65, "-0.0",
+              "1\x00", ""]
+ACTIONS = ["replace", "replace", "replace", "drop", "extra", "blank", "swap",
+           "self", "quote", "crlf"]
+
+
+def draw_edit(rnd):
+    return (rnd.choice(ACTIONS), rnd.random(), rnd.choice(BAD_TOKENS), rnd.random())
+
+
+def apply_edit(lines, line, edit):
+    """One edit of one data line: a field replaced, dropped, added or quoted,
+    the subject set to the observer, a CR added, the line blanked, or the
+    line swapped with another (which may break stream order)."""
+    action, where, token, other = edit
+    fields = lines[line].split(",")
+    column = int(where * len(fields))
+    if action == "replace":
+        fields[column] = token
+    elif action == "drop":
+        del fields[column]
+    elif action == "extra":
+        fields.insert(column, token)
+    elif action == "blank":
+        fields = []
+    elif action == "self" and len(fields) > 2:
+        fields[2] = fields[1]
+    elif action == "quote":
+        fields[column] = f'"{fields[column]}"'
+    elif action == "crlf":
+        fields[-1] += "\r"
+    elif action == "swap":
+        other = int(other * len(lines))
+        lines[line], lines[other] = lines[other], lines[line]
+        return
+    lines[line] = ",".join(fields)
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=trace_texts(), chunks=CHUNKS, seed=st.integers(0, 2 ** 32 - 1))
+def test_corrupt_files_fail_like_the_reference(data, chunks, seed):
+    epoch, files = data
+    rnd = random.Random(seed)    # uniform edits; hypothesis favours the first choices
+    filled = [k for k, lines in enumerate(files) if lines]
+    if not filled:
+        return
+    lines = files[rnd.choice(filled)]
+    first, edit = rnd.randrange(len(lines)), draw_edit(rnd)
+    apply_edit(lines, first, edit)
+    second = rnd.random()
+    if second < 0.2:       # a second rule broken in the same row
+        apply_edit(lines, first, draw_edit(rnd))
+    elif second < 0.6:     # the same rule broken in a second row
+        apply_edit(lines, rnd.randrange(len(lines)), edit)
+    elif second < 0.8:     # another rule broken in a second row
+        apply_edit(lines, rnd.randrange(len(lines)), draw_edit(rnd))
+    if rnd.random() < 0.25:
+        epoch += 1_000     # pushes the earliest rows before the epoch
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_files(Path(tmp), files)
+        new, old = read_both(paths, epoch, chunks)
+        assert_same_outcome(new, old)
+
+
+def test_two_rules_in_one_row_report_the_leftmost(tmp_path):
+    # bad observer (column 2) and out-of-range rssi (column 4) in one row
+    paths = write_files(tmp_path, [["0,a,b,-40.0", "5," + "x" * 65 + ",b,7.5"], [], []])
+    new, old = read_both(paths, 0, (1 << 20, 16384))
+    assert new == old and ":3:2:" in new
+
+
+def test_order_breach_before_a_field_error_wins(tmp_path):
+    paths = write_files(tmp_path, [[], ["9,a,0,0,1", "8,a,0,0,1", "10,a,nan,0,1"], []])
+    for chunks in ((1, 1), (1 << 20, 16384)):
+        new, old = read_both(paths, 0, chunks)
+        assert new == old and ":3:1: timestamp decreases" in new
+
+
+def test_two_bad_rows_report_the_first(tmp_path):
+    paths = write_files(tmp_path, [[], [], ["0,a,0.5", "1,a,7.0", "2,a,0.5", "3,a,2.0"]])
+    for chunks in ((1, 1), (1 << 20, 16384)):
+        new, old = read_both(paths, 0, chunks)
+        assert new == old and ":3:3: amplitude 7.0 outside" in new
+
+
+def test_field_error_before_an_order_breach_wins(tmp_path):
+    paths = write_files(tmp_path, [[], ["9,a,0,0,1", "10,a,inf,0,1", "8,a,0,0,1"], []])
+    new, old = read_both(paths, 0, (1 << 20, 16384))
+    assert new == old and ":3:3: non-finite" in new
+
+
+def test_quoted_fields_read_like_csv(tmp_path):
+    paths = write_files(tmp_path, [['0,"a",b,-40.0', '1,a,"b",-4e1'], [], []])
+    new, old = read_both(paths, 0, (1 << 20, 16384))
+    assert traces_equal(new, canonical(old))
+    assert new.sightings.observer.tolist() == ["a", "a"]
+

@@ -40,6 +40,16 @@ class TestAppendAndQuery:
             with pytest.raises(StoreError):
                 log.append([record(5)])
 
+    def test_rejected_batch_leaves_no_trace(self, log_path):
+        with RecordLog.create(log_path) as log:
+            log.append([record(0)])
+            with pytest.raises(StoreError):
+                log.append([record(1), record(0)])
+            log.append([record(1)])
+            assert [r.minute for r in log.records()] == [0, 1]
+            assert log.last_minute() == 1
+        assert RecordLog.open(log_path).records() == [record(0), record(1)]
+
     def test_empty_append_is_noop(self, log_path):
         with RecordLog.create(log_path) as log:
             log.append([])
