@@ -7,68 +7,11 @@ by a deterministic multi-agent encounter simulator that doubles as the
 ground-truth oracle.
 """
 
-from .domain import (
-    OUT_OF_RANGE,
-    AccelSample,
-    BtSighting,
-    DomainError,
-    MinuteRecord,
-    Nearness,
-    SoundSample,
-    ValidationReport,
-    canonical_pair,
-    day_index,
-    hour_slot,
-    minute_index,
-    validate_stream,
-)
+from .domain import DomainError, MinuteRecord, Nearness
 from .engine import EngineConfig, RunResult, build_report, run_engine
-from .fusion import (
-    FusionParams,
-    PairSnapshot,
-    SessionStats,
-    fuse_minute,
-    nearness_label,
-    propinquity,
-    social_interaction,
-)
-from .ingest import (
-    ParseError,
-    TraceSet,
-    read_minute_records,
-    read_traces,
-    traces_equal,
-    traces_from_samples,
-    write_minute_records,
-    write_traces,
-)
-from .pipelines import (
-    ContactEvent,
-    DistanceState,
-    SocialStrengthState,
-    SoundThresholds,
-    classify_motion,
-    classify_sound,
-    detect_contacts,
-    ema_update,
-    estimate_distance_raw,
-    node_degree,
-    update_social_strength,
-)
-from .simulator import (
-    AgentSpec,
-    ConfigError,
-    GroundTruth,
-    RfParams,
-    ScenarioConfig,
-    SoundPhase,
-    Waypoint,
-    generate,
-    load_scenario,
-    parse_scenario,
-    rssi_from_distance,
-    true_distance,
-)
+from .fusion import FusionParams
+from .ingest import ParseError, TraceSet, read_traces, write_traces
+from .simulator import ConfigError, ScenarioConfig, generate, load_scenario
 from .store import RecordLog, StoreError, export_csv
 
 __version__ = "0.1.0"

@@ -10,8 +10,7 @@ wall-clock inputs onto the scenario epoch is a file-ingest concern.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 MS_PER_MINUTE = 60_000
@@ -105,8 +104,6 @@ class SoundSample:
     amplitude: float
 
 
-SensorSample = BtSighting | AccelSample | SoundSample
-
 
 class Nearness(Enum):
     LOW = "Low"
@@ -140,82 +137,3 @@ class MinuteRecord:
         return (self.minute, self.i, self.j)
 
 
-# --- stream validation -----------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class Violation:
-    index: int      # position of the offending sample in the input sequence
-    kind: str       # "range" | "order" | "self_sighting" | "node_id"
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __len__(self) -> int:
-        return len(self.violations)
-
-
-def _check_fields(sample: SensorSample, index: int, out: list[Violation]) -> None:
-    if sample.t_ms < 0:
-        out.append(Violation(index, "range", f"negative timestamp {sample.t_ms}"))
-    if isinstance(sample, BtSighting):
-        for node in (sample.observer, sample.subject):
-            try:
-                validate_node_id(node)
-            except DomainError as exc:
-                out.append(Violation(index, "node_id", str(exc)))
-        if sample.observer == sample.subject:
-            out.append(Violation(index, "self_sighting",
-                                 f"{sample.observer!r} sighted itself"))
-        if not (RSSI_MIN_DBM <= sample.rssi_dbm <= RSSI_MAX_DBM):
-            out.append(Violation(index, "range",
-                                 f"rssi {sample.rssi_dbm} outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]"))
-    else:
-        try:
-            validate_node_id(sample.node)
-        except DomainError as exc:
-            out.append(Violation(index, "node_id", str(exc)))
-        if isinstance(sample, SoundSample):
-            if not (0.0 <= sample.amplitude <= 1.0):
-                out.append(Violation(index, "range",
-                                     f"amplitude {sample.amplitude} outside [0, 1]"))
-        else:
-            for name in ("ax", "ay", "az"):
-                if not math.isfinite(getattr(sample, name)):
-                    out.append(Violation(index, "range", f"non-finite {name}"))
-
-
-def _stream_key(sample: SensorSample):
-    if isinstance(sample, BtSighting):
-        return ("bt", sample.observer, sample.subject)
-    if isinstance(sample, AccelSample):
-        return ("accel", sample.node)
-    return ("sound", sample.node)
-
-
-def validate_stream(samples) -> ValidationReport:
-    """Scan a sample sequence and report every contract violation.
-
-    Checks per-field ranges, self-sightings, node id validity, and timestamp
-    monotonicity within each (node, sensor) stream -- sightings form one
-    stream per ordered (observer, subject) pair.  The stream is acceptable
-    iff the report carries zero violations.
-    """
-    violations: list[Violation] = []
-    last_t: dict[tuple, int] = {}
-    for index, sample in enumerate(samples):
-        _check_fields(sample, index, violations)
-        key = _stream_key(sample)
-        prev = last_t.get(key)
-        if prev is not None and sample.t_ms < prev:
-            violations.append(Violation(
-                index, "order",
-                f"timestamp {sample.t_ms} before {prev} in stream {key}"))
-        last_t[key] = max(prev, sample.t_ms) if prev is not None else sample.t_ms
-    return ValidationReport(tuple(violations))

@@ -3,9 +3,12 @@
 For every minute boundary the engine snapshots the four pipelines -- social
 strength, smoothed relative distance, motion code, sound class -- plus the
 node degree, hands the snapshot to the fusion step, and appends the records
-to the log.  A pair enters the record stream at its first contact and stays
-in it from then on (with zeroed scores while out of range), so absence
-windows are visible in the output.
+to the log.  The distance, motion, sound and degree kernels run once per
+direction or node over all minute boundaries before the minute loop, which
+only indexes their results; social strength accrues minute by minute.  A
+pair enters the record stream at its first contact and stays in it from
+then on (with zeroed scores while out of range), so absence windows are
+visible in the output.
 
 Distance smoothing is kept per direction: the (i, j) record carries the
 estimate built from i's own sightings of j.  With noiseless sensing both
@@ -19,6 +22,7 @@ and node degree the trailing two minutes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -26,7 +30,7 @@ import numpy as np
 
 from .domain import MS_PER_MINUTE, MinuteRecord, canonical_pair, minute_index
 from .fusion import FusionParams, PairSnapshot, SessionStats, fuse_minute
-from .ingest import TraceSet
+from .ingest import AccelSeries, SoundSeries, TraceSet
 from .pipelines import (
     DEFAULT_ALPHA,
     DEFAULT_DEGREE_WINDOW_MS,
@@ -34,7 +38,6 @@ from .pipelines import (
     DEFAULT_GAP_MS,
     DEFAULT_MOTION_THRESHOLD,
     DEFAULT_STALENESS_MS,
-    MIN_MOTION_SAMPLES,
     ContactEvent,
     DistanceState,
     SocialStrengthState,
@@ -42,8 +45,10 @@ from .pipelines import (
     contacts_from_times,
     ema_update,
     estimate_distance_raw,
-    sound_class_from_level,
-    sound_level_db,
+    motion_codes,
+    node_degrees,
+    smoothed_distances,
+    sound_classes,
 )
 from .simulator import RfParams
 from .store import RecordLog
@@ -65,6 +70,12 @@ class EngineConfig:
     fusion: FusionParams = field(default_factory=FusionParams)
 
 
+_NO_TIMES = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0, dtype=np.float64)
+_NO_ACCEL = AccelSeries(_NO_TIMES, _NO_VALUES, _NO_VALUES, _NO_VALUES)
+_NO_SOUND = SoundSeries(_NO_TIMES, _NO_VALUES)
+
+
 @dataclass
 class RunResult:
     records: list[MinuteRecord]
@@ -84,104 +95,65 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
         duration_ms = traces.max_t_ms() + 1
     minutes = max(0, minute_index(duration_ms - 1) + 1) if duration_ms > 0 else 0
     nodes = traces.nodes()
+    boundaries = np.arange(1, minutes + 1, dtype=np.int64) * MS_PER_MINUTE
 
     tab = traces.sightings
-    # directional sighting streams (t, rssi) and per-observer neighbour lists
+    # directional sighting streams (t, rssi), time-sorted like the table
     by_direction: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
-    degree_t: dict[str, list[int]] = {n: [] for n in nodes}
-    degree_subj: dict[str, list[str]] = {n: [] for n in nodes}
-    for k in range(len(tab)):
-        key = (tab.observer[k], tab.subject[k])
-        entry = by_direction.setdefault(key, ([], []))
-        entry[0].append(int(tab.t_ms[k]))
-        entry[1].append(float(tab.rssi_dbm[k]))
-        degree_t[key[0]].append(int(tab.t_ms[k]))
-        degree_subj[key[0]].append(key[1])
-    degree_t_arr = {n: np.asarray(ts, dtype=np.int64) for n, ts in degree_t.items()}
+    for t, obs, subj, rssi in zip(tab.t_ms.tolist(), tab.observer.tolist(),
+                                  tab.subject.tolist(), tab.rssi_dbm.tolist()):
+        entry = by_direction.setdefault((obs, subj), ([], []))
+        entry[0].append(t)
+        entry[1].append(rssi)
+    times = {key: np.asarray(ts, dtype=np.int64) for key, (ts, _) in by_direction.items()}
 
     # contact events and strength accumulators per canonical pair
     pair_times: dict[tuple[str, str], list[np.ndarray]] = {}
-    for (obs, subj), (ts, _) in by_direction.items():
-        pair = canonical_pair(obs, subj)
-        pair_times.setdefault(pair, []).append(np.asarray(ts, dtype=np.int64))
+    for (obs, subj), ts in times.items():
+        pair_times.setdefault(canonical_pair(obs, subj), []).append(ts)
     contacts: dict[tuple[str, str], list[ContactEvent]] = {}
     strength: dict[tuple[str, str], SocialStrengthState] = {}
     activation: dict[tuple[str, str], int] = {}
     for pair, chunks in pair_times.items():
         merged = np.sort(np.concatenate(chunks))
-        events = contacts_from_times(merged, pair, config.gap_ms, config.dwell_s)
-        contacts[pair] = events
+        contacts[pair] = contacts_from_times(merged, pair, config.gap_ms, config.dwell_s)
         strength[pair] = SocialStrengthState(pair)
         activation[pair] = minute_index(int(merged[0]))
     active_pairs = sorted(contacts)
 
-    # directional distance smoothing over each observer's own sightings
-    ema_series: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-    for key, (ts, rssis) in by_direction.items():
+    # per-minute distance of each direction, from the observer's own sightings
+    distance: dict[tuple[str, str], list[float | None]] = {}
+    for i, j in (d for pair in active_pairs for d in (pair, pair[::-1])):
+        ts, rssis = by_direction.get((i, j), ([], []))
         state = DistanceState(alpha=config.alpha)
-        values = []
-        for t, rssi in zip(ts, rssis):
-            raw = estimate_distance_raw(rssi, config.rf.p_ref_dbm, config.rf.pathloss_exp)
-            values.append(ema_update(state, raw, t))
-        ema_series[key] = (np.asarray(ts, dtype=np.int64),
-                           np.asarray(values, dtype=np.float64))
+        ema = [ema_update(state, estimate_distance_raw(rssi, config.rf.p_ref_dbm,
+                                                       config.rf.pathloss_exp), t)
+               for t, rssi in zip(ts, rssis)]
+        values = smoothed_distances(np.asarray(ts, dtype=np.int64),
+                                    np.asarray(ema, dtype=np.float64), boundaries,
+                                    config.staleness_ms)
+        distance[(i, j)] = [None if d == math.inf else d for d in values.tolist()]
 
-    # per-node magnitude arrays for the motion feature
-    accel_t = {}
-    accel_mag = {}
-    for node, series in traces.accel.items():
-        accel_t[node] = series.t_ms
-        accel_mag[node] = np.sqrt(series.ax ** 2 + series.ay ** 2 + series.az ** 2)
-
-    def motion_code(node: str, boundary: int) -> int:
-        t = accel_t.get(node)
-        if t is None:
-            return 1
-        lo = np.searchsorted(t, boundary - config.motion_window_ms, side="left")
-        hi = np.searchsorted(t, boundary, side="left")
-        if hi - lo < MIN_MOTION_SAMPLES:
-            return 1  # not enough data; no motion penalty
-        feature = float(np.std(accel_mag[node][lo:hi]))
-        return 2 if feature > config.motion_threshold else 1
-
-    def sound_class(node: str, boundary: int) -> int:
-        series = traces.sound.get(node)
-        if series is None:
-            return 0
-        lo = np.searchsorted(series.t_ms, boundary - config.sound_window_ms, side="left")
-        hi = np.searchsorted(series.t_ms, boundary, side="left")
-        if hi == lo:
-            return 0  # silent when no sample is available
-        peak = float(series.amplitude[lo:hi].max())
-        return sound_class_from_level(sound_level_db(peak), config.sound_thresholds)
-
-    def degree(node: str, boundary: int) -> int:
-        t = degree_t_arr[node]
-        if len(t) == 0:
-            return 0
-        lo = np.searchsorted(t, boundary - config.degree_window_ms, side="left")
-        hi = np.searchsorted(t, boundary, side="left")
-        return len(set(degree_subj[node][lo:hi]))
-
-    def distance(key: tuple[str, str], boundary: int) -> float | None:
-        series = ema_series.get(key)
-        if series is None:
-            return None
-        ts, values = series
-        idx = np.searchsorted(ts, boundary, side="left") - 1
-        if idx < 0 or boundary - int(ts[idx]) > config.staleness_ms:
-            return None
-        return float(values[idx])
+    # per-minute node features (degree, motion code, sound class) of every paired node
+    features: dict[str, list[tuple[int, int, int]]] = {}
+    for node in sorted({n for pair in active_pairs for n in pair}):
+        degree = node_degrees([ts for (obs, _), ts in times.items() if obs == node],
+                              boundaries, config.degree_window_ms)
+        accel = traces.accel.get(node, _NO_ACCEL)
+        motion = motion_codes(accel.t_ms, accel.ax, accel.ay, accel.az, boundaries,
+                              config.motion_window_ms, config.motion_threshold)
+        sound = traces.sound.get(node, _NO_SOUND)
+        classes = sound_classes(sound.t_ms, sound.amplitude, boundaries,
+                                config.sound_window_ms, config.sound_thresholds)
+        features[node] = list(zip(degree.tolist(), motion.tolist(), classes.tolist()))
 
     stats = SessionStats()
     all_records: list[MinuteRecord] = []
-    node_features: dict[str, tuple[int, int, int]] = {}
     for minute in range(minutes):
         boundary = (minute + 1) * MS_PER_MINUTE
         slot = (minute // 60) % 24
         days = minute // 1440 + 1
         snapshots = []
-        node_features.clear()
         for pair in active_pairs:
             if activation[pair] > minute:
                 continue
@@ -189,14 +161,10 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
             state.accrue(contacts[pair], boundary)
             s_value = state.strength(slot, days)
             for i, j in (pair, pair[::-1]):
-                if i not in node_features:
-                    node_features[i] = (degree(i, boundary),
-                                        motion_code(i, boundary),
-                                        sound_class(i, boundary))
-                n_i, m_i, v_i = node_features[i]
+                n_i, m_i, v_i = features[i][minute]
                 snapshots.append(PairSnapshot(
                     i=i, j=j, n_i=n_i, m_i=m_i, v_i=v_i,
-                    d_m=distance((i, j), boundary), s_s=s_value))
+                    d_m=distance[(i, j)][minute], s_s=s_value))
         if not snapshots:
             continue
         batch = fuse_minute(snapshots, minute, stats, config.fusion)

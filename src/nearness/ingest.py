@@ -14,9 +14,9 @@ Reals are serialized with ``repr`` so that parse(format(x)) == x bit for bit;
 Trace files need only be time-ordered within each stream (one per ordered
 observer/subject pair, one per node for accel and sound); reading sorts the
 sightings by (t_ms, observer, subject) and each node's series by time.
-Parsing is strict: the first malformed header, non-numeric field, range
-violation, out-of-order timestamp or self-sighting aborts with its line and
-column.
+Parsing is strict: the first malformed header, byte that is not UTF-8,
+non-numeric field, range violation, out-of-order timestamp or self-sighting
+aborts with its line and column.
 """
 
 from __future__ import annotations
@@ -87,11 +87,6 @@ class SightingTable:
     def __len__(self) -> int:
         return len(self.t_ms)
 
-    def __iter__(self):
-        for k in range(len(self.t_ms)):
-            yield BtSighting(int(self.t_ms[k]), self.observer[k],
-                             self.subject[k], float(self.rssi_dbm[k]))
-
 
 @dataclass(frozen=True)
 class AccelSeries:
@@ -132,17 +127,6 @@ class TraceSet:
         return (len(self.sightings),
                 sum(len(s) for s in self.accel.values()),
                 sum(len(s) for s in self.sound.values()))
-
-    def iter_accel(self, node: str):
-        s = self.accel[node]
-        for k in range(len(s)):
-            yield AccelSample(int(s.t_ms[k]), node, float(s.ax[k]),
-                              float(s.ay[k]), float(s.az[k]))
-
-    def iter_sound(self, node: str):
-        s = self.sound[node]
-        for k in range(len(s)):
-            yield SoundSample(int(s.t_ms[k]), node, float(s.amplitude[k]))
 
     def max_t_ms(self) -> int:
         """Latest timestamp over all streams, -1 when there is none."""
@@ -303,6 +287,16 @@ def _parse_t(path, line, column, text, epoch_ms) -> int:
     return t
 
 
+def _undecodable(text: str) -> bool:
+    """Whether `text` holds bytes that were not UTF-8 in the file.
+
+    Trace files are decoded with ``surrogateescape``, which maps each such
+    byte to a lone surrogate, so a bad byte fails like any other bad field:
+    at its own line and column, after every earlier violation.
+    """
+    return not text.isascii() and any("\udc80" <= c <= "\udcff" for c in text)
+
+
 def _raise_row_error(path, line, row, layout, epoch_ms) -> None:
     """Re-check one row field by field and raise its first violation."""
     if len(row) != len(layout.header):
@@ -310,6 +304,8 @@ def _raise_row_error(path, line, row, layout, epoch_ms) -> None:
                          f"expected {len(layout.header)} fields, got {len(row)}")
     node = None
     for column, (kind, text) in enumerate(zip(layout.kinds, row), start=1):
+        if _undecodable(text):
+            raise ParseError(path, line, column, f"invalid UTF-8 in {text!r}")
         if kind == "t":
             _parse_t(path, line, column, text, epoch_ms)
         elif kind == "r":
@@ -428,8 +424,11 @@ def _convert_chunk(columns, count: int, layout: _Layout, epoch_ms: int,
                 except DomainError:
                     codes[name] = -1
                 else:
-                    codes[name] = len(names)
-                    names.append(name)
+                    if _undecodable(name):
+                        codes[name] = -1
+                    else:
+                        codes[name] = len(names)
+                        names.append(name)
             arr = np.fromiter(map(codes.__getitem__, text), dtype=np.int64,
                               count=len(text))
             ok = arr >= 0
@@ -497,7 +496,8 @@ def _read_columns(path, layout: _Layout, epoch_ms: int):
                              f"{int(cols[0][row])} after {prev}")
         return order
 
-    with open(path, "r", newline="", encoding="utf-8") as handle:
+    with open(path, "r", newline="", encoding="utf-8",
+              errors="surrogateescape") as handle:
         first = handle.readline()
         if first:
             _check_header(path, next(csv.reader([first])), layout.header)

@@ -1,14 +1,22 @@
-"""The four per-sensor classification pipelines.
+"""The four per-sensor pipelines, as array kernels over minute boundaries.
 
 Each pipeline turns one raw sensor stream into the per-minute quantity
 consumed by the fusion step:
 
 * radio sightings   -> contact events -> social strength (seconds)
 * sighting RSSI     -> raw path-loss distance -> smoothed relative distance
-* accelerometer     -> stationary/moving label and motion code m in {1, 2}
-* sound amplitude   -> sound level in dB and class v in {0..3}
+* accelerometer     -> motion code m in {1 stationary, 2 moving}
+* sound amplitude   -> sound class v in {0 quiet, 1 normal, 2 alert, 3 noisy}
 
 plus the node degree (distinct neighbours seen within a sliding window).
+
+The per-minute kernels `motion_codes`, `sound_classes`, `node_degrees` and
+`smoothed_distances` take one node's or one direction's time-sorted arrays
+and an ascending array of minute boundaries, and return one value per
+boundary.  A boundary `b` sees the samples in the half-open window
+`[b - window, b)`: a sample stamped exactly `b` counts from the next minute
+on.  Social strength stays incremental (`SocialStrengthState`), and the
+distance average is built one sighting at a time by `ema_update`.
 
 State is held per pair or per node; pipelines for disjoint pairs never share
 state and may run concurrently.
@@ -21,14 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import (
-    MS_PER_HOUR,
-    BtSighting,
-    DomainError,
-    canonical_pair,
-    day_index,
-    hour_slot,
-)
+from .domain import MS_PER_HOUR, DomainError, day_index, hour_slot
 
 DEFAULT_GAP_MS = 120_000          # max inter-sighting gap inside one contact
 DEFAULT_DWELL_S = 60.0            # nominal coverage of a single sighting
@@ -39,6 +40,12 @@ MIN_MOTION_SAMPLES = 10
 DEFAULT_DEGREE_WINDOW_MS = 120_000
 
 SOUND_AMPLITUDE_FLOOR = 1e-5      # clamp before the log so silence is finite
+
+
+def _windows(t_ms: np.ndarray, boundaries: np.ndarray, window_ms: int):
+    """Index ranges [lo, hi) of the samples in [b - window_ms, b) per boundary."""
+    return (np.searchsorted(t_ms, boundaries - window_ms, side="left"),
+            np.searchsorted(t_ms, boundaries, side="left"))
 
 
 # --- proximity pipeline: contacts and social strength -----------------------
@@ -56,34 +63,14 @@ class ContactEvent:
         return self.start_ms + round(self.duration_s * 1000.0)
 
 
-def detect_contacts(sightings, gap_ms: int = DEFAULT_GAP_MS,
-                    dwell_s: float = DEFAULT_DWELL_S) -> list[ContactEvent]:
-    """Merge a pair's time-sorted sightings into disjoint contact events.
+def contacts_from_times(times_ms: np.ndarray, pair: tuple[str, str],
+                        gap_ms: int, dwell_s: float) -> list[ContactEvent]:
+    """Merge one pair's sorted sighting instants into disjoint contacts.
 
     Consecutive sightings separated by at most `gap_ms` belong to the same
     contact; the contact duration is its sighting span plus `dwell_s` so a
     lone sighting still counts as `dwell_s` seconds of contact.
     """
-    sightings = list(sightings)
-    if not sightings:
-        return []
-    first = sightings[0]
-    pair = canonical_pair(first.observer, first.subject)
-    times = []
-    prev_t = None
-    for s in sightings:
-        if canonical_pair(s.observer, s.subject) != pair:
-            raise DomainError(f"sightings mix pairs: {pair} vs ({s.observer}, {s.subject})")
-        if prev_t is not None and s.t_ms < prev_t:
-            raise DomainError(f"sightings not time-sorted at t={s.t_ms}")
-        prev_t = s.t_ms
-        times.append(s.t_ms)
-    return contacts_from_times(np.asarray(times, dtype=np.int64), pair, gap_ms, dwell_s)
-
-
-def contacts_from_times(times_ms: np.ndarray, pair: tuple[str, str],
-                        gap_ms: int, dwell_s: float) -> list[ContactEvent]:
-    """Gap-merge an already-sorted array of sighting instants for one pair."""
     if len(times_ms) == 0:
         return []
     breaks = np.flatnonzero(np.diff(times_ms) > gap_ms)
@@ -138,17 +125,6 @@ class SocialStrengthState:
         return total / days_elapsed
 
 
-def update_social_strength(state: SocialStrengthState, contacts, now_ms: int) -> float:
-    """Advance the accumulator to `now_ms` and return s for the current slot.
-
-    s is the sum over observed days of contact seconds falling in the hour
-    slot of `now_ms`, divided by the number of days elapsed so far (the
-    current, partial day included).  A pair never seen in this slot reads 0.
-    """
-    state.accrue(contacts, now_ms)
-    return state.strength(hour_slot(now_ms), day_index(now_ms) + 1)
-
-
 # --- relative distance pipeline ---------------------------------------------
 
 def estimate_distance_raw(rssi_dbm: float, p_ref_dbm: float, pathloss_exp: float) -> float:
@@ -158,19 +134,10 @@ def estimate_distance_raw(rssi_dbm: float, p_ref_dbm: float, pathloss_exp: float
 
 @dataclass
 class DistanceState:
-    """Smoothed distance estimate for one pair stream.
-
-    The estimate moves only on new sightings; between sightings it ages, and
-    once older than the staleness window it reads OUT_OF_RANGE.
-    """
+    """Running distance average for one pair stream; moves only on sightings."""
     alpha: float = DEFAULT_ALPHA
     ema_m: float | None = None
     last_update_ms: int | None = None
-
-    def current(self, now_ms: int, staleness_ms: int = DEFAULT_STALENESS_MS) -> float | None:
-        if self.last_update_ms is None or now_ms - self.last_update_ms > staleness_ms:
-            return None
-        return self.ema_m
 
 
 def ema_update(state: DistanceState, raw_m: float, now_ms: int) -> float:
@@ -185,28 +152,45 @@ def ema_update(state: DistanceState, raw_m: float, now_ms: int) -> float:
     return state.ema_m
 
 
+def smoothed_distances(t_ms: np.ndarray, ema_m: np.ndarray, boundaries: np.ndarray,
+                       staleness_ms: int) -> np.ndarray:
+    """Distance estimate at each boundary, `inf` where it is stale.
+
+    `ema_m[k]` is the running average after the sighting at `t_ms[k]`.  A
+    boundary reads the average after the last sighting before it; with no
+    such sighting, or one more than `staleness_ms` old, it reads `inf`
+    (OUT_OF_RANGE).
+    """
+    last = np.searchsorted(t_ms, boundaries, side="left") - 1
+    seen = np.flatnonzero(last >= 0)
+    fresh = seen[boundaries[seen] - t_ms[last[seen]] <= staleness_ms]
+    out = np.full(len(boundaries), np.inf)
+    out[fresh] = ema_m[last[fresh]]
+    return out
+
+
 # --- motion pipeline ---------------------------------------------------------
 
-def motion_feature(magnitudes: np.ndarray) -> float:
-    """Feature for the motion classifier: std of acceleration magnitude."""
-    return float(np.std(magnitudes))
-
-
-def classify_motion(window, threshold_ms2: float = DEFAULT_MOTION_THRESHOLD) -> tuple[str, int]:
-    """Label a window of accelerometer samples as stationary or moving.
+def motion_codes(t_ms: np.ndarray, ax: np.ndarray, ay: np.ndarray, az: np.ndarray,
+                 boundaries: np.ndarray, window_ms: int,
+                 threshold_ms2: float = DEFAULT_MOTION_THRESHOLD) -> np.ndarray:
+    """Motion code m per boundary: 2 moving, 1 stationary.
 
     The feature is the standard deviation of the acceleration magnitude
-    sqrt(ax^2+ay^2+az^2) over the window; the node counts as moving when the
-    feature exceeds the threshold.  Motion code m is 1 when stationary and 2
-    when moving (the fusion formulas divide by m, so it must stay >= 1).
+    sqrt(ax^2+ay^2+az^2) over the window; the node counts as moving when it
+    exceeds the threshold.  A window with fewer than `MIN_MOTION_SAMPLES`
+    samples reads stationary (1), so missing data carries no penalty (the
+    fusion formulas divide by m, so it must stay >= 1).
     """
-    window = list(window)
-    if len(window) < MIN_MOTION_SAMPLES:
-        raise DomainError(f"motion window needs >= {MIN_MOTION_SAMPLES} samples, got {len(window)}")
-    mags = np.array([math.sqrt(s.ax * s.ax + s.ay * s.ay + s.az * s.az) for s in window])
-    if motion_feature(mags) > threshold_ms2:
-        return ("moving", 2)
-    return ("stationary", 1)
+    magnitude = np.sqrt(ax ** 2 + ay ** 2 + az ** 2)
+    lo, hi = _windows(t_ms, boundaries, window_ms)
+    codes = np.ones(len(boundaries), dtype=np.int64)
+    for k in np.flatnonzero(hi - lo >= MIN_MOTION_SAMPLES):
+        # np.std centres the window before squaring; a running sum of
+        # squares would cancel around 9.81 m/s^2 and flip labels
+        if np.std(magnitude[lo[k]:hi[k]]) > threshold_ms2:
+            codes[k] = 2
+    return codes
 
 
 # --- sound pipeline ----------------------------------------------------------
@@ -219,47 +203,41 @@ class SoundThresholds:
     alert_db: float = -10.0
 
 
-DEFAULT_SOUND_THRESHOLDS = SoundThresholds()
-
-
 def sound_level_db(peak_amplitude: float) -> float:
+    """20*log10 of a peak amplitude, clamped at a -100 dB floor."""
     return 20.0 * math.log10(max(peak_amplitude, SOUND_AMPLITUDE_FLOOR))
 
 
-def classify_sound(window, thresholds: SoundThresholds = DEFAULT_SOUND_THRESHOLDS
-                   ) -> tuple[float, int]:
-    """Grade a one-second amplitude window onto the four-class sound ladder.
+def sound_classes(t_ms: np.ndarray, amplitude: np.ndarray, boundaries: np.ndarray,
+                  window_ms: int, thresholds: SoundThresholds = SoundThresholds()
+                  ) -> np.ndarray:
+    """Sound class v per boundary from the window's peak amplitude.
 
-    Returns (level_db, v) where the level is 20*log10 of the window's peak
-    amplitude (clamped at a -100 dB floor) and v is 0 quiet, 1 normal,
-    2 alert, 3 noisy.
+    v is 0 below `quiet_db`, 1 below `normal_db`, 2 below `alert_db` and 3
+    from there up; a window with no sample is silent (0).
     """
-    amplitudes = [s.amplitude for s in window]
-    if not amplitudes:
-        raise DomainError("sound window is empty")
-    level = sound_level_db(max(amplitudes))
-    return (level, sound_class_from_level(level, thresholds))
-
-
-def sound_class_from_level(level_db: float,
-                           thresholds: SoundThresholds = DEFAULT_SOUND_THRESHOLDS) -> int:
-    if level_db < thresholds.quiet_db:
-        return 0
-    if level_db < thresholds.normal_db:
-        return 1
-    if level_db < thresholds.alert_db:
-        return 2
-    return 3
+    lo, hi = _windows(t_ms, boundaries, window_ms)
+    heard = np.flatnonzero(hi > lo)
+    # reduceat over the (lo, hi) pairs: even slots hold max(amplitude[lo:hi]);
+    # the appended element lets hi reach len(amplitude)
+    peaks = np.maximum.reduceat(np.append(amplitude, 0.0),
+                                np.column_stack((lo[heard], hi[heard])).ravel())[::2]
+    levels = np.array([sound_level_db(p) for p in peaks.tolist()])
+    classes = np.zeros(len(boundaries), dtype=np.int64)
+    classes[heard] = np.select([levels < thresholds.quiet_db,
+                                levels < thresholds.normal_db,
+                                levels < thresholds.alert_db], [0, 1, 2], default=3)
+    return classes
 
 
 # --- node degree -------------------------------------------------------------
 
-def node_degree(sightings, node: str, now_ms: int,
-                window_ms: int = DEFAULT_DEGREE_WINDOW_MS) -> int:
-    """Count distinct subjects `node` sighted within [now - window, now]."""
-    seen = set()
-    for s in sightings:
-        if isinstance(s, BtSighting) and s.observer == node \
-                and now_ms - window_ms <= s.t_ms <= now_ms:
-            seen.add(s.subject)
-    return len(seen)
+def node_degrees(sighting_times, boundaries: np.ndarray, window_ms: int) -> np.ndarray:
+    """Distinct neighbours per boundary: how many of one node's outgoing
+    sighting streams (`sighting_times`, one sorted array per subject) have a
+    sighting in the window."""
+    degree = np.zeros(len(boundaries), dtype=np.int64)
+    for times in sighting_times:
+        lo, hi = _windows(times, boundaries, window_ms)
+        degree += hi > lo
+    return degree

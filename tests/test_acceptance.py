@@ -12,12 +12,8 @@ import pytest
 
 from nearness.domain import Nearness
 from nearness.fusion import SessionStats, nearness_label, propinquity, social_interaction
-from nearness.pipelines import (
-    DistanceState,
-    classify_motion,
-    ema_update,
-    estimate_distance_raw,
-)
+from nearness.engine import EngineConfig, run_engine
+from nearness.pipelines import estimate_distance_raw, motion_codes
 from nearness.simulator import (
     AgentSpec,
     RfParams,
@@ -208,17 +204,13 @@ def test_07_distance_estimator_roundtrip_and_smoothing():
         rf=RfParams(shadowing_sigma_db=2.0),
         seed=1234)
     traces, _ = generate(config)
-    raw = []
-    state = DistanceState(alpha=0.3)
-    smoothed = []
-    for s in traces.sightings:
-        if s.observer != "a":
-            continue
-        estimate = estimate_distance_raw(s.rssi_dbm, config.rf.p_ref_dbm,
-                                         config.rf.pathloss_exp)
-        raw.append(estimate)
-        smoothed.append(ema_update(state, estimate, s.t_ms))
-    assert len(raw) == 60
+    tab = traces.sightings
+    raw = [estimate_distance_raw(rssi, config.rf.p_ref_dbm, config.rf.pathloss_exp)
+           for rssi in tab.rssi_dbm[tab.observer == "a"].tolist()]
+    # the engine's per-minute distance for a -> b: one sighting per minute
+    result = run_engine(traces, EngineConfig(rf=config.rf), duration_ms=config.duration_ms)
+    smoothed = [r.d_m for r in result.records if (r.i, r.j) == ("a", "b")]
+    assert len(raw) == len(smoothed) == 60
     rmse_raw = math.sqrt(np.mean((np.array(raw) - 10.0) ** 2))
     rmse_ema = math.sqrt(np.mean((np.array(smoothed) - 10.0) ** 2))
     print(f"\nraw RMSE {rmse_raw:.3f} m vs smoothed RMSE {rmse_ema:.3f} m")
@@ -234,16 +226,14 @@ def test_08_motion_classifier_accuracy():
     config = ScenarioConfig(agents=(AgentSpec("m", tuple(waypoints)),),
                             duration_ms=3_600_000, seed=99)
     traces, gt = generate(config)
-    samples = list(traces.iter_accel("m"))
-
-    correct = 0
-    total = 0
-    for start in range(0, 3_600_000, 5_000):
-        window = samples[start // 50:(start + 5_000) // 50]
-        _, m = classify_motion(window)
-        truth = 2 if gt.is_moving("m", start + 2_500) else 1
-        total += 1
-        correct += (m == truth)
+    accel = traces.accel["m"]
+    engine = EngineConfig()
+    boundaries = np.arange(5_000, 3_600_001, 5_000, dtype=np.int64)
+    codes = motion_codes(accel.t_ms, accel.ax, accel.ay, accel.az, boundaries,
+                         engine.motion_window_ms, engine.motion_threshold)
+    truth = [2 if gt.is_moving("m", int(b) - 2_500) else 1 for b in boundaries]
+    correct = int(np.sum(codes == truth))
+    total = len(codes)
     accuracy = correct / total
     print(f"\nmotion window accuracy: {correct}/{total} = {accuracy:.4f}")
     assert total == 720

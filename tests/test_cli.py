@@ -161,6 +161,19 @@ class TestRun:
         assert degree == {m: 2 if m <= 5 else 1 for m in range(10)}
 
 
+    def test_undecodable_trace_byte_is_input_error(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "sightings.csv").write_bytes(
+            b"t_ms,observer,subject,rssi_dbm\n0,a,b,-40.0\n1,a\xff,b,-40.0\n")
+        (traces / "accel.csv").write_text("t_ms,node,ax,ay,az\n")
+        (traces / "sound.csv").write_text("t_ms,node,amplitude\n")
+        out = tmp_path / "out"
+        assert main(["run", "--traces", str(traces), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sightings.csv:3:2: invalid UTF-8" in err
+        assert not (out / "records.log").exists()
+
 @pytest.fixture
 def run_dir(tiny_scn, tmp_path):
     out = tmp_path / "run"

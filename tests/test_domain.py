@@ -6,16 +6,12 @@ from nearness.domain import (
     MS_PER_DAY,
     MS_PER_HOUR,
     MS_PER_MINUTE,
-    AccelSample,
-    BtSighting,
     DomainError,
-    SoundSample,
     canonical_pair,
     day_index,
     hour_slot,
     minute_index,
     validate_node_id,
-    validate_stream,
 )
 
 node_ids = st.text(
@@ -74,50 +70,3 @@ class TestTickArithmetic:
         assert minute_index(t) * MS_PER_MINUTE <= t
         assert hour_slot(t) == (minute_index(t) // 60) % 24
 
-
-class TestValidateStream:
-    def test_empty_stream_is_ok(self):
-        assert validate_stream([]).ok
-
-    def test_positive_rssi_flagged(self):
-        report = validate_stream([BtSighting(0, "a", "b", +10.0)])
-        assert len(report) == 1
-        assert report.violations[0].kind == "range"
-
-    def test_decreasing_accel_timestamps_flagged(self):
-        samples = [AccelSample(1000, "a", 0, 0, 9.81),
-                   AccelSample(500, "a", 0, 0, 9.81)]
-        report = validate_stream(samples)
-        assert len(report) == 1
-        assert report.violations[0].kind == "order"
-        assert report.violations[0].index == 1
-
-    def test_streams_are_independent(self):
-        # interleaved nodes may go "backwards" relative to each other
-        samples = [AccelSample(1000, "a", 0, 0, 9.81),
-                   AccelSample(500, "b", 0, 0, 9.81),
-                   AccelSample(1500, "a", 0, 0, 9.81),
-                   AccelSample(600, "b", 0, 0, 9.81)]
-        assert validate_stream(samples).ok
-
-    def test_self_sighting_flagged(self):
-        report = validate_stream([BtSighting(0, "a", "a", -40.0)])
-        assert any(v.kind == "self_sighting" for v in report.violations)
-
-    def test_amplitude_range_flagged(self):
-        report = validate_stream([SoundSample(0, "a", 1.5)])
-        assert len(report) == 1 and report.violations[0].kind == "range"
-
-    def test_negative_timestamp_flagged(self):
-        report = validate_stream([SoundSample(-1, "a", 0.5)])
-        assert len(report) == 1 and report.violations[0].kind == "range"
-
-    def test_bad_node_id_flagged(self):
-        report = validate_stream([SoundSample(0, "", 0.5)])
-        assert len(report) == 1 and report.violations[0].kind == "node_id"
-
-    def test_violations_accumulate(self):
-        samples = [BtSighting(0, "a", "b", +5.0),
-                   BtSighting(0, "a", "a", -40.0),
-                   SoundSample(0, "c", 2.0)]
-        assert len(validate_stream(samples)) == 3

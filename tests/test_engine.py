@@ -1,6 +1,6 @@
 import numpy as np
 
-from nearness.domain import BtSighting
+from nearness.domain import AccelSample, BtSighting, SoundSample
 from nearness.engine import EngineConfig, build_report, run_engine
 from nearness.ingest import empty_traceset, traces_from_samples
 from nearness.simulator import AgentSpec, RfParams, ScenarioConfig, Waypoint, generate
@@ -79,6 +79,7 @@ class TestMinuteLoop:
         by_dir = {(r.i, r.j): r for r in result.records if r.minute == 1}
         assert by_dir[("a", "b")].d_m is not None
         assert by_dir[("b", "a")].d_m is None and by_dir[("b", "a")].p == 0.0
+        assert by_dir[("a", "b")].n_i == 1 and by_dir[("b", "a")].n_i == 0
 
     def test_node_degree_counts_neighbours(self):
         samples = [BtSighting(0, "a", "b", -50.0),
@@ -89,6 +90,47 @@ class TestMinuteLoop:
         by_dir = {(r.i, r.j): r for r in result.records}
         assert by_dir[("a", "b")].n_i == 2
         assert by_dir[("b", "a")].n_i == 1
+
+
+class TestWindowRules:
+    """Every per-minute window is [boundary - window, boundary)."""
+
+    def test_sighting_at_the_boundary_counts_next_minute(self):
+        samples = [BtSighting(0, "a", "b", -50.0), BtSighting(60_000, "a", "c", -50.0)]
+        result = run_engine(traces_from_samples(samples))
+        by_key = {r.key(): r for r in result.records}
+        assert by_key[(0, "a", "b")].n_i == 1
+        assert by_key[(1, "a", "b")].n_i == 2
+
+    def test_sighting_at_the_boundary_updates_distance_next_minute(self):
+        # raw estimates 1 m at t = 0 and 10 m at t = 60 000 (default rf)
+        samples = [BtSighting(0, "a", "b", -40.0), BtSighting(60_000, "a", "b", -67.0)]
+        result = run_engine(traces_from_samples(samples), duration_ms=120_000)
+        assert [r.d_m for r in result.records if r.i == "a"] == [1.0, 0.3 * 10.0 + 0.7 * 1.0]
+
+    def test_last_minute_of_hour_reads_its_own_slot(self):
+        # a and b meet every minute of hour 0: minute 59 reads slot 0
+        traces = sightings_traces(range(0, 3600, 60))
+        result = run_engine(traces, duration_ms=3_600_000)
+        by_key = {r.key(): r for r in result.records}
+        assert by_key[(59, "a", "b")].s_s == 3600.0
+
+    def test_nine_accel_samples_read_stationary(self):
+        # samples alternate 9.81 +/- 2 m/s^2 in the last 5 s of minute 0
+        def moving(count):
+            return [AccelSample(60_000 - 50 * (k + 1), "a", 0.0, 0.0, 9.81 + 2.0 * (-1) ** k)
+                    for k in range(count)]
+        for count, code in ((9, 1), (10, 2)):
+            samples = [BtSighting(0, "a", "b", -48.0)] + moving(count)
+            (record, _) = run_engine(traces_from_samples(samples), duration_ms=60_000).records
+            assert (record.i, record.m_i) == ("a", code)
+
+    def test_empty_sound_window_is_silent(self):
+        # loud at 0 and at 120 000: outside [59 000, 60 000) and [119 000, 120 000)
+        samples = [BtSighting(0, "a", "b", -48.0), SoundSample(0, "a", 1.0),
+                   SoundSample(119_500, "a", 1.0), SoundSample(120_000, "a", 1.0)]
+        result = run_engine(traces_from_samples(samples), duration_ms=180_000)
+        assert [r.v_i for r in result.records if r.i == "a"] == [0, 3, 0]
 
 
 class TestReport:

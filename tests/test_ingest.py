@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearness import ingest
 from nearness.domain import AccelSample, BtSighting, MinuteRecord, Nearness, SoundSample
 from nearness.ingest import (
     AccelSeries,
@@ -107,8 +109,8 @@ class TestRoundtrip:
         (tmp_path / "a.csv").write_text("t_ms,node,ax,ay,az\n")
         (tmp_path / "d.csv").write_text("t_ms,node,amplitude\n")
         traces = read_traces(tmp_path / "s.csv", tmp_path / "a.csv", tmp_path / "d.csv")
-        (sighting,) = list(traces.sightings)
-        assert sighting == BtSighting(60_000, "bravo2", "delta5", -67.0)
+        expected = traces_from_samples([BtSighting(60_000, "bravo2", "delta5", -67.0)])
+        assert traces_equal(traces, expected)
 
 
 def trace_files(tmp_path, sightings="", accel="", sound=""):
@@ -190,6 +192,40 @@ class TestParseErrors:
         assert (err.value.line, err.value.column) == (3, 1)
         assert "64-bit" in str(err.value)
 
+
+
+class TestUndecodableBytes:
+    """Bytes that are not UTF-8 fail like any other bad field, in file order."""
+
+    @pytest.fixture(params=[None, 8], ids=["default-chunks", "tiny-chunks"])
+    def chunk(self, request):
+        if request.param is None:
+            yield
+        else:
+            with mock.patch.object(ingest, "_READ_CHUNK", request.param):
+                yield
+
+    @pytest.mark.parametrize("rows, line, column, message", [
+        (b"0,a,b,-40.0\n60000,a\xff,b,-40.0\n", 3, 2, "invalid UTF-8"),
+        (b"0,a,b,-40.0\xff\n", 2, 4, "invalid UTF-8"),
+        (b"0\xff,a,b,-40.0\n", 2, 1, "invalid UTF-8"),
+        (b"0,a,b,7.5\n60000,a\xff,b,-40.0\n", 2, 4, "rssi 7.5 outside"),
+        (b'0,a,b,-40.0\n60000,"\xffb",a,-40.0\n', 3, 2, "invalid UTF-8"),
+    ], ids=["node-id", "number", "timestamp", "earlier-row-first", "quoted"])
+    def test_names_line_and_column(self, tmp_path, chunk, rows, line, column, message):
+        paths = trace_files(tmp_path)
+        paths[0].write_bytes(b"t_ms,observer,subject,rssi_dbm\n" + rows)
+        with pytest.raises(ParseError) as err:
+            read_traces(*paths)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert message in str(err.value)
+
+    def test_accel_node_id(self, tmp_path, chunk):
+        paths = trace_files(tmp_path)
+        paths[1].write_bytes(b"t_ms,node,ax,ay,az\n0,a,0,0,9.81\n50,\xc3,0,0,9.81\n")
+        with pytest.raises(ParseError) as err:
+            read_traces(*paths)
+        assert (err.value.line, err.value.column) == (3, 2)
 
 class TestEpochMapping:
     def test_wall_clock_shift(self, tmp_path):

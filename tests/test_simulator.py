@@ -38,6 +38,13 @@ def two_agent_config(distance_m=1.0, duration_ms=600_000, **rf):
     )
 
 
+def sighting_rows(traces):
+    """(t_ms, observer, subject, rssi_dbm) per sighting, in table order."""
+    tab = traces.sightings
+    return zip(tab.t_ms.tolist(), tab.observer.tolist(), tab.subject.tolist(),
+               tab.rssi_dbm.tolist())
+
+
 class TestRssiModel:
     def test_reference_distance(self):
         assert rssi_from_distance(1.0, RfParams()) == -40.0
@@ -165,22 +172,22 @@ class TestGenerate:
     def test_sighting_symmetry_without_shadowing(self):
         traces, _ = generate(two_agent_config(distance_m=3.7))
         by_dir = {}
-        for s in traces.sightings:
-            by_dir.setdefault((s.observer, s.subject), []).append((s.t_ms, s.rssi_dbm))
+        for t, obs, subj, rssi in sighting_rows(traces):
+            by_dir.setdefault((obs, subj), []).append((t, rssi))
         assert by_dir[("a", "b")] == by_dir[("b", "a")]
 
     def test_shadowing_breaks_direction_symmetry(self):
         traces, _ = generate(two_agent_config(distance_m=3.7, shadowing_sigma_db=4.0))
         by_dir = {}
-        for s in traces.sightings:
-            by_dir.setdefault((s.observer, s.subject), []).append(s.rssi_dbm)
+        for _, obs, subj, rssi in sighting_rows(traces):
+            by_dir.setdefault((obs, subj), []).append(rssi)
         assert by_dir[("a", "b")] != by_dir[("b", "a")]
 
     def test_rssi_values_match_model(self):
         traces, gt = generate(two_agent_config(distance_m=6.25))
-        for s in traces.sightings:
-            d = true_distance(gt, s.observer, s.subject, s.t_ms)
-            assert s.rssi_dbm == rssi_from_distance(d, RfParams())
+        for t, obs, subj, rssi in sighting_rows(traces):
+            d = true_distance(gt, obs, subj, t)
+            assert rssi == rssi_from_distance(d, RfParams())
 
     def test_moving_agent_gets_lively_gravity_axis(self):
         mover = AgentSpec(id="m", waypoints=(Waypoint(0, 0.0, 0.0),
