@@ -127,8 +127,8 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
         ts, rssis = by_direction.get((i, j), ([], []))
         state = DistanceState(alpha=config.alpha)
         ema = [ema_update(state, estimate_distance_raw(rssi, config.rf.p_ref_dbm,
-                                                       config.rf.pathloss_exp), t)
-               for t, rssi in zip(ts, rssis)]
+                                                       config.rf.pathloss_exp))
+               for rssi in rssis]
         values = smoothed_distances(np.asarray(ts, dtype=np.int64),
                                     np.asarray(ema, dtype=np.float64), boundaries,
                                     config.staleness_ms)

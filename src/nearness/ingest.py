@@ -14,18 +14,19 @@ Reals are serialized with ``repr`` so that parse(format(x)) == x bit for bit;
 Trace files need only be time-ordered within each stream (one per ordered
 observer/subject pair, one per node for accel and sound); reading sorts the
 sightings by (t_ms, observer, subject) and each node's series by time.
-Parsing is strict: the first malformed header, byte that is not UTF-8,
-non-numeric field, range violation, out-of-order timestamp or self-sighting
-aborts with its line and column.
+Readers split text exactly as the writers join it: only LF ends a line, and
+a field is the text between two commas, verbatim and unquoted (CR and NUL
+are data).  Parsing is strict: the first malformed header, byte that is not
+UTF-8, non-numeric field, range violation, out-of-order timestamp or
+self-sighting aborts with its line and column.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -206,18 +207,15 @@ def traces_equal(a: TraceSet, b: TraceSet) -> bool:
 # --- reading -----------------------------------------------------------------
 #
 # Trace files are parsed a chunk of lines at a time into numpy columns.  Each
-# chunk is split into columns and converted with Python's own int/float, then
-# checked with vectorised rules; the stream-order rule runs once over the
-# whole file.  When a check fails, the first offending row in file order is
-# re-checked field by field with the scalar helpers below, so the ParseError
-# names the same line, column and message a row-at-a-time reader would:
-# within a row the fields are checked left to right, and stream order last.
+# chunk is split on LF and commas, as `_fields` splits one line, converted
+# with Python's own int/float, then checked with vectorised rules; the
+# stream-order rule runs once over the whole file.  When a check fails, the
+# first offending row in file order is re-checked field by field with the
+# scalar helpers below, so the ParseError names the same line, column and
+# message a row-at-a-time reader would: within a row the fields are checked
+# left to right, and stream order last.
 
 _READ_CHUNK = 1 << 20      # characters of CSV text converted per step
-_CSV_CHUNK_ROWS = 16384    # rows per step once csv.reader does the splitting
-# characters csv.reader treats specially: quotes, line ends, and NUL, which
-# it rejects before Python 3.11
-_CSV_SPECIAL = ('"', "\r", "\0")
 _T_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -241,9 +239,15 @@ _ACCEL = _Layout(ACCEL_HEADER, "tnrrr")
 _SOUND = _Layout(SOUND_HEADER, "tnr", {2: (0.0, 1.0, "amplitude", "[0, 1]")})
 
 
-def _open_rows(path):
-    handle = open(path, "r", newline="", encoding="utf-8")
-    return handle, csv.reader(handle)
+def _open_text(path):
+    """Open a CSV file whose lines end at LF only; bad bytes become surrogates."""
+    return open(path, "r", newline="\n", encoding="utf-8", errors="surrogateescape")
+
+
+def _fields(line: str) -> list[str]:
+    """One line's fields, verbatim; a blank line has none."""
+    line = line.removesuffix("\n")
+    return line.split(",") if line else []
 
 
 def _check_header(path, row, expected):
@@ -290,7 +294,7 @@ def _parse_t(path, line, column, text, epoch_ms) -> int:
 def _undecodable(text: str) -> bool:
     """Whether `text` holds bytes that were not UTF-8 in the file.
 
-    Trace files are decoded with ``surrogateescape``, which maps each such
+    Input files are decoded with ``surrogateescape``, which maps each such
     byte to a lone surrogate, so a bad byte fails like any other bad field:
     at its own line and column, after every earlier violation.
     """
@@ -322,60 +326,20 @@ def _raise_row_error(path, line, row, layout, epoch_ms) -> None:
 
 
 def _data_chunks(handle, ncols: int):
-    """Yield the data rows as (columns, count, size, row_at) per chunk.
+    """Yield the data lines a chunk at a time as (columns, count, lines).
 
-    `columns` holds the first `count` of the chunk's `size` rows as `ncols`
-    sequences of field text; if `count < size`, row `count` has the wrong
-    number of fields.  `row_at(k)` gives row k split exactly as
-    `csv.reader` splits it.  Lines are split on commas until a chunk holds a
-    character only `csv.reader` splits correctly, or a line longer than its
-    field size limit; from there on `csv.reader` splits the rest of the file.
+    `columns` holds the fields of the first `count` lines as `ncols` lists
+    of text; if `count < len(lines)`, line `count` has the wrong number of
+    fields.
     """
-    while True:
-        lines = handle.readlines(_READ_CHUNK)
-        if not lines:
-            return
-        text = "".join(lines)
-        if (any(c in text for c in _CSV_SPECIAL)
-                or max(map(len, lines)) > csv.field_size_limit()):
-            break
+    while lines := handle.readlines(_READ_CHUNK):
         commas = np.fromiter(map(str.count, lines, repeat(",")),
                              dtype=np.int64, count=len(lines))
         wrong = np.flatnonzero(commas != ncols - 1)
         count = int(wrong[0]) if len(wrong) else len(lines)
-        if count < len(lines):
-            text = "".join(lines[:count])
-        if count:
-            flat = text.removesuffix("\n").replace("\n", ",").split(",")
-            columns = [flat[k::ncols] for k in range(ncols)]
-        else:
-            columns = [[] for _ in range(ncols)]
-
-        def row_at(k, lines=lines):
-            line = lines[k].removesuffix("\n")
-            return line.split(",") if line else []
-
-        yield columns, count, len(lines), row_at
-
-    reader = csv.reader(chain(lines, handle))
-    while True:
-        rows: list[list[str]] = []
-        try:
-            rows.extend(islice(reader, _CSV_CHUNK_ROWS))
-        except csv.Error:
-            # the rows before the one csv rejects are checked first
-            if rows:
-                yield _csv_chunk(rows, ncols)
-            raise
-        if not rows:
-            return
-        yield _csv_chunk(rows, ncols)
-
-
-def _csv_chunk(rows: list[list[str]], ncols: int):
-    count = next((k for k, row in enumerate(rows) if len(row) != ncols), len(rows))
-    columns = list(zip(*rows[:count])) if count else [()] * ncols
-    return columns, count, len(rows), rows.__getitem__
+        text = "".join(lines[:count]).removesuffix("\n")
+        flat = text.replace("\n", ",").split(",") if count else []
+        yield [flat[k::ncols] for k in range(ncols)], count, lines
 
 
 def _convert_chunk(columns, count: int, layout: _Layout, epoch_ms: int,
@@ -496,25 +460,20 @@ def _read_columns(path, layout: _Layout, epoch_ms: int):
                              f"{int(cols[0][row])} after {prev}")
         return order
 
-    with open(path, "r", newline="", encoding="utf-8",
-              errors="surrogateescape") as handle:
+    with _open_text(path) as handle:
         first = handle.readline()
         if first:
-            _check_header(path, next(csv.reader([first])), layout.header)
+            _check_header(path, _fields(first), layout.header)
         line = 2
-        try:
-            for text_columns, count, size, row_at in _data_chunks(handle, ncols):
-                converted, bad = _convert_chunk(text_columns, count, layout,
-                                                epoch_ms, codes, names)
-                for part, arr in zip(parts, converted):
-                    part.append(arr)
-                if bad < size:
-                    stream_order(columns())       # an earlier order breach wins
-                    _raise_row_error(path, line + bad, row_at(bad), layout, epoch_ms)
-                line += size
-        except csv.Error:
-            stream_order(columns())
-            raise
+        for text_columns, count, lines in _data_chunks(handle, ncols):
+            converted, bad = _convert_chunk(text_columns, count, layout,
+                                            epoch_ms, codes, names)
+            for part, arr in zip(parts, converted):
+                part.append(arr)
+            if bad < len(lines):
+                stream_order(columns())       # an earlier order breach wins
+                _raise_row_error(path, line + bad, _fields(lines[bad]), layout, epoch_ms)
+            line += len(lines)
     cols = columns()
     return cols, names, stream_order(cols)
 
@@ -631,9 +590,9 @@ def format_record_row(record: MinuteRecord) -> str:
 _NEARNESS_BY_NAME = {n.value: n for n in Nearness}
 
 
-def parse_record_row(row: list[str] | str) -> MinuteRecord:
+def parse_record_row(row: str) -> MinuteRecord:
     """Parse one minute-record CSV row; raises ValueError on any violation."""
-    fields = row.split(",") if isinstance(row, str) else row
+    fields = row.split(",")
     if len(fields) != 11:
         raise ValueError(f"expected 11 fields, got {len(fields)}")
     minute = int(fields[0])
@@ -690,14 +649,15 @@ def write_minute_records(records, path) -> None:
 
 def read_minute_records(path) -> list[MinuteRecord]:
     records = []
-    handle, rows = _open_rows(path)
-    with handle:
-        for line, row in enumerate(rows, start=1):
+    with _open_text(path) as handle:
+        for line, text in enumerate(handle, start=1):
             if line == 1:
-                _check_header(path, row, RECORDS_HEADER)
+                _check_header(path, _fields(text), RECORDS_HEADER)
                 continue
+            if _undecodable(text):
+                raise ParseError(path, line, 1, f"invalid UTF-8 in {text!r}")
             try:
-                records.append(parse_record_row(row))
+                records.append(parse_record_row(text.removesuffix("\n")))
             except ValueError as exc:
                 raise ParseError(path, line, 1, str(exc)) from None
     return records

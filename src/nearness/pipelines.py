@@ -137,10 +137,9 @@ class DistanceState:
     """Running distance average for one pair stream; moves only on sightings."""
     alpha: float = DEFAULT_ALPHA
     ema_m: float | None = None
-    last_update_ms: int | None = None
 
 
-def ema_update(state: DistanceState, raw_m: float, now_ms: int) -> float:
+def ema_update(state: DistanceState, raw_m: float) -> float:
     """Blend one raw estimate into the state's running average."""
     if raw_m < 0:
         raise DomainError(f"negative distance estimate {raw_m}")
@@ -148,7 +147,6 @@ def ema_update(state: DistanceState, raw_m: float, now_ms: int) -> float:
         state.ema_m = raw_m
     else:
         state.ema_m = state.alpha * raw_m + (1.0 - state.alpha) * state.ema_m
-    state.last_update_ms = now_ms
     return state.ema_m
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import DomainError, validate_node_id
-from .ingest import AccelSeries, SightingTable, SoundSeries, TraceSet
+from .ingest import AccelSeries, SightingTable, SoundSeries, TraceSet, _undecodable
 
 ACCEL_INTERVAL_MS = 50      # 20 Hz
 SOUND_INTERVAL_MS = 1000    # 1 Hz
@@ -368,6 +368,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
     section: str | None = None  # None (top), "rf", or "agent:<id>"
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if _undecodable(raw):
+            raise ScenarioParseError(source, lineno, f"invalid UTF-8 in {raw!r}")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -449,5 +451,5 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return parse_scenario(handle.read(), source=str(path))

@@ -1,14 +1,15 @@
 """Reference trace reader: one row at a time, every field checked in order.
 
-This is the reader `nearness.ingest.read_traces` replaced.  It keeps the rows
-in file order, so `canonical` puts its result into the order the columnar
-reader promises before the two are compared.  Tests use it as an oracle for
-the accepted values and for the exact ParseError of a rejected file.
+This is the reader `nearness.ingest.read_traces` replaced, with its own
+split of the same dialect: LF ends a line, commas separate verbatim fields,
+and nothing is quoted.  It keeps the rows in file order, so `canonical` puts
+its result into the order the columnar reader promises before the two are
+compared.  Tests use it as an oracle for the accepted values and for the
+exact ParseError of a rejected file.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -27,8 +28,12 @@ from nearness.ingest import (
 
 
 def _open_rows(path):
-    handle = open(path, "r", newline="", encoding="utf-8")
-    return handle, csv.reader(handle)
+    """The file and its rows: only LF ends a line, and a field is the text
+    between two commas, verbatim; a blank line is a row of no fields."""
+    handle = open(path, "r", newline="\n", encoding="utf-8")
+    rows = (line.split(",") if line else []
+            for line in (raw.removesuffix("\n") for raw in handle))
+    return handle, rows
 
 
 def _check_header(path, row, expected):

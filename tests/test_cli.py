@@ -82,6 +82,13 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(bad),
                      "--out", str(tmp_path / "out")]) == 2
 
+    def test_undecodable_scenario_byte_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(TINY_SCENARIO.replace("[agent a]", "[agent a\xff]")
+                        .encode("latin-1"))
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert f"{bad}:8: invalid UTF-8" in capsys.readouterr().err
+
 
 class TestRun:
     def test_scenario_run_produces_log_and_report(self, tiny_scn, tmp_path, capsys):
@@ -93,12 +100,17 @@ class TestRun:
         assert report["seed"] == 5
         assert report["pairs"]["a,b"]["contact_seconds"] == 600.0
 
-    def test_run_from_traces_matches_scenario_run(self, tiny_scn, tmp_path):
-        main(["simulate", "--scenario", str(tiny_scn), "--out", str(tmp_path / "tr")])
+    @pytest.mark.parametrize("agent", ["a", '"x'], ids=["a", "quote"])
+    def test_run_from_traces_matches_scenario_run(self, tmp_path, agent):
+        scn = tmp_path / "tiny.scn"
+        scn.write_text(TINY_SCENARIO.replace("[agent a]", f"[agent {agent}]"))
+        assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "tr")]) == 0
         assert main(["run", "--traces", str(tmp_path / "tr"),
                      "--out", str(tmp_path / "run")]) == 0
-        log = RecordLog.open(tmp_path / "run" / "records.log")
-        assert len(log) == 20
+        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "direct")]) == 0
+        assert len(RecordLog.open(tmp_path / "run" / "records.log")) == 20
+        assert read_bytes(tmp_path / "run" / "records.log") == \
+            read_bytes(tmp_path / "direct" / "records.log")
 
     def test_empty_traces_note_zero_pairs(self, tmp_path, capsys):
         from nearness.ingest import empty_traceset
@@ -173,6 +185,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert "sightings.csv:3:2: invalid UTF-8" in err
         assert not (out / "records.log").exists()
+
+    def test_long_trace_field_is_input_error(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "sightings.csv").write_text(
+            "t_ms,observer,subject,rssi_dbm\n0," + "x" * 200_000 + ",b,-40.0\n")
+        (traces / "accel.csv").write_text("t_ms,node,ax,ay,az\n")
+        (traces / "sound.csv").write_text("t_ms,node,amplitude\n")
+        assert main(["run", "--traces", str(traces), "--out", str(tmp_path / "out")]) == 2
+        assert "sightings.csv:2:2: node id longer than 64 chars" in capsys.readouterr().err
 
 @pytest.fixture
 def run_dir(tiny_scn, tmp_path):

@@ -227,6 +227,43 @@ class TestUndecodableBytes:
             read_traces(*paths)
         assert (err.value.line, err.value.column) == (3, 2)
 
+class TestDialect:
+    """Only LF ends a line; a field is the text between two commas, verbatim."""
+
+    def test_long_node_id_is_a_field_error(self, tmp_path):
+        paths = trace_files(tmp_path, sightings="0," + "x" * 200_000 + ",b,-40.0\n")
+        with pytest.raises(ParseError) as err:
+            read_traces(*paths)
+        assert (err.value.line, err.value.column) == (2, 2)
+        assert "node id longer than 64 chars" in str(err.value)
+
+    def test_crlf_file_is_a_malformed_header(self, tmp_path):
+        paths = trace_files(tmp_path, sightings="0,a,b,-40.0\n")
+        paths[0].write_bytes(paths[0].read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(ParseError) as err:
+            read_traces(*paths)
+        assert (err.value.line, err.value.column) == (1, 1)
+        assert "malformed header" in str(err.value)
+
+    @pytest.mark.parametrize("row, column", [
+        ("0,a\rb,c,-40.0", 2), ("0,a,\rc,-40.0", 3)])
+    def test_cr_in_node_id_names_its_column(self, tmp_path, row, column):
+        paths = trace_files(tmp_path, sightings="0,a,b,-40.0\n" + row + "\n")
+        with pytest.raises(ParseError) as err:
+            read_traces(*paths)
+        assert (err.value.line, err.value.column) == (3, column)
+        assert "line break" in str(err.value)
+
+    def test_nul_is_data(self, tmp_path):
+        paths = trace_files(tmp_path, sightings="0,a\0,b,-40.0\n")
+        assert read_traces(*paths).sightings.observer.tolist() == ["a\0"]
+        paths = trace_files(tmp_path, sightings="0,a,b,-40.0\0\n")
+        with pytest.raises(ParseError) as err:
+            read_traces(*paths)
+        assert (err.value.line, err.value.column) == (2, 4)
+        assert "invalid number" in str(err.value)
+
+
 class TestEpochMapping:
     def test_wall_clock_shift(self, tmp_path):
         epoch = 1_700_000_000_000
@@ -279,19 +316,19 @@ class TestMinuteRecordCodec:
         row = format_record_row(RECORDS[0]).split(",")
         row[4] = "3"
         with pytest.raises(ValueError):
-            parse_record_row(row)
+            parse_record_row(",".join(row))
 
     def test_nonzero_score_without_distance_rejected(self):
         row = format_record_row(RECORDS[0]).split(",")
         row[6] = "inf"
         with pytest.raises(ValueError):
-            parse_record_row(row)
+            parse_record_row(",".join(row))
 
     def test_unknown_label_rejected(self):
         row = format_record_row(RECORDS[0]).split(",")
         row[10] = "Huge"
         with pytest.raises(ValueError):
-            parse_record_row(row)
+            parse_record_row(",".join(row))
 
     def test_read_error_carries_line(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -301,6 +338,23 @@ class TestMinuteRecordCodec:
         with pytest.raises(ParseError) as err:
             read_minute_records(path)
         assert err.value.line == 3
+
+    def test_undecodable_node_id_names_its_line(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"minute,i,j,n_i,m_i,v_i,d_m,s_s,p,si,nearness\n"
+                         b"0,a,b,0,1,1,2.0,60.0,1.0,0.5,Low\n"
+                         b"1,a\xff,b,0,1,1,2.0,60.0,1.0,0.5,Low\n")
+        with pytest.raises(ParseError) as err:
+            read_minute_records(path)
+        assert err.value.line == 3 and "invalid UTF-8" in str(err.value)
+
+    def test_crlf_file_is_a_malformed_header(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_minute_records(RECORDS, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(ParseError) as err:
+            read_minute_records(path)
+        assert (err.value.line, err.value.column) == (1, 1)
 
 
 class TestLargeRoundtrip:

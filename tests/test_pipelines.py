@@ -167,25 +167,25 @@ class TestDistanceEstimate:
 
 class TestEmaUpdate:
     def test_blend(self):
-        state = DistanceState(alpha=0.3, ema_m=10.0, last_update_ms=0)
-        assert ema_update(state, 20.0, 1000) == pytest.approx(13.0, rel=1e-12)
+        state = DistanceState(alpha=0.3, ema_m=10.0)
+        assert ema_update(state, 20.0) == pytest.approx(13.0, rel=1e-12)
 
     def test_alpha_one_is_identity(self):
-        state = DistanceState(alpha=1.0, ema_m=10.0, last_update_ms=0)
-        assert ema_update(state, 42.0, 1000) == 42.0
+        state = DistanceState(alpha=1.0, ema_m=10.0)
+        assert ema_update(state, 42.0) == 42.0
 
     def test_first_observation_seeds(self):
         state = DistanceState(alpha=0.3)
-        assert ema_update(state, 7.5, 0) == 7.5
+        assert ema_update(state, 7.5) == 7.5
 
     @given(st.floats(min_value=0.01, max_value=0.99),
            st.floats(min_value=0.0, max_value=100.0),
            st.floats(min_value=0.0, max_value=100.0),
            st.integers(min_value=1, max_value=40))
     def test_geometric_convergence(self, alpha, x0, c, k):
-        state = DistanceState(alpha=alpha, ema_m=x0, last_update_ms=0)
-        for step in range(k):
-            ema_update(state, c, step)
+        state = DistanceState(alpha=alpha, ema_m=x0)
+        for _ in range(k):
+            ema_update(state, c)
         expected = (1 - alpha) ** k * abs(x0 - c)
         assert abs(state.ema_m - c) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
