@@ -162,13 +162,17 @@ def _finite_by_minute(records, metric: str) -> dict[int, float]:
     return {m: v for m, v in values.items() if v != float("inf")}
 
 
-def cmd_analyze(args) -> int:
-    pair = _parse_pair(args.pair)
-    log = RecordLog.open(args.log)
+def _require_known(log: RecordLog, pair: tuple[str, str]) -> None:
     known = log.node_ids()
     for node in pair:
         if node not in known:
-            raise QueryError(f"node {node!r} never appears in {args.log}")
+            raise QueryError(f"node {node!r} never appears in {log.path}")
+
+
+def cmd_analyze(args) -> int:
+    pair = _parse_pair(args.pair)
+    log = RecordLog.open(args.log)
+    _require_known(log, pair)
     records = log.query(pair, args.from_min, args.to_min)
     lines = ["minute,metric_value"]
     lines += [f"{r.minute},{_metric_text(_metric_value(r, args.metric))}"
@@ -200,6 +204,8 @@ def cmd_analyze(args) -> int:
 def cmd_export(args) -> int:
     log = RecordLog.open(args.log)
     pair = _parse_pair(args.pair) if args.pair else None
+    if pair is not None:
+        _require_known(log, pair)
     rows = export_csv(log, args.out, pair=pair,
                       from_minute=args.from_min, to_minute=args.to_min)
     print(f"wrote {rows} records to {args.out}")

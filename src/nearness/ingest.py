@@ -342,6 +342,44 @@ def _data_chunks(handle, ncols: int):
         yield [flat[k::ncols] for k in range(ncols)], count, lines
 
 
+def _int_prefix(text: list[str], lo: int, hi: int) -> list[int]:
+    """The values of `text` up to the first that is not an integer in [lo, hi]."""
+    values: list[int] = []
+    try:
+        values.extend(map(int, text))
+    except ValueError:
+        pass      # `values` ends before the first non-integer
+    if values and (min(values) < lo or max(values) > hi):
+        values = values[:next(k for k, v in enumerate(values) if not lo <= v <= hi)]
+    return values
+
+
+def _real_prefix(text: list[str]) -> np.ndarray:
+    """The values of `text` up to the first that is not a number."""
+    values: list[float] = []
+    try:
+        values.extend(map(float, text))
+    except ValueError:
+        pass
+    return np.array(values, dtype=np.float64)
+
+
+def _node_codes(text: list[str], codes: dict, names: list) -> np.ndarray:
+    """Codes into `names` (new valid ids are appended); -1 for an invalid id."""
+    for name in set(text).difference(codes):
+        try:
+            validate_node_id(name)
+        except DomainError:
+            codes[name] = -1
+        else:
+            if _undecodable(name):
+                codes[name] = -1
+            else:
+                codes[name] = len(names)
+                names.append(name)
+    return np.fromiter(map(codes.__getitem__, text), dtype=np.int64, count=len(text))
+
+
 def _convert_chunk(columns, count: int, layout: _Layout, epoch_ms: int,
                    codes: dict, names: list):
     """Convert one chunk's columns and apply the per-row rules.
@@ -355,26 +393,14 @@ def _convert_chunk(columns, count: int, layout: _Layout, epoch_ms: int,
     previous = None
     for column, (kind, text) in enumerate(zip(layout.kinds, columns)):
         if kind == "t":
-            values: list = []
-            try:
-                values.extend(map(int, text))
-            except ValueError:
-                pass      # `values` ends before the first non-integer
+            values = _int_prefix(text, epoch_ms, epoch_ms + _T_MAX)
             if epoch_ms:
                 values = [v - epoch_ms for v in values]
-            if values and (min(values) < 0 or max(values) > _T_MAX):
-                values = values[:next(k for k, v in enumerate(values)
-                                      if not 0 <= v <= _T_MAX)]
             bad = min(bad, len(values))
             out.append(np.array(values, dtype=np.int64))
         elif kind == "r":
-            values = []
-            try:
-                values.extend(map(float, text))
-            except ValueError:
-                pass
-            bad = min(bad, len(values))
-            arr = np.array(values, dtype=np.float64)
+            arr = _real_prefix(text)
+            bad = min(bad, len(arr))
             ok = np.isfinite(arr)
             bounds = layout.bounds.get(column)
             if bounds:
@@ -382,19 +408,7 @@ def _convert_chunk(columns, count: int, layout: _Layout, epoch_ms: int,
             out.append(arr)
             bad = _first_false(ok, bad)
         else:
-            for name in set(text).difference(codes):
-                try:
-                    validate_node_id(name)
-                except DomainError:
-                    codes[name] = -1
-                else:
-                    if _undecodable(name):
-                        codes[name] = -1
-                    else:
-                        codes[name] = len(names)
-                        names.append(name)
-            arr = np.fromiter(map(codes.__getitem__, text), dtype=np.int64,
-                              count=len(text))
+            arr = _node_codes(text, codes, names)
             ok = arr >= 0
             if kind == "s":
                 ok &= arr != previous
@@ -598,6 +612,8 @@ def parse_record_row(row: str) -> MinuteRecord:
     minute = int(fields[0])
     if minute < 0:
         raise ValueError(f"negative minute {minute}")
+    if minute > _T_MAX:
+        raise ValueError(f"minute {minute} beyond the 64-bit range")
     i = validate_node_id(fields[1])
     j = validate_node_id(fields[2])
     if i == j:
@@ -605,6 +621,8 @@ def parse_record_row(row: str) -> MinuteRecord:
     n_i = int(fields[3])
     if n_i < 0:
         raise ValueError(f"negative node degree {n_i}")
+    if n_i > _T_MAX:
+        raise ValueError(f"node degree {n_i} beyond the 64-bit range")
     m_i = int(fields[4])
     if m_i not in (1, 2):
         raise ValueError(f"motion code {m_i} not in {{1, 2}}")

@@ -276,3 +276,14 @@ class TestExport:
         lines = out_csv.read_text().splitlines()
         assert len(lines) == 6
         assert all(line.split(",")[1] == "b" for line in lines[1:])
+
+    def test_empty_range_without_pair_is_input_error(self, run_dir, tmp_path, capsys):
+        assert main(["export", "--log", str(run_dir / "records.log"),
+                     "--out", str(tmp_path / "all.csv"),
+                     "--from-min", "10", "--to-min", "5"]) == 2
+        assert "empty minute range [10, 5]" in capsys.readouterr().err
+
+    def test_unknown_pair_is_query_error(self, run_dir, tmp_path, capsys):
+        assert main(["export", "--log", str(run_dir / "records.log"),
+                     "--out", str(tmp_path / "pair.csv"), "--pair", "zz,a"]) == 3
+        assert "node 'zz' never appears" in capsys.readouterr().err

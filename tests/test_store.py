@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from nearness import store
 from nearness.domain import MinuteRecord, Nearness
 from nearness.ingest import read_minute_records
 from nearness.store import MAGIC, RecordLog, StoreError, export_csv
@@ -7,6 +10,14 @@ from nearness.store import MAGIC, RecordLog, StoreError, export_csv
 
 def record(minute, i="a", j="b", p=1.0):
     return MinuteRecord(minute, i, j, 1, 1, 1, 2.0, 60.0, p, 0.5, Nearness.LOW)
+
+
+def payload(minute, i="a", j="b", label="Low") -> bytes:
+    return f"{minute},{i},{j},1,1,1,2.0,60.0,1.0,0.5,{label}".encode()
+
+
+def write_frames(path, payloads) -> None:
+    path.write_bytes(MAGIC + b"".join(len(p).to_bytes(4, "big") + p for p in payloads))
 
 
 @pytest.fixture
@@ -49,6 +60,16 @@ class TestAppendAndQuery:
             assert [r.minute for r in log.records()] == [0, 1]
             assert log.last_minute() == 1
         assert RecordLog.open(log_path).records() == [record(0), record(1)]
+
+    def test_reads_after_append_see_what_a_reopen_sees(self, log_path):
+        with RecordLog.create(log_path) as log:
+            log.append([record(0), record(0, "b", "b")])
+            with pytest.raises(StoreError) as in_memory:
+                log.records()
+        with pytest.raises(StoreError) as reopened:
+            RecordLog.open(log_path)
+        assert str(in_memory.value) == str(reopened.value) == \
+            f"{log_path}: corrupt record #1: record pairs 'b' with itself"
 
     def test_empty_append_is_noop(self, log_path):
         with RecordLog.create(log_path) as log:
@@ -102,8 +123,16 @@ class TestPersistence:
     def test_append_after_readonly_open_rejected(self, log_path):
         RecordLog.create(log_path).close()
         log = RecordLog.open(log_path)
-        with pytest.raises(StoreError):
+        with pytest.raises(StoreError, match="read-only"):
             log.append([record(0)])
+
+    def test_append_after_close_says_closed(self, log_path):
+        log = RecordLog.create(log_path)
+        log.append([record(0)])
+        log.close()
+        with pytest.raises(StoreError, match=f"^{re.escape(str(log_path))}: log is closed$"):
+            log.append([record(1)])
+        assert RecordLog.open(log_path).records() == [record(0)]
 
     def test_truncation_at_any_boundary_reopens_cleanly(self, log_path):
         records = [record(m) for m in range(8)]
@@ -152,6 +181,91 @@ class TestPersistence:
         log_path.write_bytes(bytes(blob))
         with pytest.raises(StoreError):
             RecordLog.open(log_path)
+
+
+class TestStoreErrors:
+    """The exact StoreError of every kind of damaged log."""
+
+    def expect(self, path, message):
+        with pytest.raises(StoreError) as caught:
+            RecordLog.open(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "junk.log"
+        path.write_bytes(b"not a log at all")
+        self.expect(path, "not a record log (bad magic)")
+
+    @pytest.mark.parametrize("bad, reason", [
+        (b"x,a,b,1,1,1,2.0,60.0,1.0,0.5,Low",
+         "invalid literal for int() with base 10: 'x'"),
+        (b"1,a\xff,b,1,1,1,2.0,60.0,1.0,0.5,Low",
+         "'utf-8' codec can't decode byte 0xff in position 3: invalid start byte"),
+        (b"", "expected 11 fields, got 1"),
+        (b"1,a\nx,b,1,1,1,2.0,60.0,1.0,0.5,Low",
+         "node id contains a comma or line break: 'a\\nx'"),
+        (b"1,a,b,1,1,1,inf,60.0,1.0,0.5,Low",
+         "scores must be zero without a distance estimate"),
+        (b"1,a,b,1,1,1,2.0,60.0,1.0,0.5,low", "unknown nearness label 'low'"),
+        (b"-1,a,b,1,1,1,2.0,60.0,1.0,0.5,Low", "negative minute -1"),
+        (b"1,,b,1,1,1,2.0,60.0,1.0,0.5,Low", "node id must be a non-empty string"),
+        (b"1,a,a,1,1,1,2.0,60.0,1.0,0.5,Low", "record pairs 'a' with itself"),
+        (b"1,a,b,-1,1,1,2.0,60.0,1.0,0.5,Low", "negative node degree -1"),
+        (b"1,a,b,1,0,1,2.0,60.0,1.0,0.5,Low", "motion code 0 not in {1, 2}"),
+        (b"1,a,b,1,1,4,2.0,60.0,1.0,0.5,Low", "sound class 4 not in 0..3"),
+        (b"1,a,b,1,1,1,Infinity,60.0,0.0,0.0,Low", "bad distance 'Infinity'"),
+        (b"1,a,b,1,1,1, inf,60.0,0.0,0.0,Low", "bad distance ' inf'"),
+        (b"1,a,b,1,1,1,-0.5,60.0,1.0,0.5,Low", "bad distance '-0.5'"),
+        (b"1,a,b,1,1,1,2.0,nan,1.0,0.5,Low", "bad s_s value nan"),
+        (b"1,a,b,1,1,1,2.0,60.0,-1.0,0.5,Low", "bad p value -1.0"),
+        (b"1,a,b,1,1,1,2.0,60.0,1.0,1e400,Low", "bad si value inf"),
+    ], ids=["bad-field", "invalid-utf8", "empty", "lf-in-node-id", "inf-scores",
+            "label", "negative-minute", "empty-node", "self-pair", "negative-degree",
+            "motion", "sound", "infinity", "padded-inf", "negative-distance", "nan",
+            "negative-p", "overflow-si"])
+    def test_corrupt_record(self, log_path, bad, reason):
+        write_frames(log_path, [payload(0), bad, payload(2)])
+        self.expect(log_path, f"corrupt record #1: {reason}")
+
+    @pytest.mark.parametrize("keys, k", [
+        ([(0, "a", "b"), (1, "a", "c"), (1, "b", "a"), (1, "b", "a")], 3),
+        ([(0, "a", "b"), (1, "b", "a"), (1, "a", "c")], 2),
+        ([(1, "a", "b"), (1, "B", "a")], 1),      # ids compare by code point
+        ([(1, "a", "b"), (0, "b", "c")], 1),
+    ])
+    def test_keys_not_increasing(self, log_path, keys, k):
+        write_frames(log_path, [payload(*key) for key in keys])
+        self.expect(log_path, f"keys not increasing at record #{k}")
+
+    def test_corrupt_wins_at_the_same_record(self, log_path):
+        write_frames(log_path, [payload(5), payload(4, label="None")])
+        self.expect(log_path, "corrupt record #1: unknown nearness label 'None'")
+
+    @pytest.mark.parametrize("frames", [2, 3, 1000])
+    def test_first_error_in_file_order_wins(self, log_path, monkeypatch, frames):
+        monkeypatch.setattr(store, "_READ_FRAMES", frames, raising=False)
+        payloads = [payload(m) for m in range(10)]
+        payloads[3] = payload(1)
+        payloads[8] = b"8,a,b"
+        write_frames(log_path, payloads)
+        self.expect(log_path, "keys not increasing at record #3")
+        payloads[3], payloads[8] = b"3,a,b", payload(1)
+        write_frames(log_path, payloads)
+        self.expect(log_path, "corrupt record #3: expected 11 fields, got 3")
+
+    @pytest.mark.parametrize("bad, reason", [
+        (b"9223372036854775808,a,b,1,1,1,2.0,60.0,1.0,0.5,Low",
+         "minute 9223372036854775808 beyond the 64-bit range"),
+        (b"1,a,b,9223372036854775808,1,1,2.0,60.0,1.0,0.5,Low",
+         "node degree 9223372036854775808 beyond the 64-bit range"),
+    ], ids=["minute", "degree"])
+    def test_integers_beyond_64_bits_are_corrupt(self, log_path, bad, reason):
+        write_frames(log_path, [payload(0), bad])
+        self.expect(log_path, f"corrupt record #1: {reason}")
+
+    def test_int_field_with_a_line_break_reads(self, log_path):
+        write_frames(log_path, [payload(0), b"5\n,a,b,1,1,1,2.0,60.0,1.0,0.5,Low"])
+        assert RecordLog.open(log_path).records() == [record(0), record(5)]
 
 
 class TestExport:
