@@ -60,8 +60,8 @@ def _parse_epoch(text: str) -> int:
 
 def _parse_pair(text: str) -> tuple[str, str]:
     parts = text.split(",")
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise CliInputError(f"--pair expects i,j with two node ids, got {text!r}")
+    if len(parts) != 2 or not parts[0] or not parts[1] or parts[0] == parts[1]:
+        raise CliInputError(f"--pair expects i,j with two distinct node ids, got {text!r}")
     return (parts[0], parts[1])
 
 
@@ -140,7 +140,7 @@ def _metric_value(record, metric: str):
     if metric == "s":
         return record.s_s
     if metric == "d":
-        return record.d_m if record.d_m is not None else float("inf")
+        return record.d_m
     if metric == "m":
         return record.m_i
     if metric == "v":
@@ -149,11 +149,7 @@ def _metric_value(record, metric: str):
 
 
 def _metric_text(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    if value == float("inf"):
-        return "inf"
-    return fmt_float(value)
+    return str(value) if isinstance(value, int) else fmt_float(value)
 
 
 def _finite_by_minute(records, metric: str) -> dict[int, float]:

@@ -1,4 +1,4 @@
-"""Core identities, time arithmetic, and sensor sample types.
+"""Core identities, time arithmetic, and the minute record.
 
 Everything downstream (simulator, codecs, pipelines, fusion, store) shares
 these value types.  All of them are immutable and safe to pass between
@@ -20,12 +20,6 @@ MS_PER_DAY = 86_400_000
 MAX_NODE_ID_LEN = 64
 RSSI_MIN_DBM = -120.0
 RSSI_MAX_DBM = 0.0
-
-# Sentinel for "no fresh distance estimate exists for this pair".  Kept as an
-# explicit None rather than a large float so the fusion formulas can never be
-# evaluated on a stale or absent distance by accident.  Serialized as "inf"
-# in the minute-record CSV column d_m.
-OUT_OF_RANGE = None
 
 
 class DomainError(ValueError):
@@ -75,36 +69,6 @@ def day_index(t_ms: int) -> int:
     return t_ms // MS_PER_DAY
 
 
-# --- sensor samples --------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class BtSighting:
-    """One short-range radio discovery: `observer` saw `subject` at `t_ms`."""
-    t_ms: int
-    observer: str
-    subject: str
-    rssi_dbm: float
-
-
-@dataclass(frozen=True, slots=True)
-class AccelSample:
-    """One accelerometer reading for a node, axes in m/s^2."""
-    t_ms: int
-    node: str
-    ax: float
-    ay: float
-    az: float
-
-
-@dataclass(frozen=True, slots=True)
-class SoundSample:
-    """One microphone amplitude reading, normalized to [0, 1]."""
-    t_ms: int
-    node: str
-    amplitude: float
-
-
-
 class Nearness(Enum):
     LOW = "Low"
     AVG = "Avg"
@@ -117,9 +81,10 @@ class MinuteRecord:
 
     `i` is the record owner: n_i, m_i and v_i are its node degree, motion
     code and sound class for that minute.  d_m is the smoothed distance
-    estimate in meters, or OUT_OF_RANGE (None) when no fresh estimate
-    exists; s_s is the social strength in seconds; p and si are the fused
-    propinquity and social-interaction scores.
+    estimate in meters, or ``inf`` when no fresh estimate exists (the
+    records file writes it the same way); s_s is the social strength in
+    seconds; p and si are the fused propinquity and social-interaction
+    scores, both zero when d_m is ``inf``.
     """
     minute: int
     i: str
@@ -127,7 +92,7 @@ class MinuteRecord:
     n_i: int
     m_i: int
     v_i: int
-    d_m: float | None
+    d_m: float
     s_s: float
     p: float
     si: float

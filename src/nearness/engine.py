@@ -22,7 +22,6 @@ and node degree the trailing two minutes.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -122,17 +121,16 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
     active_pairs = sorted(contacts)
 
     # per-minute distance of each direction, from the observer's own sightings
-    distance: dict[tuple[str, str], list[float | None]] = {}
+    distance: dict[tuple[str, str], list[float]] = {}
     for i, j in (d for pair in active_pairs for d in (pair, pair[::-1])):
         ts, rssis = by_direction.get((i, j), ([], []))
         state = DistanceState(alpha=config.alpha)
         ema = [ema_update(state, estimate_distance_raw(rssi, config.rf.p_ref_dbm,
                                                        config.rf.pathloss_exp))
                for rssi in rssis]
-        values = smoothed_distances(np.asarray(ts, dtype=np.int64),
-                                    np.asarray(ema, dtype=np.float64), boundaries,
-                                    config.staleness_ms)
-        distance[(i, j)] = [None if d == math.inf else d for d in values.tolist()]
+        distance[(i, j)] = smoothed_distances(np.asarray(ts, dtype=np.int64),
+                                              np.asarray(ema, dtype=np.float64),
+                                              boundaries, config.staleness_ms).tolist()
 
     # per-minute node features (degree, motion code, sound class) of every paired node
     features: dict[str, list[tuple[int, int, int]]] = {}

@@ -8,8 +8,9 @@ Two utility functions are evaluated for every pair each minute:
 where s is the social strength in seconds, d the smoothed relative distance
 in meters, m the motion code (1 stationary, 2 moving), and G a Gaussian
 weight centred on the target sound class.  Both are zero whenever the pair
-has no strength or no fresh distance estimate.  The qualitative nearness
-label is derived from the session's empirical terciles of p and si.
+has no strength or no fresh distance estimate (d is ``inf``).  The
+qualitative nearness label is derived from the session's empirical terciles
+of p and si.
 """
 
 from __future__ import annotations
@@ -41,17 +42,17 @@ class FusionParams:
 DEFAULT_PARAMS = FusionParams()
 
 
-def propinquity(s: float, d: float | None, m: int) -> float:
+def propinquity(s: float, d: float, m: int) -> float:
     """Long-term tie score: grows with strength, shrinks with distance/motion."""
-    if d is None or s <= 0.0:
+    if d == math.inf or s <= 0.0:
         return 0.0
     return s / ((d + 1.0) * m)
 
 
-def social_interaction(s: float, v: int, d: float | None, m: int,
+def social_interaction(s: float, v: int, d: float, m: int,
                        params: FusionParams = DEFAULT_PARAMS) -> float:
     """Instantaneous interaction score, Gaussian-weighted by sound class."""
-    if d is None or s < params.s_floor:
+    if d == math.inf or s < params.s_floor:
         return 0.0
     sigma = math.sqrt(params.sigma2)
     gauss = math.exp(-((v - params.mu) ** 2) / (2.0 * params.sigma2)) \
@@ -114,7 +115,7 @@ class PairSnapshot:
     n_i: int
     m_i: int
     v_i: int
-    d_m: float | None
+    d_m: float      # inf when there is no fresh estimate
     s_s: float
 
 

@@ -9,8 +9,10 @@ ends):
 * sound:     ``t_ms,node,amplitude``
 * records:   ``minute,i,j,n_i,m_i,v_i,d_m,s_s,p,si,nearness``
 
-Reals are serialized with ``repr`` so that parse(format(x)) == x bit for bit;
-``d_m`` is written as ``inf`` when the pair had no fresh distance estimate.
+The records layout is output only: `export` writes it, and the record log
+stores one such row per frame.  Reals are serialized with ``repr`` so that
+parse(format(x)) == x bit for bit; ``d_m`` is ``inf``, in memory as in the
+file, when the pair had no fresh distance estimate.
 Trace files need only be time-ordered within each stream (one per ordered
 observer/subject pair, one per node for accel and sound); reading sorts the
 sightings by (t_ms, observer, subject) and each node's series by time.
@@ -33,12 +35,9 @@ import numpy as np
 from .domain import (
     RSSI_MAX_DBM,
     RSSI_MIN_DBM,
-    AccelSample,
-    BtSighting,
     DomainError,
     MinuteRecord,
     Nearness,
-    SoundSample,
     validate_node_id,
 )
 
@@ -56,7 +55,7 @@ _WRITE_CHUNK = 16384
 
 
 class ParseError(ValueError):
-    """A trace or record file failed to parse; carries the exact location."""
+    """A trace file failed to parse; carries the exact location."""
 
     def __init__(self, path, line: int, column: int, message: str):
         self.path = str(path)
@@ -135,50 +134,6 @@ class TraceSet:
         columns += [s.t_ms for s in self.accel.values()]
         columns += [s.t_ms for s in self.sound.values()]
         return max((int(c.max()) for c in columns if len(c)), default=-1)
-
-
-def empty_traceset() -> TraceSet:
-    return TraceSet(sightings=_sighting_table([], [], [], []))
-
-
-def _sighting_table(t, obs, subj, rssi) -> SightingTable:
-    return SightingTable(
-        t_ms=np.asarray(t, dtype=np.int64),
-        observer=np.asarray(obs, dtype=object),
-        subject=np.asarray(subj, dtype=object),
-        rssi_dbm=np.asarray(rssi, dtype=np.float64),
-    )
-
-
-def traces_from_samples(samples) -> TraceSet:
-    """Build a TraceSet from loose samples, canonically ordered."""
-    sight, accel, sound = [], {}, {}
-    for s in samples:
-        if isinstance(s, BtSighting):
-            sight.append((s.t_ms, s.observer, s.subject, s.rssi_dbm))
-        elif isinstance(s, AccelSample):
-            accel.setdefault(s.node, []).append((s.t_ms, s.ax, s.ay, s.az))
-        elif isinstance(s, SoundSample):
-            sound.setdefault(s.node, []).append((s.t_ms, s.amplitude))
-        else:
-            raise DomainError(f"not a sensor sample: {s!r}")
-    sight.sort(key=lambda r: (r[0], r[1], r[2]))
-    cols = list(zip(*sight)) if sight else ([], [], [], [])
-    accel_series = {}
-    for node in sorted(accel):
-        rows = sorted(accel[node], key=lambda r: r[0])
-        t, ax, ay, az = zip(*rows)
-        accel_series[node] = AccelSeries(np.asarray(t, dtype=np.int64),
-                                         np.asarray(ax, dtype=np.float64),
-                                         np.asarray(ay, dtype=np.float64),
-                                         np.asarray(az, dtype=np.float64))
-    sound_series = {}
-    for node in sorted(sound):
-        rows = sorted(sound[node], key=lambda r: r[0])
-        t, amp = zip(*rows)
-        sound_series[node] = SoundSeries(np.asarray(t, dtype=np.int64),
-                                         np.asarray(amp, dtype=np.float64))
-    return TraceSet(_sighting_table(*cols), accel_series, sound_series)
 
 
 def traces_equal(a: TraceSet, b: TraceSet) -> bool:
@@ -595,9 +550,8 @@ def _merged_columns(series_by_node: dict, values: tuple[str, ...]):
 
 def format_record_row(record: MinuteRecord) -> str:
     """One CSV row (no newline) in the minute-record column layout."""
-    d_text = "inf" if record.d_m is None else fmt_float(record.d_m)
     return (f"{record.minute},{record.i},{record.j},{record.n_i},"
-            f"{record.m_i},{record.v_i},{d_text},{fmt_float(record.s_s)},"
+            f"{record.m_i},{record.v_i},{fmt_float(record.d_m)},{fmt_float(record.s_s)},"
             f"{fmt_float(record.p)},{fmt_float(record.si)},{record.nearness.value}")
 
 
@@ -630,7 +584,7 @@ def parse_record_row(row: str) -> MinuteRecord:
     if not 0 <= v_i <= 3:
         raise ValueError(f"sound class {v_i} not in 0..3")
     if fields[6] == "inf":
-        d_m = None
+        d_m = math.inf
     else:
         d_m = float(fields[6])
         if not (math.isfinite(d_m) and d_m >= 0.0):
@@ -641,7 +595,7 @@ def parse_record_row(row: str) -> MinuteRecord:
     for name, value in (("s_s", s_s), ("p", p), ("si", si)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"bad {name} value {value!r}")
-    if d_m is None and (p != 0.0 or si != 0.0):
+    if d_m == math.inf and (p != 0.0 or si != 0.0):
         raise ValueError("scores must be zero without a distance estimate")
     if fields[10] not in _NEARNESS_BY_NAME:
         raise ValueError(f"unknown nearness label {fields[10]!r}")
@@ -664,18 +618,3 @@ def write_minute_records(records, path) -> None:
                 _write_lines(handle, lines)
         _write_lines(handle, lines)
 
-
-def read_minute_records(path) -> list[MinuteRecord]:
-    records = []
-    with _open_text(path) as handle:
-        for line, text in enumerate(handle, start=1):
-            if line == 1:
-                _check_header(path, _fields(text), RECORDS_HEADER)
-                continue
-            if _undecodable(text):
-                raise ParseError(path, line, 1, f"invalid UTF-8 in {text!r}")
-            try:
-                records.append(parse_record_row(text.removesuffix("\n")))
-            except ValueError as exc:
-                raise ParseError(path, line, 1, str(exc)) from None
-    return records

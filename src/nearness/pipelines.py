@@ -34,7 +34,7 @@ from .domain import MS_PER_HOUR, DomainError, day_index, hour_slot
 DEFAULT_GAP_MS = 120_000          # max inter-sighting gap inside one contact
 DEFAULT_DWELL_S = 60.0            # nominal coverage of a single sighting
 DEFAULT_ALPHA = 0.3               # distance EMA smoothing factor
-DEFAULT_STALENESS_MS = 300_000    # estimate older than this reads OUT_OF_RANGE
+DEFAULT_STALENESS_MS = 300_000    # estimate older than this reads inf
 DEFAULT_MOTION_THRESHOLD = 0.5    # m/s^2, std of acceleration magnitude
 MIN_MOTION_SAMPLES = 10
 DEFAULT_DEGREE_WINDOW_MS = 120_000
@@ -156,8 +156,8 @@ def smoothed_distances(t_ms: np.ndarray, ema_m: np.ndarray, boundaries: np.ndarr
 
     `ema_m[k]` is the running average after the sighting at `t_ms[k]`.  A
     boundary reads the average after the last sighting before it; with no
-    such sighting, or one more than `staleness_ms` old, it reads `inf`
-    (OUT_OF_RANGE).
+    such sighting, or one more than `staleness_ms` old, it reads `inf`,
+    which is how a MinuteRecord marks a pair out of range.
     """
     last = np.searchsorted(t_ms, boundaries, side="left") - 1
     seen = np.flatnonzero(last >= 0)

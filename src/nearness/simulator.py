@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import DomainError, validate_node_id
+from .domain import RSSI_MAX_DBM, RSSI_MIN_DBM, DomainError, validate_node_id
 from .ingest import AccelSeries, SightingTable, SoundSeries, TraceSet, _undecodable
 
 ACCEL_INTERVAL_MS = 50      # 20 Hz
@@ -187,15 +187,6 @@ class GroundTruth:
         return (np.interp(t, self._wp_t[node], self._wp_x[node]),
                 np.interp(t, self._wp_t[node], self._wp_y[node]))
 
-    def position(self, node: str, t_ms: int) -> tuple[float, float]:
-        x, y = self.positions(node, np.array([t_ms]))
-        return (float(x[0]), float(y[0]))
-
-    def distances(self, i: str, j: str, t_ms: np.ndarray) -> np.ndarray:
-        xi, yi = self.positions(i, t_ms)
-        xj, yj = self.positions(j, t_ms)
-        return np.hypot(xi - xj, yi - yj)
-
     def moving_mask(self, node: str, t_ms: np.ndarray) -> np.ndarray:
         """True wherever the scripted path has nonzero velocity at t."""
         self._require(node)
@@ -208,9 +199,6 @@ class GroundTruth:
             moving[inside] = self._seg_moving[node][seg[inside]]
         return moving
 
-    def is_moving(self, node: str, t_ms: int) -> bool:
-        return bool(self.moving_mask(node, np.array([t_ms]))[0])
-
     def amplitudes(self, node: str, t_ms: np.ndarray) -> np.ndarray:
         self._require(node)
         t = np.asarray(t_ms, dtype=np.int64)
@@ -220,25 +208,18 @@ class GroundTruth:
             amp[mask] = phase.amplitude
         return amp
 
-    def amplitude(self, node: str, t_ms: int) -> float:
-        return float(self.amplitudes(node, np.array([t_ms]))[0])
-
-
-def true_distance(gt: GroundTruth, i: str, j: str, t_ms: int) -> float:
-    """Exact Euclidean distance between two agents' scripted positions."""
-    gt._require(i)
-    gt._require(j)
-    return float(gt.distances(i, j, np.array([t_ms]))[0])
-
 
 # --- RF model -----------------------------------------------------------------
 
-def rssi_from_distance(d_m: float, rf: RfParams, noise_db: float = 0.0) -> float:
-    """Log-distance path loss at `d_m` meters, clamped to [-120, 0] dBm."""
-    if d_m <= 0:
-        raise DomainError(f"distance must be > 0, got {d_m}")
-    raw = rf.p_ref_dbm - 10.0 * rf.pathloss_exp * math.log10(d_m) + noise_db
-    return min(0.0, max(-120.0, raw))
+def rssi_from_distance(d_m, rf: RfParams, noise_db=0.0) -> np.ndarray:
+    """Log-distance path loss at distances `d_m` (meters, an array or a
+    number) plus `noise_db`, clamped to [-120, 0] dBm.
+
+    At 0 m the loss is unbounded and the RSSI clamps to 0 dBm.
+    """
+    with np.errstate(divide="ignore"):
+        raw = rf.p_ref_dbm - 10.0 * rf.pathloss_exp * np.log10(d_m) + noise_db
+    return np.clip(raw, RSSI_MIN_DBM, RSSI_MAX_DBM)
 
 
 def _stream_rng(seed: int, *labels: str) -> np.random.Generator:
@@ -271,10 +252,8 @@ def generate(config: ScenarioConfig) -> tuple[TraceSet, GroundTruth]:
                 rng = _stream_rng(config.seed, "bt", observer, subject)
                 noise = rng.normal(0.0, rf.shadowing_sigma_db, len(t_scan))
             else:
-                noise = np.zeros(len(t_scan))
-            with np.errstate(divide="ignore"):
-                raw = rf.p_ref_dbm - 10.0 * rf.pathloss_exp * np.log10(dist) + noise
-            rssi = np.clip(raw, -120.0, 0.0)
+                noise = 0.0
+            rssi = rssi_from_distance(dist, rf, noise)
             mask = dist <= rf.max_range_m
             sig_t.append(t_scan[mask])
             sig_obs.append(np.full(mask.sum(), oc, dtype=np.int32))

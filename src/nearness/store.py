@@ -16,16 +16,16 @@ at a time; each chunk's payloads are joined with LF, decoded and split in
 one step (a chunk that is not UTF-8, or whose payloads hold an LF, is
 decoded frame by frame), converted with Python's int and float as `ingest`
 converts trace columns, and checked with vectorised rules.  Node ids are
-stored as codes ranked in sorted order, so codes compare like the ids, and
-`d_m` is stored as ``inf`` where a record has no distance.  The first record
-in file order that breaks a rule is parsed again on its own with
-`parse_record_row`, so the StoreError is the one a frame-at-a-time scanner
-gives.  Reads build MinuteRecords only for the rows they return.
+stored as codes in first-seen order (the key-order check ranks them by id),
+and `d_m` is ``inf`` where a record has no distance, as in the file and in
+MinuteRecord.  The first record in file order that breaks a rule is parsed
+again on its own with `parse_record_row`, so the StoreError is the one a
+frame-at-a-time scanner gives.  Reads build MinuteRecords only for the rows
+they return.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from itertools import chain, repeat
 
@@ -156,14 +156,6 @@ def _payload_chunks(data: bytes):
         yield payloads, pos
 
 
-def _rank_codes(cols: list[np.ndarray], names: list[str]) -> list[str]:
-    """Recode the node columns so that codes sort like the ids; returns the
-    ids in code order."""
-    rank = _node_ranks(names)
-    cols[1], cols[2] = rank[cols[1]], rank[cols[2]]
-    return sorted(names)
-
-
 def _read_columns(path):
     """(columns, node ids in code order, end of the last whole frame) of the
     log at `path`; raises StoreError at the first bad record in file order."""
@@ -187,7 +179,7 @@ def _read_columns(path):
         last = [c[-1:] for c in cols[:3]]
         count += bad
     columns = [np.concatenate(c) for c in zip(*chunks)] if chunks else _empty_columns()
-    return columns, _rank_codes(columns, names), end
+    return columns, names, end
 
 
 class RecordLog:
@@ -204,7 +196,7 @@ class RecordLog:
         self._handle = handle
         self._writable = handle is not None
         self._columns = columns
-        self._names = names              # node id of each code, sorted
+        self._names = names              # node id of each code, first seen first
         self._codes = {name: code for code, name in enumerate(names)}
         self._appended: list[MinuteRecord] = []   # since the last read
         self._last_key = self._records(slice(-1, None))[0].key() if len(self) else None
@@ -289,10 +281,8 @@ class RecordLog:
             if bad < len(lines):
                 raise _corrupt(self.path, len(self._columns[0]) + bad,
                                lines[bad].encode("utf-8"))
-            columns = [np.concatenate(pair) for pair in zip(self._columns, added)]
-            self._names = _rank_codes(columns, names)
-            self._codes = {name: code for code, name in enumerate(self._names)}
-            self._columns = columns
+            self._columns = [np.concatenate(pair) for pair in zip(self._columns, added)]
+            self._codes, self._names = codes, names
             self._appended.clear()
         return self._columns
 
@@ -302,8 +292,7 @@ class RecordLog:
             c[rows].tolist() for c in self._current())
         names = self._names
         return list(map(MinuteRecord, minute, [names[c] for c in i],
-                        [names[c] for c in j], n, m, v,
-                        [None if x == math.inf else x for x in d], s, p, si,
+                        [names[c] for c in j], n, m, v, d, s, p, si,
                         [_LABELS[c] for c in label]))
 
     def _rows(self, pair: tuple[str, str] | None, from_minute: int,
@@ -327,9 +316,6 @@ class RecordLog:
 
     def records(self) -> list[MinuteRecord]:
         return self._records(slice(None))
-
-    def last_minute(self) -> int | None:
-        return self._last_key[0] if self._last_key else None
 
     def node_ids(self) -> set[str]:
         self._current()

@@ -3,13 +3,34 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nearness.engine import EngineConfig, RunResult, run_engine
-from nearness.ingest import TraceSet
+from nearness.ingest import AccelSeries, SightingTable, SoundSeries, TraceSet
 from nearness.simulator import GroundTruth, ScenarioConfig, generate, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def make_traces(sightings=(), accel=(), sound=()) -> TraceSet:
+    """A TraceSet from rows laid out as the trace CSV columns: sightings
+    (t_ms, observer, subject, rssi_dbm), accel (t_ms, node, ax, ay, az) and
+    sound (t_ms, node, amplitude), in any order; they come back sorted as
+    `read_traces` sorts them."""
+    columns = list(zip(*sorted(sightings, key=lambda row: row[:3]))) or [()] * 4
+    table = SightingTable(*(np.array(c, dtype=dtype) for c, dtype
+                            in zip(columns, (np.int64, object, object, np.float64))))
+
+    def per_node(rows, series):
+        out = {}
+        for node in sorted({row[1] for row in rows}):
+            t, _, *values = zip(*sorted((r for r in rows if r[1] == node), key=lambda r: r[0]))
+            out[node] = series(np.array(t, dtype=np.int64),
+                               *(np.array(v, dtype=np.float64) for v in values))
+        return out
+
+    return TraceSet(table, per_node(accel, AccelSeries), per_node(sound, SoundSeries))
 
 
 @dataclass

@@ -5,19 +5,21 @@ acceptance suite.  Deliberately written against mpmath only, so it shares
 no code path with the package.
 """
 
+import math
+
 import mpmath as mp
 
 mp.mp.dps = 50
 
 
 def propinquity_oracle(s, d, m) -> mp.mpf:
-    if d is None or s <= 0:
+    if d == math.inf or s <= 0:
         return mp.mpf(0)
     return mp.mpf(s) / ((mp.mpf(d) + 1) * mp.mpf(m))
 
 
 def social_interaction_oracle(s, v, d, m, sigma2=0.75, mu=1.0, s_floor=1.0) -> mp.mpf:
-    if d is None or s < s_floor:
+    if d == math.inf or s < s_floor:
         return mp.mpf(0)
     s, v, d, m = mp.mpf(s), mp.mpf(v), mp.mpf(d), mp.mpf(m)
     sigma2, mu, s_floor = mp.mpf(sigma2), mp.mpf(mu), mp.mpf(s_floor)

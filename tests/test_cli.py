@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from conftest import make_traces
 from nearness.cli import main
 from nearness.domain import MinuteRecord, Nearness
 from nearness.ingest import fmt_float, read_traces, write_traces
@@ -113,8 +115,7 @@ class TestRun:
             read_bytes(tmp_path / "direct" / "records.log")
 
     def test_empty_traces_note_zero_pairs(self, tmp_path, capsys):
-        from nearness.ingest import empty_traceset
-        write_traces(empty_traceset(), tmp_path / "tr")
+        write_traces(make_traces(), tmp_path / "tr")
         assert main(["run", "--traces", str(tmp_path / "tr"),
                      "--out", str(tmp_path / "run")]) == 0
         assert "pairs: 0" in capsys.readouterr().out
@@ -234,14 +235,14 @@ class TestAnalyze:
         assert len(lines) == 11
 
     def test_symmetry_pairs_values_by_minute(self, tmp_path, capsys):
-        forward = [1.0, None, 3.0, 4.5, 5.0]     # None: out of range (d = inf)
-        reverse = [1.5, 2.0, 2.5, None, 6.0]
+        forward = [1.0, math.inf, 3.0, 4.5, 5.0]  # inf: out of range
+        reverse = [1.5, 2.0, 2.5, math.inf, 6.0]
         log_path = tmp_path / "records.log"
         with RecordLog.create(log_path) as log:
             for minute, (d_ab, d_ba) in enumerate(zip(forward, reverse)):
                 log.append([MinuteRecord(minute, i, j, 1, 1, 0, d, 60.0,
-                                         0.0 if d is None else 1.0,
-                                         0.0 if d is None else 0.5, Nearness.LOW)
+                                         0.0 if d == math.inf else 1.0,
+                                         0.0 if d == math.inf else 0.5, Nearness.LOW)
                             for i, j, d in (("a", "b", d_ab), ("b", "a", d_ba))])
         assert main(["analyze", "--log", str(log_path), "--pair", "a,b",
                      "--metric", "d"]) == 0
@@ -254,6 +255,11 @@ class TestAnalyze:
     def test_bad_pair_flag_is_input_error(self, run_dir):
         assert main(["analyze", "--log", str(run_dir / "records.log"),
                      "--pair", "a"]) == 2
+
+    def test_pair_of_one_node_is_input_error(self, run_dir, capsys):
+        assert main(["analyze", "--log", str(run_dir / "records.log"),
+                     "--pair", "a,a"]) == 2
+        assert "two distinct node ids" in capsys.readouterr().err
 
     def test_missing_log_is_input_error(self, tmp_path):
         assert main(["analyze", "--log", str(tmp_path / "nope.log"),
@@ -282,6 +288,13 @@ class TestExport:
                      "--out", str(tmp_path / "all.csv"),
                      "--from-min", "10", "--to-min", "5"]) == 2
         assert "empty minute range [10, 5]" in capsys.readouterr().err
+
+    def test_pair_of_one_node_is_input_error(self, run_dir, tmp_path, capsys):
+        out_csv = tmp_path / "pair.csv"
+        assert main(["export", "--log", str(run_dir / "records.log"),
+                     "--out", str(out_csv), "--pair", "a,a"]) == 2
+        assert "two distinct node ids" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     def test_unknown_pair_is_query_error(self, run_dir, tmp_path, capsys):
         assert main(["export", "--log", str(run_dir / "records.log"),

@@ -38,7 +38,7 @@ class TestPropinquity:
         assert propinquity(10.0, 9.0, 2) == pytest.approx(0.5, rel=1e-12)
 
     def test_out_of_range_gives_zero(self):
-        assert propinquity(100.0, None, 1) == 0.0
+        assert propinquity(100.0, math.inf, 1) == 0.0
 
     @given(strengths, distances, sound_classes, motions)
     def test_matches_oracle(self, s, d, v, m):
@@ -56,7 +56,7 @@ class TestSocialInteraction:
         assert social_interaction(0.5, 1, 0.0, 1) == 0.0
 
     def test_out_of_range_gives_zero(self):
-        assert social_interaction(100.0, 1, None, 1) == 0.0
+        assert social_interaction(100.0, 1, math.inf, 1) == 0.0
 
     @given(strengths, sound_classes, distances, motions)
     def test_matches_oracle(self, s, v, d, m):
@@ -129,9 +129,9 @@ class TestNearnessLabel:
 class TestFuseMinute:
     def test_sentinel_rule(self):
         stats = SessionStats()
-        snap = PairSnapshot(i="a", j="b", n_i=0, m_i=1, v_i=0, d_m=None, s_s=500.0)
+        snap = PairSnapshot(i="a", j="b", n_i=0, m_i=1, v_i=0, d_m=math.inf, s_s=500.0)
         (record,) = fuse_minute([snap], 7, stats)
-        assert record.p == 0.0 and record.si == 0.0 and record.d_m is None
+        assert record.p == 0.0 and record.si == 0.0 and record.d_m == math.inf
 
     def test_records_come_back_sorted(self):
         stats = SessionStats()

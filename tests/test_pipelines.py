@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nearness.domain import MS_PER_MINUTE, BtSighting
+from conftest import make_traces
+from nearness.domain import MS_PER_MINUTE
 from nearness.engine import run_engine
-from nearness.ingest import traces_from_samples
 from nearness.pipelines import (
     MIN_MOTION_SAMPLES,
     ContactEvent,
@@ -52,8 +52,8 @@ class TestDetectContacts:
         assert contacts_from_times(times_ms(), PAIR, 120_000, 60) == []
 
     def test_both_directions_form_one_pair(self):
-        stream = [BtSighting(0, "a", "b", -50.0), BtSighting(30_000, "b", "a", -50.0)]
-        result = run_engine(traces_from_samples(stream), duration_ms=60_000)
+        traces = make_traces([(0, "a", "b", -50.0), (30_000, "b", "a", -50.0)])
+        result = run_engine(traces, duration_ms=60_000)
         (contact,) = result.contacts[PAIR]
         assert contact.pair == PAIR and contact.duration_s == 90.0
 
@@ -318,8 +318,7 @@ class TestNodeDegree:
 
     def test_only_own_observations_count(self):
         # only b saw a: a's degree counts a's own sightings, of which there are none
-        result = run_engine(traces_from_samples([BtSighting(1000, "b", "a", -50.0)]),
-                            duration_ms=60_000)
+        result = run_engine(make_traces([(1000, "b", "a", -50.0)]), duration_ms=60_000)
         by_owner = {r.i: r.n_i for r in result.records}
         assert by_owner == {"a": 0, "b": 1}
 

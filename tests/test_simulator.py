@@ -1,4 +1,6 @@
 import dataclasses
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from nearness.simulator import (
     load_scenario,
     parse_scenario,
     rssi_from_distance,
-    true_distance,
     validate_config,
 )
 
@@ -36,6 +37,12 @@ def two_agent_config(distance_m=1.0, duration_ms=600_000, **rf):
         rf=RfParams(**rf),
         seed=42,
     )
+
+
+def distance(gt, i, j, t_ms):
+    """Exact distance between two agents at `t_ms`, from their positions."""
+    (xi, yi), (xj, yj) = gt.positions(i, [t_ms]), gt.positions(j, [t_ms])
+    return float(np.hypot(xi - xj, yi - yj)[0])
 
 
 def sighting_rows(traces):
@@ -62,9 +69,10 @@ class TestRssiModel:
         assert rssi_from_distance(1e-6, RfParams()) == 0.0
         assert rssi_from_distance(1e6, RfParams()) == -120.0
 
-    def test_nonpositive_distance_rejected(self):
-        with pytest.raises(DomainError):
-            rssi_from_distance(0.0, RfParams())
+    def test_zero_distance_clamps_to_zero_dbm(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert rssi_from_distance(0.0, RfParams()) == 0.0
 
 
 class TestGroundTruth:
@@ -73,14 +81,14 @@ class TestGroundTruth:
             agents=(fixed_agent("a", 0.0, 0.0), fixed_agent("b", 3.0, 4.0)),
             duration_ms=60_000)
         gt = GroundTruth(config)
-        assert true_distance(gt, "a", "b", 0) == 5.0
+        assert distance(gt, "a", "b", 0) == 5.0
 
     def test_coincident_positions(self):
         config = ScenarioConfig(
             agents=(fixed_agent("a", 1.0, 1.0), fixed_agent("b", 1.0, 1.0)),
             duration_ms=60_000)
         gt = GroundTruth(config)
-        assert true_distance(gt, "a", "b", 12345) == 0.0
+        assert distance(gt, "a", "b", 12345) == 0.0
 
     def test_linear_interpolation_midpoint(self):
         mover = AgentSpec(id="m", waypoints=(Waypoint(0, 0.0, 0.0),
@@ -88,23 +96,23 @@ class TestGroundTruth:
         config = ScenarioConfig(agents=(mover, fixed_agent("a", 0.0, 0.0)),
                                 duration_ms=60_000)
         gt = GroundTruth(config)
-        assert true_distance(gt, "m", "a", 5_000) == 5.0
+        assert distance(gt, "m", "a", 5_000) == 5.0
 
     def test_position_holds_after_last_waypoint(self):
         mover = AgentSpec(id="m", waypoints=(Waypoint(0, 0.0, 0.0),
                                              Waypoint(10_000, 10.0, 0.0)))
         config = ScenarioConfig(agents=(mover,), duration_ms=60_000)
         gt = GroundTruth(config)
-        assert gt.position("m", 59_000) == (10.0, 0.0)
+        assert [c.tolist() for c in gt.positions("m", [59_000])] == [[10.0], [0.0]]
 
     def test_unknown_agent_rejected(self):
         gt = GroundTruth(two_agent_config())
         with pytest.raises(DomainError):
-            true_distance(gt, "a", "nobody", 0)
+            gt.positions("nobody", [0])
 
     def test_symmetry(self):
         gt = GroundTruth(two_agent_config(distance_m=7.3))
-        assert true_distance(gt, "a", "b", 0) == true_distance(gt, "b", "a", 0)
+        assert distance(gt, "a", "b", 0) == distance(gt, "b", "a", 0)
 
     def test_moving_only_inside_displacing_segments(self):
         mover = AgentSpec(id="m", waypoints=(
@@ -112,19 +120,17 @@ class TestGroundTruth:
             Waypoint(20_000, 5.0, 0.0), Waypoint(30_000, 5.0, 0.0)))
         config = ScenarioConfig(agents=(mover,), duration_ms=60_000)
         gt = GroundTruth(config)
-        assert not gt.is_moving("m", 5_000)
-        assert gt.is_moving("m", 15_000)
-        assert not gt.is_moving("m", 25_000)
-        assert not gt.is_moving("m", 45_000)  # past the last waypoint
+        # the last instant is past the last waypoint
+        assert gt.moving_mask("m", [5_000, 15_000, 25_000, 45_000]).tolist() == [
+            False, True, False, False]
 
     def test_scheduled_amplitude(self):
         agent = fixed_agent("a", 0.0, 0.0,
                             sound=(SoundPhase(1_000, 5_000, 0.4),))
         config = ScenarioConfig(agents=(agent,), duration_ms=60_000)
         gt = GroundTruth(config)
-        assert gt.amplitude("a", 0) == 0.0
-        assert gt.amplitude("a", 3_000) == 0.4
-        assert gt.amplitude("a", 5_000) == 0.0  # phases are half-open
+        # phases are half-open: 5 000 is already quiet
+        assert gt.amplitudes("a", [0, 3_000, 5_000]).tolist() == [0.0, 0.4, 0.0]
 
 
 class TestGenerate:
@@ -160,7 +166,7 @@ class TestGenerate:
         p1 = write_traces(first, tmp_path / "one")
         p2 = write_traces(second, tmp_path / "two")
         for a, b in zip(p1, p2):
-            assert open(a, "rb").read() == open(b, "rb").read()
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_different_seed_differs(self):
         config = two_agent_config(shadowing_sigma_db=4.0)
@@ -184,10 +190,23 @@ class TestGenerate:
         assert by_dir[("a", "b")] != by_dir[("b", "a")]
 
     def test_rssi_values_match_model(self):
-        traces, gt = generate(two_agent_config(distance_m=6.25))
-        for t, obs, subj, rssi in sighting_rows(traces):
-            d = true_distance(gt, obs, subj, t)
-            assert rssi == rssi_from_distance(d, RfParams())
+        # coincident agents, clamped at 0 dBm, clamped at -120 dBm, in range
+        for distance_m, rf, clamped_to in ((0.0, {}, 0.0),
+                                           (0.01, {}, 0.0),
+                                           (1000.0, {"max_range_m": 2000.0}, -120.0),
+                                           (6.25, {}, None)):
+            config = two_agent_config(distance_m=distance_m, **rf)
+            traces, gt = generate(config)
+            tab = traces.sightings
+            assert len(tab) == 20
+            for obs, subj in (("a", "b"), ("b", "a")):
+                rows = (tab.observer == obs) & (tab.subject == subj)
+                t = tab.t_ms[rows]
+                (xo, yo), (xs, ys) = gt.positions(obs, t), gt.positions(subj, t)
+                model = rssi_from_distance(np.hypot(xo - xs, yo - ys), config.rf)
+                assert tab.rssi_dbm[rows].tolist() == model.tolist()
+            if clamped_to is not None:
+                assert set(tab.rssi_dbm.tolist()) == {clamped_to}
 
     def test_moving_agent_gets_lively_gravity_axis(self):
         mover = AgentSpec(id="m", waypoints=(Waypoint(0, 0.0, 0.0),

@@ -4,7 +4,7 @@ import pytest
 
 from nearness import store
 from nearness.domain import MinuteRecord, Nearness
-from nearness.ingest import read_minute_records
+from nearness.ingest import RECORDS_HEADER, format_record_row
 from nearness.store import MAGIC, RecordLog, StoreError, export_csv
 
 
@@ -14,6 +14,12 @@ def record(minute, i="a", j="b", p=1.0):
 
 def payload(minute, i="a", j="b", label="Low") -> bytes:
     return f"{minute},{i},{j},1,1,1,2.0,60.0,1.0,0.5,{label}".encode()
+
+
+def csv_text(records) -> str:
+    """What an export of exactly these records must write."""
+    return "".join(f"{line}\n" for line in
+                   [",".join(RECORDS_HEADER), *map(format_record_row, records)])
 
 
 def write_frames(path, payloads) -> None:
@@ -58,7 +64,7 @@ class TestAppendAndQuery:
                 log.append([record(1), record(0)])
             log.append([record(1)])
             assert [r.minute for r in log.records()] == [0, 1]
-            assert log.last_minute() == 1
+            assert log.records()[-1].minute == 1
         assert RecordLog.open(log_path).records() == [record(0), record(1)]
 
     def test_reads_after_append_see_what_a_reopen_sees(self, log_path):
@@ -273,7 +279,7 @@ class TestExport:
         RecordLog.create(log_path).close()
         out = tmp_path / "out.csv"
         assert export_csv(RecordLog.open(log_path), out) == 0
-        assert open(out).read() == "minute,i,j,n_i,m_i,v_i,d_m,s_s,p,si,nearness\n"
+        assert out.read_text() == "minute,i,j,n_i,m_i,v_i,d_m,s_s,p,si,nearness\n"
 
     def test_export_roundtrips_through_codec(self, log_path, tmp_path):
         records = [record(m, p=float(m) / 7) for m in range(30)]
@@ -282,7 +288,7 @@ class TestExport:
                 log.append([r])
         out = tmp_path / "out.csv"
         export_csv(RecordLog.open(log_path), out)
-        assert read_minute_records(out) == records
+        assert out.read_text() == csv_text(records)
 
     def test_full_scale_export_is_fast(self, exp2_run, log_path, tmp_path):
         # 50 h x 4 nodes worth of records must export well inside a second
@@ -308,5 +314,4 @@ class TestExport:
         rows = export_csv(RecordLog.open(log_path), out,
                           pair=("b", "a"), from_minute=1, to_minute=2)
         assert rows == 1
-        (only,) = read_minute_records(out)
-        assert (only.minute, only.i, only.j) == (1, "b", "a")
+        assert out.read_text() == csv_text([record(1, "b", "a")])

@@ -6,6 +6,7 @@ StoreError text.  Every case runs with several read chunk sizes, so that
 records and errors cross chunk boundaries on small logs.
 """
 
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -36,8 +37,8 @@ def minute_records(draw, min_size=0):
                          min_size=min_size, max_size=25, unique=True))
     records = []
     for minute, i, j in sorted(keys):
-        d = draw(st.none() | st.floats(0.0, 50.0))
-        scores = st.just(0.0) if d is None else st.floats(0.0, 1e6)
+        d = draw(st.just(math.inf) | st.floats(0.0, 50.0))
+        scores = st.just(0.0) if d == math.inf else st.floats(0.0, 1e6)
         records.append(MinuteRecord(
             minute, i, j, draw(st.integers(0, 30)), draw(st.sampled_from([1, 2])),
             draw(st.integers(0, 3)), d, draw(st.floats(0.0, 1e6)), draw(scores),
@@ -124,7 +125,7 @@ def test_bad_magic_and_short_files_fail_like_the_scanner():
 def test_appended_records_are_read_like_reopened_ones(tmp_path):
     path = tmp_path / "records.log"
     first = [MinuteRecord(0, "b", "c", 1, 1, 0, 1.0, 60.0, 0.5, 0.2, Nearness.LOW)]
-    later = [MinuteRecord(1, "a", "c", 2, 2, 3, None, 0.0, 0.0, 0.0, Nearness.HIGH),
+    later = [MinuteRecord(1, "a", "c", 2, 2, 3, math.inf, 0.0, 0.0, 0.0, Nearness.HIGH),
              MinuteRecord(1, "zé", "b", 0, 1, 1, 0.0, 1.5, 0.0, 0.0, Nearness.AVG)]
     with RecordLog.create(path) as log:
         log.append(first)
