@@ -27,7 +27,9 @@ from .ingest import (
 from .simulator import ConfigError, generate, load_scenario
 from .store import RecordLog, StoreError, export_csv
 
-METRICS = ("p", "si", "s", "d", "m", "v", "n")
+# analyze --metric -> the MinuteRecord field it reads
+METRIC_FIELDS = {"p": "p", "si": "si", "s": "s_s", "d": "d_m", "m": "m_i", "v": "v_i",
+                 "n": "n_i"}
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -132,29 +134,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _metric_value(record, metric: str):
-    if metric == "p":
-        return record.p
-    if metric == "si":
-        return record.si
-    if metric == "s":
-        return record.s_s
-    if metric == "d":
-        return record.d_m
-    if metric == "m":
-        return record.m_i
-    if metric == "v":
-        return record.v_i
-    return record.n_i   # "n"
-
-
 def _metric_text(value) -> str:
     return str(value) if isinstance(value, int) else fmt_float(value)
 
 
-def _finite_by_minute(records, metric: str) -> dict[int, float]:
-    """{minute: metric value} over the records whose value is finite."""
-    values = {r.minute: float(_metric_value(r, metric)) for r in records}
+def _finite_by_minute(records, field: str) -> dict[int, float]:
+    """{minute: value of `field`} over the records whose value is finite."""
+    values = {r.minute: float(getattr(r, field)) for r in records}
     return {m: v for m, v in values.items() if v != float("inf")}
 
 
@@ -170,13 +156,13 @@ def cmd_analyze(args) -> int:
     log = RecordLog.open(args.log)
     _require_known(log, pair)
     records = log.query(pair, args.from_min, args.to_min)
+    field = METRIC_FIELDS[args.metric]
     lines = ["minute,metric_value"]
-    lines += [f"{r.minute},{_metric_text(_metric_value(r, args.metric))}"
-              for r in records]
+    lines += [f"{r.minute},{_metric_text(getattr(r, field))}" for r in records]
 
-    forward = _finite_by_minute(records, args.metric)
+    forward = _finite_by_minute(records, field)
     reverse = _finite_by_minute(log.query(pair[::-1], args.from_min, args.to_min),
-                                args.metric)
+                                field)
     both = sorted(forward.keys() & reverse.keys())
     corr = engine_mod.pearson_correlation([forward[m] for m in both],
                                           [reverse[m] for m in both])
@@ -235,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana = sub.add_parser("analyze", help="extract one metric series for a pair")
     p_ana.add_argument("--log", required=True, help="record log produced by run")
     p_ana.add_argument("--pair", required=True, help="ordered pair i,j")
-    p_ana.add_argument("--metric", choices=METRICS, default="p")
+    p_ana.add_argument("--metric", choices=tuple(METRIC_FIELDS), default="p")
     p_ana.add_argument("--from-min", type=int, default=0, dest="from_min")
     p_ana.add_argument("--to-min", type=int, default=None, dest="to_min")
     p_ana.add_argument("--out", default=None, help="write the CSV here instead of stdout")

@@ -10,8 +10,10 @@ wall-clock inputs onto the scenario epoch is a file-ingest concern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+
+import numpy as np
 
 MS_PER_MINUTE = 60_000
 MS_PER_HOUR = 3_600_000
@@ -98,7 +100,45 @@ class MinuteRecord:
     si: float
     nearness: Nearness
 
-    def key(self) -> tuple[int, str, str]:
-        return (self.minute, self.i, self.j)
+
+LABELS = tuple(Nearness)
+RECORD_FIELDS = tuple(f.name for f in fields(MinuteRecord))
+_BATCH_DTYPES = (np.int64, object, object) + (np.int64,) * 3 + (np.float64,) * 4 + (np.int64,)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class MinuteBatch:
+    """MinuteRecords as columns, one numpy array per MinuteRecord field: node
+    ids are str objects and `nearness` holds codes into LABELS."""
+    minute: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    n_i: np.ndarray
+    m_i: np.ndarray
+    v_i: np.ndarray
+    d_m: np.ndarray
+    s_s: np.ndarray
+    p: np.ndarray
+    si: np.ndarray
+    nearness: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.minute)
+
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in RECORD_FIELDS]
+
+    @classmethod
+    def join(cls, batches) -> "MinuteBatch":
+        """One batch holding the rows of `batches` in order."""
+        empty = [np.empty(0, dtype=dtype) for dtype in _BATCH_DTYPES]
+        return cls(*map(np.concatenate, zip(empty, *(batch.columns() for batch in batches))))
+
+    def values(self, rows=slice(None)) -> list[list]:
+        """Python field values of the rows `rows` (an index array or slice)."""
+        *values, label = (c[rows].tolist() for c in self.columns())
+        return [*values, [LABELS[c] for c in label]]
+
+    def records(self, rows=slice(None)) -> list[MinuteRecord]:
+        """MinuteRecords of the rows `rows` (an index array or slice)."""
+        return list(map(MinuteRecord, *self.values(rows)))

@@ -1,14 +1,15 @@
 """Minute-tick engine: sensor traces in, fused minute records out.
 
-For every minute boundary the engine snapshots the four pipelines -- social
+For every minute boundary the engine gathers the four pipelines -- social
 strength, smoothed relative distance, motion code, sound class -- plus the
-node degree, hands the snapshot to the fusion step, and appends the records
-to the log.  The distance, motion, sound and degree kernels run once per
-direction or node over all minute boundaries before the minute loop, which
-only indexes their results; social strength accrues minute by minute.  A
-pair enters the record stream at its first contact and stays in it from
-then on (with zeroed scores while out of range), so absence windows are
-visible in the output.
+node degree into columns, one row per pair direction in (i, j) order, hands
+them to the fusion step, and appends the fused MinuteBatch to the log.  The
+distance, motion, sound and degree kernels run once per direction or node
+over all minute boundaries, and social strength accrues minute by minute per
+pair, all before the minute loop, which only indexes their results.  A pair
+enters the record stream at its first contact and stays in it from then on
+(with zeroed scores while out of range), so absence windows are visible in
+the output.  The run's records are the minute batches joined into one.
 
 Distance smoothing is kept per direction: the (i, j) record carries the
 estimate built from i's own sightings of j.  With noiseless sensing both
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import MS_PER_MINUTE, MinuteRecord, canonical_pair, minute_index
-from .fusion import FusionParams, PairSnapshot, SessionStats, fuse_minute
+from .domain import MS_PER_MINUTE, MinuteBatch, canonical_pair, minute_index
+from .fusion import FusionParams, SessionStats, fuse_minute
 from .ingest import AccelSeries, SoundSeries, TraceSet
 from .pipelines import (
     DEFAULT_ALPHA,
@@ -77,7 +78,7 @@ _NO_SOUND = SoundSeries(_NO_TIMES, _NO_VALUES)
 
 @dataclass
 class RunResult:
-    records: list[MinuteRecord]
+    records: MinuteBatch             # the whole run, in key order
     minutes: int
     nodes: list[str]
     contacts: dict[tuple[str, str], list[ContactEvent]]
@@ -120,21 +121,9 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
         activation[pair] = minute_index(int(merged[0]))
     active_pairs = sorted(contacts)
 
-    # per-minute distance of each direction, from the observer's own sightings
-    distance: dict[tuple[str, str], list[float]] = {}
-    for i, j in (d for pair in active_pairs for d in (pair, pair[::-1])):
-        ts, rssis = by_direction.get((i, j), ([], []))
-        state = DistanceState(alpha=config.alpha)
-        ema = [ema_update(state, estimate_distance_raw(rssi, config.rf.p_ref_dbm,
-                                                       config.rf.pathloss_exp))
-               for rssi in rssis]
-        distance[(i, j)] = smoothed_distances(np.asarray(ts, dtype=np.int64),
-                                              np.asarray(ema, dtype=np.float64),
-                                              boundaries, config.staleness_ms).tolist()
-
     # per-minute node features (degree, motion code, sound class) of every paired node
-    features: dict[str, list[tuple[int, int, int]]] = {}
-    for node in sorted({n for pair in active_pairs for n in pair}):
+    features: dict[str, list[np.ndarray]] = {}
+    for node in {n for pair in active_pairs for n in pair}:
         degree = node_degrees([ts for (obs, _), ts in times.items() if obs == node],
                               boundaries, config.degree_window_ms)
         accel = traces.accel.get(node, _NO_ACCEL)
@@ -143,44 +132,60 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
         sound = traces.sound.get(node, _NO_SOUND)
         classes = sound_classes(sound.t_ms, sound.amplitude, boundaries,
                                 config.sound_window_ms, config.sound_thresholds)
-        features[node] = list(zip(degree.tolist(), motion.tolist(), classes.tolist()))
+        features[node] = [degree, motion, classes]
+
+    # per-minute social strength of each pair, from its first contact minute on
+    strengths = np.zeros((len(active_pairs), minutes))
+    for k, pair in enumerate(active_pairs):
+        for minute in range(activation[pair], minutes):
+            strength[pair].accrue(contacts[pair], (minute + 1) * MS_PER_MINUTE)
+            strengths[k, minute] = strength[pair].strength((minute // 60) % 24,
+                                                           minute // 1440 + 1)
+
+    # every direction (i, j) of every active pair, sorted: the row order of each
+    # minute's batch; per direction, its first minute and per-minute inputs
+    directions = sorted((d, k) for k, pair in enumerate(active_pairs)
+                        for d in (pair, pair[::-1]))
+    ids_i, ids_j = (np.array([d[side] for d, _ in directions], dtype=object) for side in (0, 1))
+    first_minute = np.array([activation[active_pairs[k]] for _, k in directions], dtype=np.int64)
+    owner_features = np.array([features[i] for i in ids_i.tolist()], dtype=np.int64)
+    s_s = strengths[[k for _, k in directions]]
+    # per-minute distance of each direction, from the observer's own sightings
+    distance = np.empty((len(directions), minutes))
+    for row, ((i, j), _) in enumerate(directions):
+        ts, rssis = by_direction.get((i, j), ([], []))
+        state = DistanceState(alpha=config.alpha)
+        ema = [ema_update(state, estimate_distance_raw(rssi, config.rf.p_ref_dbm,
+                                                       config.rf.pathloss_exp))
+               for rssi in rssis]
+        distance[row] = smoothed_distances(np.asarray(ts, dtype=np.int64),
+                                           np.asarray(ema, dtype=np.float64),
+                                           boundaries, config.staleness_ms)
 
     stats = SessionStats()
-    all_records: list[MinuteRecord] = []
+    batches: list[MinuteBatch] = []
     for minute in range(minutes):
-        boundary = (minute + 1) * MS_PER_MINUTE
-        slot = (minute // 60) % 24
-        days = minute // 1440 + 1
-        snapshots = []
-        for pair in active_pairs:
-            if activation[pair] > minute:
-                continue
-            state = strength[pair]
-            state.accrue(contacts[pair], boundary)
-            s_value = state.strength(slot, days)
-            for i, j in (pair, pair[::-1]):
-                n_i, m_i, v_i = features[i][minute]
-                snapshots.append(PairSnapshot(
-                    i=i, j=j, n_i=n_i, m_i=m_i, v_i=v_i,
-                    d_m=distance[(i, j)][minute], s_s=s_value))
-        if not snapshots:
+        rows = np.flatnonzero(first_minute <= minute)
+        if not len(rows):
             continue
-        batch = fuse_minute(snapshots, minute, stats, config.fusion)
+        batch = fuse_minute(minute, ids_i[rows], ids_j[rows],
+                            *owner_features[rows, :, minute].T,
+                            distance[rows, minute], s_s[rows, minute], stats, config.fusion)
         if log is not None:
             log.append(batch)
-        all_records.extend(batch)
+        batches.append(batch)
 
     contact_seconds = {pair: sum(state.seconds.values())
                        for pair, state in strength.items()}
-    return RunResult(records=all_records, minutes=minutes, nodes=nodes,
+    return RunResult(records=MinuteBatch.join(batches), minutes=minutes, nodes=nodes,
                      contacts=contacts, contact_seconds=contact_seconds,
                      runtime_s=time.perf_counter() - started)
 
 
 # --- run report ------------------------------------------------------------------
 
-def _series_summary(values: list[float]) -> dict:
-    if not values:
+def _series_summary(values: np.ndarray) -> dict:
+    if not len(values):
         return {"records": 0, "mean": None, "min": None, "max": None}
     return {"records": len(values),
             "mean": float(np.mean(values)),
@@ -188,7 +193,7 @@ def _series_summary(values: list[float]) -> dict:
             "max": float(max(values))}
 
 
-def pearson_correlation(a: list[float], b: list[float]) -> float | None:
+def pearson_correlation(a, b) -> float | None:
     if len(a) < 2 or len(a) != len(b):
         return None
     x = np.asarray(a)
@@ -200,29 +205,23 @@ def pearson_correlation(a: list[float], b: list[float]) -> float | None:
 
 def build_report(result: RunResult, config_echo: dict, seed: int | None) -> dict:
     """Deterministic per-pair run summary (runtime aside)."""
-    per_direction: dict[tuple[str, str], dict[str, list[float]]] = {}
-    for record in result.records:
-        entry = per_direction.setdefault((record.i, record.j), {"p": [], "si": []})
-        entry["p"].append(record.p)
-        entry["si"].append(record.si)
+    batch = result.records
+    rows: dict[str, list[int]] = {}     # the rows of each direction "i,j", in minute order
+    for row, key in enumerate((batch.i + "," + batch.j).tolist()):
+        rows.setdefault(key, []).append(row)
 
     pairs = {}
     for pair in sorted(result.contacts):
         a, b = pair
-        fwd = per_direction.get((a, b), {"p": [], "si": []})
-        rev = per_direction.get((b, a), {"p": [], "si": []})
+        fwd, rev = (rows.get(key, []) for key in (f"{a},{b}", f"{b},{a}"))
         pairs[f"{a},{b}"] = {
             "contact_seconds": result.contact_seconds[pair],
-            "directions": {
-                f"{a},{b}": {"p": _series_summary(fwd["p"]),
-                             "si": _series_summary(fwd["si"])},
-                f"{b},{a}": {"p": _series_summary(rev["p"]),
-                             "si": _series_summary(rev["si"])},
-            },
-            "symmetry": {
-                "p": pearson_correlation(fwd["p"], rev["p"]),
-                "si": pearson_correlation(fwd["si"], rev["si"]),
-            },
+            "directions": {key: {name: _series_summary(getattr(batch, name)[own])
+                                 for name in ("p", "si")}
+                           for key, own in ((f"{a},{b}", fwd), (f"{b},{a}", rev))},
+            "symmetry": {name: pearson_correlation(getattr(batch, name)[fwd],
+                                                   getattr(batch, name)[rev])
+                         for name in ("p", "si")},
         }
     return {
         "seed": seed,

@@ -10,7 +10,8 @@ in meters, m the motion code (1 stationary, 2 moving), and G a Gaussian
 weight centred on the target sound class.  Both are zero whenever the pair
 has no strength or no fresh distance estimate (d is ``inf``).  The
 qualitative nearness label is derived from the session's empirical terciles
-of p and si.
+of p and si.  `fuse_minute` scores one minute's rows with the scalar
+functions below and returns them as one MinuteBatch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .domain import MinuteRecord, Nearness
+import numpy as np
+
+from .domain import LABELS, MinuteBatch, Nearness
 
 #: Below 10 records the tercile ranks are meaningless; labels are provisional.
 MIN_RECORDS_FOR_RANKING = 10
@@ -104,41 +107,24 @@ def nearness_label(p: float, si: float, stats: SessionStats) -> tuple[Nearness, 
     if len(stats) < MIN_RECORDS_FOR_RANKING:
         return (Nearness.LOW, True)
     index = (stats.level_p(p) + stats.level_si(si)) // 2
-    return ((Nearness.LOW, Nearness.AVG, Nearness.HIGH)[index], False)
+    return (LABELS[index], False)
 
 
-@dataclass(frozen=True, slots=True)
-class PairSnapshot:
-    """One pair's pipeline outputs at a minute boundary, owner's perspective."""
-    i: str
-    j: str
-    n_i: int
-    m_i: int
-    v_i: int
-    d_m: float      # inf when there is no fresh estimate
-    s_s: float
+def fuse_minute(minute: int, i, j, n_i, m_i, v_i, d_m, s_s, stats: SessionStats,
+                params: FusionParams = DEFAULT_PARAMS) -> MinuteBatch:
+    """Evaluate both utility functions for every row of one minute.
 
-
-def fuse_minute(snapshots, minute: int, stats: SessionStats,
-                params: FusionParams = DEFAULT_PARAMS) -> list[MinuteRecord]:
-    """Evaluate both utility functions for every snapshot of one minute.
-
-    The whole minute batch enters the session distribution before any label
-    is assigned, then records come back in (i, j) order.  Only these records
-    are ever persisted; raw samples never leave the pipelines.
+    The rows, one per pair direction in (i, j) order, come as columns named
+    like the MinuteBatch fields and go back as one batch in the same order.
+    The whole minute enters the session distribution before any label is
+    assigned.  Only these records are ever persisted; raw samples never
+    leave the pipelines.
     """
-    snapshots = sorted(snapshots, key=lambda snap: (snap.i, snap.j))
-    scored = []
-    for snap in snapshots:
-        p = propinquity(snap.s_s, snap.d_m, snap.m_i)
-        si = social_interaction(snap.s_s, snap.v_i, snap.d_m, snap.m_i, params)
-        stats.add(p, si)
-        scored.append((snap, p, si))
-    records = []
-    for snap, p, si in scored:
-        label, _provisional = nearness_label(p, si, stats)
-        records.append(MinuteRecord(
-            minute=minute, i=snap.i, j=snap.j,
-            n_i=snap.n_i, m_i=snap.m_i, v_i=snap.v_i,
-            d_m=snap.d_m, s_s=snap.s_s, p=p, si=si, nearness=label))
-    return records
+    scores = [(propinquity(s, d, m), social_interaction(s, v, d, m, params)) for s, v, d, m
+              in zip(s_s.tolist(), v_i.tolist(), d_m.tolist(), m_i.tolist())]
+    for p_si in scores:
+        stats.add(*p_si)
+    labels = [LABELS.index(nearness_label(*p_si, stats)[0]) for p_si in scores]
+    p, si = np.array(scores, dtype=np.float64).reshape(-1, 2).T
+    return MinuteBatch(np.full(len(scores), minute, dtype=np.int64), i, j, n_i, m_i, v_i,
+                       d_m, s_s, p, si, np.array(labels, dtype=np.int64))

@@ -374,8 +374,8 @@ def _convert_chunk(columns, count: int, layout: _Layout, epoch_ms: int,
 
 
 def _first_false(ok: np.ndarray, limit: int) -> int:
-    wrong = np.flatnonzero(~ok[:limit])
-    return int(wrong[0]) if len(wrong) else limit
+    head = ok[:limit]
+    return limit if head.all() else int(np.argmin(head))
 
 
 def _stream_order(t: np.ndarray, key: np.ndarray):
@@ -548,11 +548,11 @@ def _merged_columns(series_by_node: dict, values: tuple[str, ...]):
 
 # --- minute-record codec -------------------------------------------------------
 
-def format_record_row(record: MinuteRecord) -> str:
-    """One CSV row (no newline) in the minute-record column layout."""
-    return (f"{record.minute},{record.i},{record.j},{record.n_i},"
-            f"{record.m_i},{record.v_i},{fmt_float(record.d_m)},{fmt_float(record.s_s)},"
-            f"{fmt_float(record.p)},{fmt_float(record.si)},{record.nearness.value}")
+def format_record_row(minute: int, i: str, j: str, n_i: int, m_i: int, v_i: int,
+                      d_m: float, s_s: float, p: float, si: float, nearness: Nearness) -> str:
+    """One CSV row (no newline) of a minute record's eleven field values."""
+    return (f"{minute},{i},{j},{n_i},{m_i},{v_i},{fmt_float(d_m)},{fmt_float(s_s)},"
+            f"{fmt_float(p)},{fmt_float(si)},{nearness.value}")
 
 
 _NEARNESS_BY_NAME = {n.value: n for n in Nearness}
@@ -603,18 +603,8 @@ def parse_record_row(row: str) -> MinuteRecord:
                         _NEARNESS_BY_NAME[fields[10]])
 
 
-def _write_lines(handle, lines: list[str]) -> None:
-    handle.writelines(lines)
-    lines.clear()
-
-
-def write_minute_records(records, path) -> None:
+def write_minute_records(rows, path) -> None:
+    """Write a minute-record CSV; each row is a record's eleven field values."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(RECORDS_HEADER) + "\n")
-        lines = []
-        for record in records:
-            lines.append(format_record_row(record) + "\n")
-            if len(lines) >= _WRITE_CHUNK:
-                _write_lines(handle, lines)
-        _write_lines(handle, lines)
-
+        handle.writelines(format_record_row(*row) + "\n" for row in rows)

@@ -1,6 +1,6 @@
 """Append-only persistent log of minute records.
 
-The engine's local result database: only fused MinuteRecords are ever
+The engine's local result database: only fused minute records are ever
 written here, never raw samples.  File format: the magic bytes ``NSNS1``
 followed by repeated frames of ``[u32 big-endian length][payload]``, where
 the payload is one minute-record CSV row (UTF-8, no newline, layout as in
@@ -10,18 +10,18 @@ Keys (minute, i, j) are strictly increasing, so the file is a time-ordered
 journal.  A log truncated at any frame boundary reopens cleanly as a prefix
 of the original sequence; a torn final frame is dropped on open.
 
-Opening a log reads the file in one pass into numpy columns, one per
-MinuteRecord field.  The length prefixes are walked `_READ_FRAMES` frames
-at a time; each chunk's payloads are joined with LF, decoded and split in
-one step (a chunk that is not UTF-8, or whose payloads hold an LF, is
-decoded frame by frame), converted with Python's int and float as `ingest`
-converts trace columns, and checked with vectorised rules.  Node ids are
-stored as codes in first-seen order (the key-order check ranks them by id),
-and `d_m` is ``inf`` where a record has no distance, as in the file and in
-MinuteRecord.  The first record in file order that breaks a rule is parsed
-again on its own with `parse_record_row`, so the StoreError is the one a
-frame-at-a-time scanner gives.  Reads build MinuteRecords only for the rows
-they return.
+The log is held as numpy columns, one per MinuteRecord field, with node ids
+as codes in first-seen order (the key-order check ranks them by id).
+`open` reads the file in one pass, `_READ_FRAMES` frames at a time: each
+chunk's payloads are joined with LF, decoded and split in one step (a chunk
+that is not UTF-8, or whose payloads hold an LF, is decoded frame by frame)
+and converted with Python's int and float as `ingest` converts traces.
+`append` takes a MinuteBatch.  Both check the same vectorised rules (those
+of `parse_record_row`) and key order on the columns, so `append` writes
+only what a reopen reads.  The first record `open` rejects is parsed again
+with `parse_record_row`, so its StoreError is the one a frame-at-a-time
+scanner gives.  Frames and exports are formatted from the columns; reads
+build MinuteRecords only for the rows they return.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .domain import MinuteRecord, Nearness
+from .domain import LABELS, MinuteBatch, MinuteRecord
 from .ingest import (
     _T_MAX,
     _WRITE_CHUNK,
@@ -51,8 +51,8 @@ _READ_FRAMES = 4096        # frames converted per step
 
 # one column per MinuteRecord field; node ids and labels are codes
 _DTYPES = (np.int64,) * 6 + (np.float64,) * 4 + (np.int64,)
-_LABELS = tuple(Nearness)
-_LABEL_CODES = {label.value: code for code, label in enumerate(_LABELS)}
+_KINDS = "".join(np.dtype(dtype).kind for dtype in _DTYPES)
+_LABEL_CODES = {label.value: code for code, label in enumerate(LABELS)}
 
 
 class StoreError(ValueError):
@@ -65,13 +65,13 @@ def _empty_columns() -> list[np.ndarray]:
     return [np.empty(0, dtype=dtype) for dtype in _DTYPES]
 
 
-def _ints(text: list[str], lo: int, hi: int) -> np.ndarray:
-    return np.array(_int_prefix(text, lo, hi), dtype=np.int64)
+def _ints(text: list[str]) -> np.ndarray:
+    return np.array(_int_prefix(text, -_T_MAX - 1, _T_MAX), dtype=np.int64)
 
 
 def _text_columns(lines: list[str], codes: dict, names: list):
-    """Columns of the rows before the first one `parse_record_row` rejects,
-    and that row's index (`len(lines)` when every row passes)."""
+    """Columns of the rows before the first that does not convert (11 fields,
+    int64s, reals, a label), and which rows hold the distance text ``inf``."""
     ncols = len(_DTYPES)
     commas = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.int64,
                          count=len(lines))
@@ -79,22 +79,27 @@ def _text_columns(lines: list[str], codes: dict, names: list):
     flat = ",".join(lines[:bad]).split(",") if bad else []
     text = [flat[k::ncols] for k in range(ncols)]
     no_distance = np.fromiter(map("inf".__eq__, text[6]), dtype=bool, count=bad)
-    cols = [_ints(text[0], 0, _T_MAX),
+    cols = [_ints(text[0]),
             _node_codes(text[1], codes, names), _node_codes(text[2], codes, names),
-            _ints(text[3], 0, _T_MAX), _ints(text[4], 1, 2), _ints(text[5], 0, 3),
-            *map(_real_prefix, text[6:10]),
+            *map(_ints, text[3:6]), *map(_real_prefix, text[6:10]),
             np.fromiter(map(_LABEL_CODES.get, text[10], repeat(-1)), dtype=np.int64,
                         count=bad)]
     bad = min(bad, *map(len, cols))
-    minute, i, j, n, m, v, d, s, p, si, label = cols = [c[:bad] for c in cols]
-    no_distance = no_distance[:bad]
-    ok = (i >= 0) & (j >= 0) & (i != j) & (label >= 0)
+    return [c[:bad] for c in cols], no_distance[:bad]
+
+
+def _rule_breach(cols: list[np.ndarray], no_distance: np.ndarray) -> int:
+    """Index of the first row that breaks a `parse_record_row` rule, or the
+    number of rows; `no_distance` marks the rows that hold no distance."""
+    minute, i, j, n, m, v, d, s, p, si, label = cols
+    ok = (minute >= 0) & (i >= 0) & (j >= 0) & (i != j) & (n >= 0)
+    ok &= ((m == 1) | (m == 2)) & (v >= 0) & (v <= 3)
+    ok &= (label >= 0) & (label < len(LABELS))
     ok &= no_distance | (np.isfinite(d) & (d >= 0.0))
     for score in (s, p, si):
         ok &= np.isfinite(score) & (score >= 0.0)
     ok &= ~no_distance | ((p == 0.0) & (si == 0.0))
-    bad = _first_false(ok, bad)
-    return [c[:bad] for c in cols], bad
+    return _first_false(ok, len(minute))
 
 
 def _chunk_lines(payloads: list[bytes]) -> list[str]:
@@ -169,7 +174,9 @@ def _read_columns(path):
     last = [np.empty(0, dtype=np.int64)] * 3
     count, end = 0, len(MAGIC)
     for payloads, end in _payload_chunks(data):
-        cols, bad = _text_columns(_chunk_lines(payloads), codes, names)
+        cols, no_distance = _text_columns(_chunk_lines(payloads), codes, names)
+        bad = _rule_breach(cols, no_distance)
+        cols = [c[:bad] for c in cols]
         breach = _key_breach(last, cols, names)
         if breach < bad:
             raise StoreError(f"{path}: keys not increasing at record #{count + breach}")
@@ -183,12 +190,12 @@ def _read_columns(path):
 
 
 class RecordLog:
-    """File-backed, append-only sequence of MinuteRecords.
+    """File-backed, append-only sequence of minute records.
 
     Open with `create` for a fresh writable log, `open` to read or continue
     an existing one.  A single writer appends minute batches; readers see
-    the columns loaded at open time plus whatever this handle appended
-    since, which joins the columns at the next read.
+    the columns loaded at open time plus the columns of every batch this
+    handle appended since, which join them at the next read.
     """
 
     def __init__(self, path, handle, columns: list[np.ndarray], names: list[str]):
@@ -196,10 +203,9 @@ class RecordLog:
         self._handle = handle
         self._writable = handle is not None
         self._columns = columns
+        self._pending: list[list[np.ndarray]] = []   # appended since the last read
         self._names = names              # node id of each code, first seen first
         self._codes = {name: code for code, name in enumerate(names)}
-        self._appended: list[MinuteRecord] = []   # since the last read
-        self._last_key = self._records(slice(-1, None))[0].key() if len(self) else None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -234,66 +240,59 @@ class RecordLog:
 
     # -- writes ---------------------------------------------------------------
 
-    def append(self, records) -> None:
+    def append(self, batch: MinuteBatch) -> None:
         """Append one minute's batch; empty batches are a no-op.
 
-        Every record key must exceed the last stored key: minutes only move
-        forward, and within a minute only new pairs may arrive.  The whole
-        batch is checked before anything is written, so a rejected batch
-        leaves the log as it was.
+        Every record must pass the checks a reopen makes: the record rules,
+        and a key above the last stored key (minutes only move forward, and
+        within a minute only new pairs may arrive).  A rejected batch leaves
+        the file, the node ids and the columns as they were.  The log keeps
+        the batch's arrays as its own.
         """
-        records = list(records)
-        if not records:
+        if not len(batch):
             return
         if self._handle is None:
             state = "is closed" if self._writable else "opened read-only"
             raise StoreError(f"{self.path}: log {state}")
-        last = self._last_key
-        for record in records:
-            key = record.key()
-            if last is not None and key <= last:
-                raise StoreError(f"out-of-order append: {key} after {last}")
-            last = key
+        codes, names = dict(self._codes), list(self._names)
+        minute, i, j, *rest = batch.columns()
+        cols = [minute, _node_codes(i.tolist(), codes, names),
+                _node_codes(j.tolist(), codes, names), *rest]
+        if "".join(c.dtype.kind for c in cols) != _KINDS:
+            raise StoreError(f"{self.path}: batch column types differ from MinuteBatch's")
+        bad = _rule_breach(cols, cols[6] == np.inf)
+        last = [c[-1:] for c in (self._pending or [self._columns])[-1][:3]]   # last stored key
+        breach = _key_breach(last, [c[:bad] for c in cols[:3]], names)
+        if breach < bad:
+            raise StoreError(f"{self.path}: keys not increasing at record #{len(self) + breach}")
+        if bad < len(batch):
+            (row,) = zip(*batch.values(slice(bad, bad + 1)))
+            payload = format_record_row(*row).encode("utf-8", "surrogatepass")
+            raise _corrupt(self.path, len(self) + bad, payload)
         frames = bytearray()
-        for record in records:
-            payload = format_record_row(record).encode("utf-8")
+        for row in zip(*batch.values()):
+            payload = format_record_row(*row).encode("utf-8")
             frames += _LEN.pack(len(payload))
             frames += payload
         self._handle.write(frames)
         self._handle.flush()
-        self._appended.extend(records)
-        self._last_key = last
+        self._pending.append(cols)
+        self._codes, self._names = codes, names
 
     # -- reads ------------------------------------------------------------------
 
     def _current(self) -> list[np.ndarray]:
-        """The columns, with the records appended since the last read added.
-
-        Appended records are read from their payload text, as a reopen reads
-        them, so a record the log cannot hold fails here as it would there.
-        The records themselves are kept until then, not their text: the
-        engine holds them anyway, so a writer that never reads pays nothing.
-        """
-        if self._appended:
-            lines = [format_record_row(record) for record in self._appended]
-            codes, names = dict(self._codes), list(self._names)
-            added, bad = _text_columns(lines, codes, names)
-            if bad < len(lines):
-                raise _corrupt(self.path, len(self._columns[0]) + bad,
-                               lines[bad].encode("utf-8"))
-            self._columns = [np.concatenate(pair) for pair in zip(self._columns, added)]
-            self._codes, self._names = codes, names
-            self._appended.clear()
+        """The columns, joined with those appended since the last read."""
+        if self._pending:
+            self._columns = [np.concatenate(c) for c in zip(self._columns, *self._pending)]
+            self._pending.clear()
         return self._columns
 
-    def _records(self, rows) -> list[MinuteRecord]:
-        """MinuteRecords of the stored rows `rows` (an index array or slice)."""
-        minute, i, j, n, m, v, d, s, p, si, label = (
-            c[rows].tolist() for c in self._current())
-        names = self._names
-        return list(map(MinuteRecord, minute, [names[c] for c in i],
-                        [names[c] for c in j], n, m, v, d, s, p, si,
-                        [_LABELS[c] for c in label]))
+    def _batch(self, rows) -> MinuteBatch:
+        """The stored rows `rows` (an index array or slice) as a batch."""
+        minute, i, j, *rest = (c[rows] for c in self._current())
+        names = np.array(self._names, dtype=object)
+        return MinuteBatch(minute, names[i], names[j], *rest)
 
     def _rows(self, pair: tuple[str, str] | None, from_minute: int,
               to_minute: int | None) -> np.ndarray:
@@ -312,13 +311,12 @@ class RecordLog:
         return rows[lo:hi]
 
     def __len__(self) -> int:
-        return len(self._columns[0]) + len(self._appended)
+        return len(self._columns[0]) + sum(len(cols[0]) for cols in self._pending)
 
     def records(self) -> list[MinuteRecord]:
-        return self._records(slice(None))
+        return self._batch(slice(None)).records()
 
     def node_ids(self) -> set[str]:
-        self._current()
         return set(self._names)
 
     def query(self, pair: tuple[str, str], from_minute: int = 0,
@@ -327,17 +325,17 @@ class RecordLog:
 
         Bounds are inclusive; `to_minute=None` means no upper bound.
         """
-        return self._records(self._rows(pair, from_minute, to_minute))
+        return self._batch(self._rows(pair, from_minute, to_minute)).records()
 
 
 def export_csv(log: RecordLog, path, pair: tuple[str, str] | None = None,
                from_minute: int = 0, to_minute: int | None = None) -> int:
     """Export (a filtered view of) a log to minute-record CSV; returns rows.
 
-    MinuteRecords are built one write chunk at a time, never all at once.
+    Rows go from the columns to the CSV one write chunk at a time.
     """
     rows = log._rows(pair, from_minute, to_minute)
-    chunks = (log._records(rows[k:k + _WRITE_CHUNK])
+    chunks = (zip(*log._batch(rows[k:k + _WRITE_CHUNK]).values())
               for k in range(0, len(rows), _WRITE_CHUNK))
     write_minute_records(chain.from_iterable(chunks), path)
     return len(rows)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nearness.domain import LABELS, RECORD_FIELDS, MinuteBatch
 from nearness.engine import EngineConfig, RunResult, run_engine
 from nearness.ingest import AccelSeries, SightingTable, SoundSeries, TraceSet
 from nearness.simulator import GroundTruth, ScenarioConfig, generate, load_scenario
@@ -33,6 +34,14 @@ def make_traces(sightings=(), accel=(), sound=()) -> TraceSet:
     return TraceSet(table, per_node(accel, AccelSeries), per_node(sound, SoundSeries))
 
 
+def batch_of(records) -> MinuteBatch:
+    """The MinuteRecords `records` as one MinuteBatch, in order."""
+    columns = [[getattr(r, name) for r in records] for name in RECORD_FIELDS]
+    columns[-1] = [LABELS.index(label) for label in columns[-1]]
+    return MinuteBatch(*(np.array(c, dtype=empty.dtype) for c, empty
+                         in zip(columns, MinuteBatch.join([]).columns())))
+
+
 @dataclass
 class RunBundle:
     """One simulated scenario processed end to end, with wall-clock timing."""
@@ -43,7 +52,7 @@ class RunBundle:
     elapsed_s: float
 
     def by_key(self):
-        return {(r.minute, r.i, r.j): r for r in self.result.records}
+        return {(r.minute, r.i, r.j): r for r in self.result.records.records()}
 
 
 def run_scenario_bundle(path, **config_overrides) -> RunBundle:

@@ -33,9 +33,11 @@ def scan_rowwise(path) -> tuple[list[MinuteRecord], int]:
             except (ValueError, UnicodeDecodeError) as exc:
                 raise StoreError(
                     f"{path}: corrupt record #{len(records)}: {exc}") from None
-            if records and record.key() <= records[-1].key():
+            key = (record.minute, record.i, record.j)
+            if records and key <= last_key:
                 raise StoreError(
                     f"{path}: keys not increasing at record #{len(records)}")
             records.append(record)
+            last_key = key
             good_end = handle.tell()
     return records, good_end

@@ -24,7 +24,6 @@ from nearness.simulator import (
 )
 from nearness.store import RecordLog
 
-from conftest import run_scenario_bundle
 from oracle import propinquity_oracle, rel_error, social_interaction_oracle
 
 SI_10_1_0_1 = 0.46065886596178063902  # frozen from the mpmath oracle
@@ -209,7 +208,7 @@ def test_07_distance_estimator_roundtrip_and_smoothing():
            for rssi in tab.rssi_dbm[tab.observer == "a"].tolist()]
     # the engine's per-minute distance for a -> b: one sighting per minute
     result = run_engine(traces, EngineConfig(rf=config.rf), duration_ms=config.duration_ms)
-    smoothed = [r.d_m for r in result.records if (r.i, r.j) == ("a", "b")]
+    smoothed = [r.d_m for r in result.records.records() if (r.i, r.j) == ("a", "b")]
     assert len(raw) == len(smoothed) == 60
     rmse_raw = math.sqrt(np.mean((np.array(raw) - 10.0) ** 2))
     rmse_ema = math.sqrt(np.mean((np.array(smoothed) - 10.0) ** 2))

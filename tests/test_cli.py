@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_traces
+from conftest import batch_of, make_traces
 from nearness.cli import main
 from nearness.domain import MinuteRecord, Nearness
 from nearness.ingest import fmt_float, read_traces, write_traces
@@ -240,10 +240,11 @@ class TestAnalyze:
         log_path = tmp_path / "records.log"
         with RecordLog.create(log_path) as log:
             for minute, (d_ab, d_ba) in enumerate(zip(forward, reverse)):
-                log.append([MinuteRecord(minute, i, j, 1, 1, 0, d, 60.0,
-                                         0.0 if d == math.inf else 1.0,
-                                         0.0 if d == math.inf else 0.5, Nearness.LOW)
-                            for i, j, d in (("a", "b", d_ab), ("b", "a", d_ba))])
+                log.append(batch_of([
+                    MinuteRecord(minute, i, j, 1, 1, 0, d, 60.0,
+                                 0.0 if d == math.inf else 1.0,
+                                 0.0 if d == math.inf else 0.5, Nearness.LOW)
+                    for i, j, d in (("a", "b", d_ab), ("b", "a", d_ba))]))
         assert main(["analyze", "--log", str(log_path), "--pair", "a,b",
                      "--metric", "d"]) == 0
         out = capsys.readouterr().out

@@ -1,10 +1,9 @@
 import math
 
-import numpy as np
-
 from conftest import make_traces
 from nearness.engine import EngineConfig, build_report, run_engine
-from nearness.simulator import AgentSpec, RfParams, ScenarioConfig, Waypoint, generate
+from nearness.simulator import AgentSpec, ScenarioConfig, Waypoint, generate, load_scenario
+from nearness.store import RecordLog
 
 
 def sightings_traces(times_s, rssi=-48.0, pair=("a", "b")):
@@ -18,7 +17,7 @@ def sightings_traces(times_s, rssi=-48.0, pair=("a", "b")):
 class TestMinuteLoop:
     def test_empty_traces_give_empty_run(self):
         result = run_engine(make_traces(), duration_ms=0)
-        assert result.records == [] and result.minutes == 0
+        assert len(result.records) == 0 and result.minutes == 0
 
     def test_pair_without_contact_gets_no_records(self):
         config = ScenarioConfig(
@@ -28,18 +27,18 @@ class TestMinuteLoop:
         traces, _ = generate(config)
         result = run_engine(traces, EngineConfig(rf=config.rf),
                             duration_ms=config.duration_ms)
-        assert result.records == []
+        assert len(result.records) == 0
 
     def test_records_start_at_first_contact_minute(self):
         traces = sightings_traces([150])  # first sighting in minute 2
         result = run_engine(traces, duration_ms=300_000)
-        minutes = sorted({r.minute for r in result.records})
+        minutes = sorted({r.minute for r in result.records.records()})
         assert minutes == [2, 3, 4]
 
     def test_records_ordered_by_minute_then_pair(self):
         traces = sightings_traces([0, 60, 120])
         result = run_engine(traces, duration_ms=180_000)
-        keys = [r.key() for r in result.records]
+        keys = [(r.minute, r.i, r.j) for r in result.records.records()]
         assert keys == sorted(keys)
         assert keys[0] == (0, "a", "b") and keys[1] == (0, "b", "a")
 
@@ -52,7 +51,7 @@ class TestMinuteLoop:
         # contact in minute 0, then silence: estimate goes stale after 5 min
         traces = sightings_traces([0])
         result = run_engine(traces, duration_ms=900_000)
-        by_minute = {r.minute: r for r in result.records if r.i == "a"}
+        by_minute = {r.minute: r for r in result.records.records() if r.i == "a"}
         assert by_minute[0].d_m < math.inf and by_minute[0].p > 0
         assert by_minute[5].d_m == math.inf
         assert by_minute[5].p == 0.0 and by_minute[5].si == 0.0
@@ -61,20 +60,20 @@ class TestMinuteLoop:
 
     def test_missing_accel_and_sound_default_quietly(self):
         traces = sightings_traces([0, 60])
-        (record, _) = run_engine(traces, duration_ms=120_000).records[:2]
+        (record, _) = run_engine(traces, duration_ms=120_000).records.records()[:2]
         assert record.m_i == 1 and record.v_i == 0
 
     def test_distance_is_per_direction(self):
         traces = make_traces([(0, "a", "b", -48.0), (0, "b", "a", -60.0)])
         result = run_engine(traces, duration_ms=60_000)
-        by_dir = {(r.i, r.j): r for r in result.records}
+        by_dir = {(r.i, r.j): r for r in result.records.records()}
         assert by_dir[("a", "b")].d_m != by_dir[("b", "a")].d_m
 
     def test_one_directional_observer_still_pairs(self):
         # only a ever sees b; b's own estimate stays out of range
         traces = make_traces([(0, "a", "b", -48.0), (60_000, "a", "b", -48.0)])
         result = run_engine(traces, duration_ms=120_000)
-        by_dir = {(r.i, r.j): r for r in result.records if r.minute == 1}
+        by_dir = {(r.i, r.j): r for r in result.records.records() if r.minute == 1}
         assert by_dir[("a", "b")].d_m < math.inf
         assert by_dir[("b", "a")].d_m == math.inf and by_dir[("b", "a")].p == 0.0
         assert by_dir[("a", "b")].n_i == 1 and by_dir[("b", "a")].n_i == 0
@@ -83,9 +82,22 @@ class TestMinuteLoop:
         traces = make_traces([(0, "a", "b", -50.0), (100, "a", "c", -50.0),
                               (200, "b", "a", -50.0), (300, "c", "a", -50.0)])
         result = run_engine(traces, duration_ms=60_000)
-        by_dir = {(r.i, r.j): r for r in result.records}
+        by_dir = {(r.i, r.j): r for r in result.records.records()}
         assert by_dir[("a", "b")].n_i == 2
         assert by_dir[("b", "a")].n_i == 1
+
+
+class TestLog:
+    def test_log_holds_the_records_the_run_returns(self, scenarios_dir, tmp_path):
+        config = load_scenario(scenarios_dir / "experiment3.scn")
+        traces, _ = generate(config)
+        path = tmp_path / "records.log"
+        with RecordLog.create(path) as log:
+            result = run_engine(traces, EngineConfig(rf=config.rf),
+                                duration_ms=config.duration_ms, log=log)
+            assert log.records() == result.records.records()
+        assert len(result.records) > 0
+        assert RecordLog.open(path).records() == result.records.records()
 
 
 class TestWindowRules:
@@ -93,7 +105,7 @@ class TestWindowRules:
 
     def test_sighting_at_the_boundary_counts_next_minute(self):
         result = run_engine(make_traces([(0, "a", "b", -50.0), (60_000, "a", "c", -50.0)]))
-        by_key = {r.key(): r for r in result.records}
+        by_key = {(r.minute, r.i, r.j): r for r in result.records.records()}
         assert by_key[(0, "a", "b")].n_i == 1
         assert by_key[(1, "a", "b")].n_i == 2
 
@@ -101,13 +113,13 @@ class TestWindowRules:
         # raw estimates 1 m at t = 0 and 10 m at t = 60 000 (default rf)
         traces = make_traces([(0, "a", "b", -40.0), (60_000, "a", "b", -67.0)])
         result = run_engine(traces, duration_ms=120_000)
-        assert [r.d_m for r in result.records if r.i == "a"] == [1.0, 0.3 * 10.0 + 0.7 * 1.0]
+        assert [r.d_m for r in result.records.records() if r.i == "a"] == [1.0, 0.3 * 10.0 + 0.7 * 1.0]
 
     def test_last_minute_of_hour_reads_its_own_slot(self):
         # a and b meet every minute of hour 0: minute 59 reads slot 0
         traces = sightings_traces(range(0, 3600, 60))
         result = run_engine(traces, duration_ms=3_600_000)
-        by_key = {r.key(): r for r in result.records}
+        by_key = {(r.minute, r.i, r.j): r for r in result.records.records()}
         assert by_key[(59, "a", "b")].s_s == 3600.0
 
     def test_nine_accel_samples_read_stationary(self):
@@ -117,7 +129,7 @@ class TestWindowRules:
                     for k in range(count)]
         for count, code in ((9, 1), (10, 2)):
             traces = make_traces([(0, "a", "b", -48.0)], accel=moving(count))
-            (record, _) = run_engine(traces, duration_ms=60_000).records
+            (record, _) = run_engine(traces, duration_ms=60_000).records.records()
             assert (record.i, record.m_i) == ("a", code)
 
     def test_empty_sound_window_is_silent(self):
@@ -125,7 +137,7 @@ class TestWindowRules:
         traces = make_traces([(0, "a", "b", -48.0)],
                              sound=[(0, "a", 1.0), (119_500, "a", 1.0), (120_000, "a", 1.0)])
         result = run_engine(traces, duration_ms=180_000)
-        assert [r.v_i for r in result.records if r.i == "a"] == [0, 3, 0]
+        assert [r.v_i for r in result.records.records() if r.i == "a"] == [0, 3, 0]
 
 
 class TestReport:

@@ -1,13 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nearness.domain import Nearness
 from nearness.fusion import (
-    FusionParams,
-    PairSnapshot,
     SessionStats,
     fuse_minute,
     nearness_label,
@@ -25,6 +24,15 @@ strengths = st.floats(min_value=1.01, max_value=100_000.0)
 distances = st.floats(min_value=0.0, max_value=5_000.0)
 sound_classes = st.integers(min_value=0, max_value=3)
 motions = st.sampled_from([1, 2])
+
+
+def fuse(minute, stats, rows):
+    """`fuse_minute` over rows of (i, j, n_i, m_i, v_i, d_m, s_s), as records."""
+    i, j, n, m, v, d, s = zip(*rows)
+    ids = [np.array(c, dtype=object) for c in (i, j)]
+    ints = [np.array(c, dtype=np.int64) for c in (n, m, v)]
+    reals = [np.array(c, dtype=np.float64) for c in (d, s)]
+    return fuse_minute(minute, *ids, *ints, *reals, stats).records()
 
 
 class TestPropinquity:
@@ -86,8 +94,8 @@ class TestMonotonicity:
     def test_propinquity_ignores_sound(self, s, d, m, v1, v2):
         # the sound class enters fusion only through si, never through p
         stats1, stats2 = SessionStats(), SessionStats()
-        (r1,) = fuse_minute([PairSnapshot("a", "b", 1, m, v1, d, s)], 0, stats1)
-        (r2,) = fuse_minute([PairSnapshot("a", "b", 1, m, v2, d, s)], 0, stats2)
+        (r1,) = fuse(0, stats1, [("a", "b", 1, m, v1, d, s)])
+        (r2,) = fuse(0, stats2, [("a", "b", 1, m, v2, d, s)])
         assert r1.p == r2.p
 
     @given(strengths, distances, motions)
@@ -129,20 +137,17 @@ class TestNearnessLabel:
 class TestFuseMinute:
     def test_sentinel_rule(self):
         stats = SessionStats()
-        snap = PairSnapshot(i="a", j="b", n_i=0, m_i=1, v_i=0, d_m=math.inf, s_s=500.0)
-        (record,) = fuse_minute([snap], 7, stats)
+        (record,) = fuse(7, stats, [("a", "b", 0, 1, 0, math.inf, 500.0)])
         assert record.p == 0.0 and record.si == 0.0 and record.d_m == math.inf
 
-    def test_records_come_back_sorted(self):
+    def test_rows_keep_their_order(self):
         stats = SessionStats()
-        snaps = [PairSnapshot(i=i, j=j, n_i=1, m_i=1, v_i=1, d_m=2.0, s_s=100.0)
-                 for i, j in (("b", "a"), ("a", "b"), ("a", "c"))]
-        records = fuse_minute(snaps, 0, stats)
-        assert [(r.i, r.j) for r in records] == [("a", "b"), ("a", "c"), ("b", "a")]
+        pairs = (("a", "b"), ("a", "c"), ("b", "a"))
+        records = fuse(0, stats, [(i, j, 1, 1, 1, 2.0, 100.0) for i, j in pairs])
+        assert [(r.i, r.j) for r in records] == list(pairs)
         assert all(r.minute == 0 for r in records)
 
     def test_scores_positive_when_close_and_strong(self):
         stats = SessionStats()
-        snap = PairSnapshot(i="a", j="b", n_i=1, m_i=1, v_i=1, d_m=2.0, s_s=600.0)
-        (record,) = fuse_minute([snap], 3, stats)
+        (record,) = fuse(3, stats, [("a", "b", 1, 1, 1, 2.0, 600.0)])
         assert record.p > 0.0 and record.si > 0.0

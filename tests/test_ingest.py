@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from pathlib import Path
 from unittest import mock
 
@@ -23,8 +24,8 @@ from nearness.ingest import (
     write_minute_records,
     write_traces,
 )
-from nearness.simulator import RfParams, ScenarioConfig, generate
-from test_simulator import fixed_agent, two_agent_config
+from nearness.simulator import generate
+from test_simulator import two_agent_config
 
 
 def write_then_read(traces, tmp_path, epoch_ms=0):
@@ -285,19 +286,20 @@ RECORDS = [
     MinuteRecord(1, "a", "b", 1, 1, 1, math.inf, 120.0, 0.0, 0.0, Nearness.AVG),
     MinuteRecord(5, "a", "b", 0, 1, 3, 0.0, 1.0, 1.0, 0.0, Nearness.HIGH),
 ]
+ROWS = [astuple(r) for r in RECORDS]    # the eleven field values of each record
 
 
 class TestMinuteRecordCodec:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "records.csv"
-        write_minute_records(RECORDS, path)
+        write_minute_records(ROWS, path)
         header, *rows = path.read_text().splitlines()
         assert header == "minute,i,j,n_i,m_i,v_i,d_m,s_s,p,si,nearness"
-        assert rows == [format_record_row(r) for r in RECORDS]
+        assert rows == [format_record_row(*row) for row in ROWS]
         assert [parse_record_row(row) for row in rows] == RECORDS
 
     def test_out_of_range_serializes_as_inf(self):
-        row = format_record_row(RECORDS[2])
+        row = format_record_row(*ROWS[2])
         assert row.split(",")[6] == "inf"
         assert parse_record_row(row).d_m == math.inf
 
@@ -308,23 +310,23 @@ class TestMinuteRecordCodec:
 
     def test_one_record_two_lines(self, tmp_path):
         path = tmp_path / "records.csv"
-        write_minute_records(RECORDS[:1], path)
+        write_minute_records(ROWS[:1], path)
         assert path.read_text().count("\n") == 2
 
     def test_bad_motion_code_rejected(self):
-        row = format_record_row(RECORDS[0]).split(",")
+        row = format_record_row(*ROWS[0]).split(",")
         row[4] = "3"
         with pytest.raises(ValueError):
             parse_record_row(",".join(row))
 
     def test_nonzero_score_without_distance_rejected(self):
-        row = format_record_row(RECORDS[0]).split(",")
+        row = format_record_row(*ROWS[0]).split(",")
         row[6] = "inf"
         with pytest.raises(ValueError):
             parse_record_row(",".join(row))
 
     def test_unknown_label_rejected(self):
-        row = format_record_row(RECORDS[0]).split(",")
+        row = format_record_row(*ROWS[0]).split(",")
         row[10] = "Huge"
         with pytest.raises(ValueError):
             parse_record_row(",".join(row))

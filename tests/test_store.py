@@ -1,7 +1,9 @@
 import re
+from dataclasses import astuple
 
 import pytest
 
+from conftest import batch_of
 from nearness import store
 from nearness.domain import MinuteRecord, Nearness
 from nearness.ingest import RECORDS_HEADER, format_record_row
@@ -19,7 +21,8 @@ def payload(minute, i="a", j="b", label="Low") -> bytes:
 def csv_text(records) -> str:
     """What an export of exactly these records must write."""
     return "".join(f"{line}\n" for line in
-                   [",".join(RECORDS_HEADER), *map(format_record_row, records)])
+                   [",".join(RECORDS_HEADER),
+                    *(format_record_row(*astuple(r)) for r in records)])
 
 
 def write_frames(path, payloads) -> None:
@@ -35,51 +38,62 @@ class TestAppendAndQuery:
     def test_read_your_writes(self, log_path):
         with RecordLog.create(log_path) as log:
             batch = [record(5), record(5, "b", "a")]
-            log.append(batch)
+            log.append(batch_of(batch))
             assert log.query(("a", "b"), 5, 5) == [batch[0]]
             assert log.query(("b", "a"), 5, 5) == [batch[1]]
 
     def test_minute_going_backwards_rejected(self, log_path):
         with RecordLog.create(log_path) as log:
-            log.append([record(5)])
+            log.append(batch_of([record(5)]))
             with pytest.raises(StoreError):
-                log.append([record(3)])
+                log.append(batch_of([record(3)]))
 
     def test_same_minute_new_pair_accepted(self, log_path):
         with RecordLog.create(log_path) as log:
-            log.append([record(5)])
-            log.append([record(5, "a", "c")])
+            log.append(batch_of([record(5)]))
+            log.append(batch_of([record(5, "a", "c")]))
             assert len(log) == 2
 
     def test_same_minute_duplicate_pair_rejected(self, log_path):
         with RecordLog.create(log_path) as log:
-            log.append([record(5)])
+            log.append(batch_of([record(5)]))
             with pytest.raises(StoreError):
-                log.append([record(5)])
+                log.append(batch_of([record(5)]))
 
     def test_rejected_batch_leaves_no_trace(self, log_path):
         with RecordLog.create(log_path) as log:
-            log.append([record(0)])
+            log.append(batch_of([record(0)]))
             with pytest.raises(StoreError):
-                log.append([record(1), record(0)])
-            log.append([record(1)])
+                log.append(batch_of([record(1), record(0)]))
+            log.append(batch_of([record(1)]))
             assert [r.minute for r in log.records()] == [0, 1]
             assert log.records()[-1].minute == 1
         assert RecordLog.open(log_path).records() == [record(0), record(1)]
 
     def test_reads_after_append_see_what_a_reopen_sees(self, log_path):
         with RecordLog.create(log_path) as log:
-            log.append([record(0), record(0, "b", "b")])
-            with pytest.raises(StoreError) as in_memory:
-                log.records()
-        with pytest.raises(StoreError) as reopened:
-            RecordLog.open(log_path)
-        assert str(in_memory.value) == str(reopened.value) == \
-            f"{log_path}: corrupt record #1: record pairs 'b' with itself"
+            with pytest.raises(StoreError) as caught:
+                log.append(batch_of([record(0), record(0, "b", "b")]))
+            assert str(caught.value) == \
+                f"{log_path}: corrupt record #1: record pairs 'b' with itself"
+            assert log.records() == [] and len(log) == 0
+        assert RecordLog.open(log_path).records() == []
+
+    def test_invalid_record_is_rejected_before_writing(self, log_path):
+        with RecordLog.create(log_path) as log:
+            log.append(batch_of([record(0)]))
+            blob = log_path.read_bytes()
+            with pytest.raises(StoreError, match="record pairs 'c' with itself"):
+                log.append(batch_of([record(1), record(1, "c", "c")]))
+            assert log_path.read_bytes() == blob
+            assert log.node_ids() == {"a", "b"}
+            assert log.records() == [record(0)]
+            log.append(batch_of([record(1, "a", "c")]))
+        assert RecordLog.open(log_path).records() == [record(0), record(1, "a", "c")]
 
     def test_empty_append_is_noop(self, log_path):
         with RecordLog.create(log_path) as log:
-            log.append([])
+            log.append(batch_of([]))
             assert len(log) == 0
         assert RecordLog.open(log_path).records() == []
 
@@ -91,12 +105,12 @@ class TestAppendAndQuery:
         batches = [[record(m)] for m in range(10)]
         with RecordLog.create(log_path) as log:
             for batch in batches:
-                log.append(batch)
+                log.append(batch_of(batch))
             assert log.query(("a", "b")) == [b[0] for b in batches]
 
     def test_query_disjoint_range(self, log_path):
         with RecordLog.create(log_path) as log:
-            log.append([record(5)])
+            log.append(batch_of([record(5)]))
             assert log.query(("a", "b"), 10, 20) == []
 
     def test_query_bad_range_rejected(self, log_path):
@@ -110,14 +124,14 @@ class TestPersistence:
         records = [record(m, p=float(m)) for m in range(20)]
         with RecordLog.create(log_path) as log:
             for r in records:
-                log.append([r])
+                log.append(batch_of([r]))
         assert RecordLog.open(log_path).records() == records
 
     def test_reopen_writable_continues(self, log_path):
         with RecordLog.create(log_path) as log:
-            log.append([record(1)])
+            log.append(batch_of([record(1)]))
         with RecordLog.open(log_path, writable=True) as log:
-            log.append([record(2)])
+            log.append(batch_of([record(2)]))
         assert [r.minute for r in RecordLog.open(log_path).records()] == [1, 2]
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -130,21 +144,21 @@ class TestPersistence:
         RecordLog.create(log_path).close()
         log = RecordLog.open(log_path)
         with pytest.raises(StoreError, match="read-only"):
-            log.append([record(0)])
+            log.append(batch_of([record(0)]))
 
     def test_append_after_close_says_closed(self, log_path):
         log = RecordLog.create(log_path)
-        log.append([record(0)])
+        log.append(batch_of([record(0)]))
         log.close()
         with pytest.raises(StoreError, match=f"^{re.escape(str(log_path))}: log is closed$"):
-            log.append([record(1)])
+            log.append(batch_of([record(1)]))
         assert RecordLog.open(log_path).records() == [record(0)]
 
     def test_truncation_at_any_boundary_reopens_cleanly(self, log_path):
         records = [record(m) for m in range(8)]
         with RecordLog.create(log_path) as log:
             for r in records:
-                log.append([r])
+                log.append(batch_of([r]))
         blob = log_path.read_bytes()
 
         # frame boundaries: scan the length prefixes
@@ -164,24 +178,24 @@ class TestPersistence:
         records = [record(m) for m in range(4)]
         with RecordLog.create(log_path) as log:
             for r in records:
-                log.append([r])
+                log.append(batch_of([r]))
         blob = log_path.read_bytes()
         log_path.write_bytes(blob[:-3])  # tear the last frame
         assert RecordLog.open(log_path).records() == records[:3]
 
     def test_torn_tail_truncated_before_append(self, log_path):
         with RecordLog.create(log_path) as log:
-            log.append([record(0)])
-            log.append([record(1)])
+            log.append(batch_of([record(0)]))
+            log.append(batch_of([record(1)]))
         blob = log_path.read_bytes()
         log_path.write_bytes(blob[:-2])
         with RecordLog.open(log_path, writable=True) as log:
-            log.append([record(7)])
+            log.append(batch_of([record(7)]))
         assert [r.minute for r in RecordLog.open(log_path).records()] == [0, 7]
 
     def test_corrupt_payload_rejected(self, log_path):
         with RecordLog.create(log_path) as log:
-            log.append([record(0)])
+            log.append(batch_of([record(0)]))
         blob = bytearray(log_path.read_bytes())
         blob[len(MAGIC) + 4] = ord("x")  # clobber the minute field
         log_path.write_bytes(bytes(blob))
@@ -285,7 +299,7 @@ class TestExport:
         records = [record(m, p=float(m) / 7) for m in range(30)]
         with RecordLog.create(log_path) as log:
             for r in records:
-                log.append([r])
+                log.append(batch_of([r]))
         out = tmp_path / "out.csv"
         export_csv(RecordLog.open(log_path), out)
         assert out.read_text() == csv_text(records)
@@ -293,11 +307,9 @@ class TestExport:
     def test_full_scale_export_is_fast(self, exp2_run, log_path, tmp_path):
         # 50 h x 4 nodes worth of records must export well inside a second
         import time
-        from itertools import groupby
 
         with RecordLog.create(log_path) as log:
-            for _, batch in groupby(exp2_run.result.records, key=lambda r: r.minute):
-                log.append(list(batch))
+            log.append(exp2_run.result.records)
         out = tmp_path / "full.csv"
         started = time.perf_counter()
         rows = export_csv(RecordLog.open(log_path), out)
@@ -307,9 +319,9 @@ class TestExport:
 
     def test_filters(self, log_path, tmp_path):
         with RecordLog.create(log_path) as log:
-            log.append([record(0), record(0, "b", "a")])
-            log.append([record(1), record(1, "b", "a")])
-            log.append([record(2)])
+            log.append(batch_of([record(0), record(0, "b", "a")]))
+            log.append(batch_of([record(1), record(1, "b", "a")]))
+            log.append(batch_of([record(2)]))
         out = tmp_path / "out.csv"
         rows = export_csv(RecordLog.open(log_path), out,
                           pair=("b", "a"), from_minute=1, to_minute=2)

@@ -1,19 +1,25 @@
-"""The columnar record-log reader against the frame-at-a-time reference scanner.
+"""The columnar record log against the frame-at-a-time reference scanner.
 
 Valid, torn and corrupted logs must open to the same records, truncate to
 the same offset when opened writable, or fail with the identical
 StoreError text.  Every case runs with several read chunk sizes, so that
-records and errors cross chunk boundaries on small logs.
+records and errors cross chunk boundaries on small logs.  Appended batches
+must read back as the scanner reads the file, and a batch with one invalid
+field must be rejected without touching the file.
 """
 
 import math
 import tempfile
+from dataclasses import astuple, replace
+from itertools import groupby
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import batch_of
 from nearness import store
 from nearness.domain import MinuteRecord, Nearness
 from nearness.ingest import format_record_row
@@ -76,7 +82,7 @@ def check(data: bytes, chunk: int) -> None:
 @settings(max_examples=150, deadline=None)
 @given(records=minute_records(), chunk=CHUNKS, data=st.data())
 def test_valid_and_torn_logs_read_like_the_scanner(records, chunk, data):
-    blob = frames_of(format_record_row(r).encode() for r in records)
+    blob = frames_of(format_record_row(*astuple(r)).encode() for r in records)
     tear = data.draw(st.integers(len(MAGIC), len(blob)))
     check(blob[:tear], chunk)
     check(blob, chunk)
@@ -112,7 +118,7 @@ def corruptions(draw, payloads):
 @settings(max_examples=400, deadline=None)
 @given(records=minute_records(min_size=1), chunk=CHUNKS, data=st.data())
 def test_corrupted_logs_fail_like_the_scanner(records, chunk, data):
-    payloads = data.draw(corruptions([format_record_row(r).encode() for r in records]))
+    payloads = data.draw(corruptions([format_record_row(*astuple(r)).encode() for r in records]))
     check(frames_of(payloads), chunk)
 
 
@@ -128,12 +134,45 @@ def test_appended_records_are_read_like_reopened_ones(tmp_path):
     later = [MinuteRecord(1, "a", "c", 2, 2, 3, math.inf, 0.0, 0.0, 0.0, Nearness.HIGH),
              MinuteRecord(1, "zé", "b", 0, 1, 1, 0.0, 1.5, 0.0, 0.0, Nearness.AVG)]
     with RecordLog.create(path) as log:
-        log.append(first)
+        log.append(batch_of(first))
         assert log.node_ids() == {"b", "c"}
-        log.append(later)
+        log.append(batch_of(later))
         assert log.records() == first + later
         assert log.query(("a", "c")) == later[:1]
         assert log.node_ids() == {"a", "b", "c", "zé"}
     reopened = RecordLog.open(path)
     assert reopened.records() == scan_rowwise(path)[0] == first + later
     assert reopened.query(("zé", "b"), 1, 1) == later[1:]
+
+
+# one invalid field per kind of rule `append` must check
+INVALID = {
+    "self-pair": lambda r: replace(r, j=r.i),
+    "motion": lambda r: replace(r, m_i=3),
+    "nan": lambda r: replace(r, s_s=math.nan),
+    "negative-inf": lambda r: replace(r, d_m=-math.inf),
+    "score-without-distance": lambda r: replace(r, d_m=math.inf, p=1.0),
+    "comma-in-id": lambda r: replace(r, i=r.i + ",x"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=minute_records(), data=st.data())
+def test_appended_batches_read_like_the_scanner(records, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.log"
+        with RecordLog.create(path) as log:
+            for _, group in groupby(records, key=lambda r: r.minute):
+                batch = list(group)
+                if data.draw(st.booleans()):
+                    k = data.draw(st.integers(0, len(batch) - 1))
+                    rule = data.draw(st.sampled_from(sorted(INVALID)))
+                    bad = batch[:k] + [INVALID[rule](batch[k])] + batch[k + 1:]
+                    blob, ids = path.read_bytes(), log.node_ids()
+                    with pytest.raises(StoreError):
+                        log.append(batch_of(bad))
+                    assert path.read_bytes() == blob
+                    assert log.node_ids() == ids
+                log.append(batch_of(batch))
+            assert log.records() == records
+        assert RecordLog.open(path).records() == scan_rowwise(path)[0] == records
