@@ -12,7 +12,7 @@ import dataclasses
 import json
 import os
 import sys
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 from . import engine as engine_mod
 from .ingest import (
@@ -45,6 +45,9 @@ class CliInputError(ValueError):
     pass
 
 
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
 def _parse_epoch(text: str) -> int:
     """Wall-clock epoch as integer milliseconds or an ISO-8601 datetime."""
     try:
@@ -57,7 +60,8 @@ def _parse_epoch(text: str) -> int:
         raise CliInputError(f"--epoch expects integer ms or ISO-8601, got {text!r}") from None
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
-    return int(stamp.timestamp() * 1000)
+    # exact integer arithmetic: timestamp() * 1000 can round below a whole ms
+    return (stamp - _UNIX_EPOCH) // timedelta(milliseconds=1)
 
 
 def _parse_pair(text: str) -> tuple[str, str]:

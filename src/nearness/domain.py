@@ -62,15 +62,6 @@ def minute_index(t_ms: int) -> int:
     return t_ms // MS_PER_MINUTE
 
 
-def hour_slot(t_ms: int) -> int:
-    """Hour-of-day slot in 0..23 for the given scenario-relative instant."""
-    return (t_ms // MS_PER_HOUR) % 24
-
-
-def day_index(t_ms: int) -> int:
-    return t_ms // MS_PER_DAY
-
-
 class Nearness(Enum):
     LOW = "Low"
     AVG = "Avg"

@@ -5,8 +5,9 @@ strength, smoothed relative distance, motion code, sound class -- plus the
 node degree into columns, one row per pair direction in (i, j) order, hands
 them to the fusion step, and appends the fused MinuteBatch to the log.  The
 distance, motion, sound and degree kernels run once per direction or node
-over all minute boundaries, and social strength accrues minute by minute per
-pair, all before the minute loop, which only indexes their results.  A pair
+and the social-strength kernel once per pair, each over all minute
+boundaries and all before the minute loop, which only indexes their results.
+Fusion scores and labels each minute's batch as a whole.  A pair
 enters the record stream at its first contact and stays in it from then on
 (with zeroed scores while out of range), so absence windows are visible in
 the output.  The run's records are the minute batches joined into one.
@@ -107,7 +108,7 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
         entry[1].append(rssi)
     times = {key: np.asarray(ts, dtype=np.int64) for key, (ts, _) in by_direction.items()}
 
-    # contact events and strength accumulators per canonical pair
+    # contact events and coverage per canonical pair
     pair_times: dict[tuple[str, str], list[np.ndarray]] = {}
     for (obs, subj), ts in times.items():
         pair_times.setdefault(canonical_pair(obs, subj), []).append(ts)
@@ -117,7 +118,7 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
     for pair, chunks in pair_times.items():
         merged = np.sort(np.concatenate(chunks))
         contacts[pair] = contacts_from_times(merged, pair, config.gap_ms, config.dwell_s)
-        strength[pair] = SocialStrengthState(pair)
+        strength[pair] = SocialStrengthState(contacts[pair])
         activation[pair] = minute_index(int(merged[0]))
     active_pairs = sorted(contacts)
 
@@ -134,13 +135,9 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
                                 config.sound_window_ms, config.sound_thresholds)
         features[node] = [degree, motion, classes]
 
-    # per-minute social strength of each pair, from its first contact minute on
-    strengths = np.zeros((len(active_pairs), minutes))
-    for k, pair in enumerate(active_pairs):
-        for minute in range(activation[pair], minutes):
-            strength[pair].accrue(contacts[pair], (minute + 1) * MS_PER_MINUTE)
-            strengths[k, minute] = strength[pair].strength((minute // 60) % 24,
-                                                           minute // 1440 + 1)
+    # per-minute social strength of each pair
+    strengths = np.array([strength[pair].accrue(boundaries) for pair in active_pairs],
+                         dtype=np.float64).reshape(len(active_pairs), minutes)
 
     # every direction (i, j) of every active pair, sorted: the row order of each
     # minute's batch; per direction, its first minute and per-minute inputs
@@ -175,7 +172,7 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
             log.append(batch)
         batches.append(batch)
 
-    contact_seconds = {pair: sum(state.seconds.values())
+    contact_seconds = {pair: int(state.covered_ms(boundaries[-1:]).sum()) / 1000.0
                        for pair, state in strength.items()}
     return RunResult(records=MinuteBatch.join(batches), minutes=minutes, nodes=nodes,
                      contacts=contacts, contact_seconds=contact_seconds,

@@ -11,18 +11,20 @@ weight centred on the target sound class.  Both are zero whenever the pair
 has no strength or no fresh distance estimate (d is ``inf``).  The
 qualitative nearness label is derived from the session's empirical terciles
 of p and si.  `fuse_minute` scores one minute's rows with the scalar
-functions below and returns them as one MinuteBatch.
+functions below (kept scalar because `math.log10` and `np.log10` differ in
+the last bit on some inputs), merges the minute into the session's sorted
+score arrays, labels the whole batch with one `np.searchsorted` per score,
+and returns it as one MinuteBatch.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import LABELS, MinuteBatch, Nearness
+from .domain import MinuteBatch
 
 #: Below 10 records the tercile ranks are meaningless; labels are provisional.
 MIN_RECORDS_FOR_RANKING = 10
@@ -65,49 +67,49 @@ def social_interaction(s: float, v: int, d: float, m: int,
 
 
 class SessionStats:
-    """Running empirical distribution of p and si over the session so far."""
+    """Empirical distribution of p and si over the session so far: one
+    sorted array per score, merged one minute batch at a time."""
 
     def __init__(self):
-        self._p: list[float] = []    # kept sorted
-        self._si: list[float] = []
+        self.p = np.empty(0, dtype=np.float64)
+        self.si = np.empty(0, dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self._p)
+        return len(self.p)
 
-    def add(self, p: float, si: float) -> None:
-        insort(self._p, p)
-        insort(self._si, si)
-
-    @staticmethod
-    def _level(sorted_values: list[float], x: float) -> int:
-        # tercile rank by fraction of history strictly below x; ties (heavy
-        # runs of zeros included) therefore sink to the bottom band
-        frac = bisect_left(sorted_values, x) / len(sorted_values)
-        if frac >= 2.0 / 3.0:
-            return 2
-        if frac >= 1.0 / 3.0:
-            return 1
-        return 0
-
-    def level_p(self, p: float) -> int:
-        return self._level(self._p, p)
-
-    def level_si(self, si: float) -> int:
-        return self._level(self._si, si)
+    def add(self, p: np.ndarray, si: np.ndarray) -> None:
+        """Merge one minute's scores into the distribution."""
+        self.p, self.si = _merged(self.p, p), _merged(self.si, si)
 
 
-def nearness_label(p: float, si: float, stats: SessionStats) -> tuple[Nearness, bool]:
-    """Map a (p, si) pair onto {Low, Avg, High} by session terciles.
+def _merged(values: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    # the batch must be sorted itself for the insert to keep `values` sorted
+    batch = np.sort(batch)
+    return np.insert(values, np.searchsorted(values, batch), batch)
+
+
+def tercile_ranks(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rank 0/1/2 of each score in `x` against the sorted history `values`.
+
+    The rank goes by the fraction of the history strictly below x, so ties
+    (heavy runs of zeros included) sink to the bottom band.
+    """
+    frac = np.searchsorted(values, x, side="left") / len(values)
+    return (frac >= 2.0 / 3.0).astype(np.int64) + (frac >= 1.0 / 3.0)
+
+
+def nearness_label(p: np.ndarray, si: np.ndarray,
+                   stats: SessionStats) -> tuple[np.ndarray, bool]:
+    """Map (p, si) rows onto label codes (indices into LABELS) by session terciles.
 
     Each score is ranked 0/1/2 against the session distribution and the
     label index is floor of their mean.  With fewer than 10 records on file
-    the ranks are not trustworthy yet: the label is Low and flagged
-    provisional.
+    the ranks are not trustworthy yet: every label is Low and the batch is
+    flagged provisional.
     """
     if len(stats) < MIN_RECORDS_FOR_RANKING:
-        return (Nearness.LOW, True)
-    index = (stats.level_p(p) + stats.level_si(si)) // 2
-    return (LABELS[index], False)
+        return (np.zeros(len(p), dtype=np.int64), True)     # code 0 is Low
+    return ((tercile_ranks(stats.p, p) + tercile_ranks(stats.si, si)) // 2, False)
 
 
 def fuse_minute(minute: int, i, j, n_i, m_i, v_i, d_m, s_s, stats: SessionStats,
@@ -122,9 +124,8 @@ def fuse_minute(minute: int, i, j, n_i, m_i, v_i, d_m, s_s, stats: SessionStats,
     """
     scores = [(propinquity(s, d, m), social_interaction(s, v, d, m, params)) for s, v, d, m
               in zip(s_s.tolist(), v_i.tolist(), d_m.tolist(), m_i.tolist())]
-    for p_si in scores:
-        stats.add(*p_si)
-    labels = [LABELS.index(nearness_label(*p_si, stats)[0]) for p_si in scores]
     p, si = np.array(scores, dtype=np.float64).reshape(-1, 2).T
+    stats.add(p, si)
+    labels, _provisional = nearness_label(p, si, stats)
     return MinuteBatch(np.full(len(scores), minute, dtype=np.int64), i, j, n_i, m_i, v_i,
-                       d_m, s_s, p, si, np.array(labels, dtype=np.int64))
+                       d_m, s_s, p, si, labels)

@@ -15,7 +15,8 @@ The per-minute kernels `motion_codes`, `sound_classes`, `node_degrees` and
 and an ascending array of minute boundaries, and return one value per
 boundary.  A boundary `b` sees the samples in the half-open window
 `[b - window, b)`: a sample stamped exactly `b` counts from the next minute
-on.  Social strength stays incremental (`SocialStrengthState`), and the
+on.  `SocialStrengthState(contacts)` holds one pair's contact coverage, and
+its `accrue` is the social-strength kernel over the same boundaries.  The
 distance average is built one sighting at a time by `ema_update`.
 
 State is held per pair or per node; pipelines for disjoint pairs never share
@@ -25,11 +26,11 @@ state and may run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import MS_PER_HOUR, DomainError, day_index, hour_slot
+from .domain import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE, DomainError
 
 DEFAULT_GAP_MS = 120_000          # max inter-sighting gap inside one contact
 DEFAULT_DWELL_S = 60.0            # nominal coverage of a single sighting
@@ -58,10 +59,6 @@ class ContactEvent:
     end_ms: int
     duration_s: float
 
-    def coverage_end_ms(self) -> int:
-        """End of the time span this contact accounts for (span + dwell)."""
-        return self.start_ms + round(self.duration_s * 1000.0)
-
 
 def contacts_from_times(times_ms: np.ndarray, pair: tuple[str, str],
                         gap_ms: int, dwell_s: float) -> list[ContactEvent]:
@@ -83,46 +80,46 @@ def contacts_from_times(times_ms: np.ndarray, pair: tuple[str, str],
     ]
 
 
-@dataclass
 class SocialStrengthState:
-    """Per-pair accumulator of contact seconds, bucketed by (day, hour slot).
+    """One pair's contact coverage as sorted, disjoint `[start, end)` ms spans.
 
-    Contact coverage is folded into hour buckets incrementally, so the
-    strength within one day's slot can only grow while contacts accumulate.
+    A contact covers `duration_s` from its start, cut at the next contact's
+    start so a dwell tail never spills into it.  `contacts` come in start
+    order, as `contacts_from_times` returns them.
     """
-    pair: tuple[str, str]
-    seconds: dict[tuple[int, int], float] = field(default_factory=dict)
-    # per contact (keyed by start_ms): how far its coverage has been binned
-    _consumed_ms: dict[int, int] = field(default_factory=dict)
 
-    def accrue(self, contacts, upto_ms: int) -> None:
-        """Fold contact coverage earlier than `upto_ms` into the buckets."""
-        contacts = sorted(contacts, key=lambda c: c.start_ms)
-        for idx, contact in enumerate(contacts):
-            cov_end = contact.coverage_end_ms()
-            if idx + 1 < len(contacts):
-                # dwell tails never spill into the next contact
-                cov_end = min(cov_end, contacts[idx + 1].start_ms)
-            begin = self._consumed_ms.get(contact.start_ms, contact.start_ms)
-            end = min(cov_end, upto_ms)
-            if end <= begin:
-                continue
-            self._bin(begin, end)
-            self._consumed_ms[contact.start_ms] = end
+    def __init__(self, contacts):
+        self.start_ms = np.array([c.start_ms for c in contacts], dtype=np.int64)
+        self.end_ms = self.start_ms + np.array([round(c.duration_s * 1000.0) for c in contacts],
+                                               dtype=np.int64)
+        self.end_ms[:-1] = np.minimum(self.end_ms[:-1], self.start_ms[1:])
+        # coverage of the first k spans, and span k-1's end with a never-open
+        # span in front so that k = 0 needs no special case
+        self._covered = np.concatenate(([0], np.cumsum(self.end_ms - self.start_ms)))
+        self._open_end = np.concatenate(([np.iinfo(np.int64).min // 2], self.end_ms))
 
-    def _bin(self, begin_ms: int, end_ms: int) -> None:
-        t = begin_ms
-        while t < end_ms:
-            edge = (t // MS_PER_HOUR + 1) * MS_PER_HOUR
-            chunk_end = min(edge, end_ms)
-            key = (day_index(t), hour_slot(t))
-            self.seconds[key] = self.seconds.get(key, 0.0) + (chunk_end - t) / 1000.0
-            t = chunk_end
+    def covered_ms(self, t_ms: np.ndarray) -> np.ndarray:
+        """Integer ms of coverage before each instant of `t_ms`."""
+        k = np.searchsorted(self.start_ms, t_ms, side="right")
+        # only span k-1 can still be open at t; take off its part from t on
+        return self._covered[k] - np.maximum(self._open_end[k] - t_ms, 0)
 
-    def strength(self, slot: int, days_elapsed: int) -> float:
-        """Average contact seconds in `slot` over `days_elapsed` days."""
-        total = sum(v for (d, h), v in self.seconds.items() if h == slot)
-        return total / days_elapsed
+    def accrue(self, boundaries: np.ndarray) -> np.ndarray:
+        """Social strength in seconds at each minute boundary.
+
+        The minute ending at `b` starts in hour slot h of day D.  Its strength
+        is the coverage in slot h so far -- day D's share before `b` plus the
+        whole slot on every earlier day -- averaged over the D + 1 days.
+        """
+        start = boundaries - MS_PER_MINUTE
+        hour, day = start // MS_PER_HOUR, start // MS_PER_DAY
+        days = int(day.max(initial=0))
+        per_hour = np.diff(self.covered_ms(np.arange(days * 24 + 1) * MS_PER_HOUR))
+        # earlier[d * 24 + h]: slot h's coverage over days 0 .. d-1
+        earlier = np.concatenate((np.zeros(24, dtype=np.int64),
+                                  np.cumsum(per_hour.reshape(days, 24), axis=0).ravel()))
+        today = self.covered_ms(boundaries) - self.covered_ms(hour * MS_PER_HOUR)
+        return (earlier[hour] + today) / 1000.0 / (day + 1)
 
 
 # --- relative distance pipeline ---------------------------------------------

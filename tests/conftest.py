@@ -101,7 +101,7 @@ _acceptance_results: list[tuple[str, str]] = []
 
 
 def pytest_runtest_logreport(report):
-    if report.when != "call" or "test_acceptance" not in report.nodeid:
+    if report.when != "call" or not report.nodeid.split("::")[0].endswith("test_acceptance.py"):
         return
     name = report.nodeid.split("::")[-1]
     _acceptance_results.append((name, report.outcome.upper()))

@@ -10,8 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from nearness.domain import Nearness
-from nearness.fusion import SessionStats, nearness_label, propinquity, social_interaction
+from nearness.domain import LABELS, Nearness
+from nearness.fusion import (
+    SessionStats,
+    nearness_label,
+    propinquity,
+    social_interaction,
+    tercile_ranks,
+)
 from nearness.engine import EngineConfig, run_engine
 from nearness.pipelines import estimate_distance_raw, motion_codes
 from nearness.simulator import (
@@ -107,15 +113,14 @@ def test_03_empirical_case_orderings():
     # a session in which all three p values rank high while si1 ranks mid
     # and si2/si3 rank low: every case must come out as Avg nearness
     stats = SessionStats()
-    si_history = [0.1] * 8 + [0.65] * 12 + [5.0] * 12
-    for si_value in si_history:
-        stats.add(0.001, si_value)
-    assert stats.level_p(min(p1, p2, p3)) == 2
-    assert stats.level_si(si1) == 1
-    assert stats.level_si(si2) == 0 and stats.level_si(si3) == 0
-    for p, si in ((p1, si1), (p2, si2), (p3, si3)):
-        label, provisional = nearness_label(p, si, stats)
-        assert label is Nearness.AVG and not provisional
+    si_history = np.array([0.1] * 8 + [0.65] * 12 + [5.0] * 12)
+    stats.add(np.full(len(si_history), 0.001), si_history)
+    assert tercile_ranks(stats.p, np.array([min(p1, p2, p3)])).tolist() == [2]
+    assert tercile_ranks(stats.si, np.array([si1])).tolist() == [1]
+    assert tercile_ranks(stats.si, np.array([si2, si3])).tolist() == [0, 0]
+    labels, provisional = nearness_label(np.array([p1, p2, p3]), np.array([si1, si2, si3]),
+                                         stats)
+    assert [LABELS[c] for c in labels] == [Nearness.AVG] * 3 and not provisional
 
 
 def test_04_short_scenario_shape(exp1_run):

@@ -134,9 +134,10 @@ class TestRun:
         one.pop("runtime_s"); two.pop("runtime_s")
         assert one == two
 
-    def test_epoch_maps_wall_clock_traces(self, tiny_scn, tmp_path):
+    @staticmethod
+    def _shifted_traces(tiny_scn, tmp_path, epoch):
+        """The tiny scenario's traces with every timestamp moved by `epoch`."""
         main(["simulate", "--scenario", str(tiny_scn), "--out", str(tmp_path / "tr")])
-        epoch = 1_700_000_000_000
         shifted = tmp_path / "shifted"
         shifted.mkdir()
         for name in ("sightings.csv", "accel.csv", "sound.csv"):
@@ -146,12 +147,27 @@ class TestRun:
                 t, rest = line.split(",", 1)
                 out.append(f"{int(t) + epoch},{rest}")
             (shifted / name).write_text("\n".join(out) + "\n")
+        return shifted
+
+    def test_epoch_maps_wall_clock_traces(self, tiny_scn, tmp_path):
+        epoch = 1_700_000_000_000
+        shifted = self._shifted_traces(tiny_scn, tmp_path, epoch)
         assert main(["run", "--traces", str(shifted), "--out", str(tmp_path / "r1"),
                      "--epoch", str(epoch)]) == 0
         assert main(["run", "--traces", str(tmp_path / "tr"),
                      "--out", str(tmp_path / "r2")]) == 0
         assert read_bytes(tmp_path / "r1" / "records.log") == \
             read_bytes(tmp_path / "r2" / "records.log")
+
+    def test_iso_epoch_is_exact_to_the_millisecond(self, tiny_scn, tmp_path):
+        # 546289658.555 s is not a binary fraction: timestamp() * 1000 lands
+        # just below ...555 and truncates to ...554
+        shifted = self._shifted_traces(tiny_scn, tmp_path, 546_289_658_555)
+        for out, epoch in (("iso", "1987-04-24T19:07:38.555+00:00"), ("ms", "546289658555")):
+            assert main(["run", "--traces", str(shifted), "--out", str(tmp_path / out),
+                         "--epoch", epoch]) == 0
+        assert read_bytes(tmp_path / "iso" / "records.log") == \
+            read_bytes(tmp_path / "ms" / "records.log")
 
 
     def test_traces_in_per_stream_order_run_in_full(self, tmp_path, capsys):

@@ -8,8 +8,6 @@ from nearness.domain import (
     MS_PER_MINUTE,
     DomainError,
     canonical_pair,
-    day_index,
-    hour_slot,
     minute_index,
     validate_node_id,
 )
@@ -61,12 +59,8 @@ class TestTickArithmetic:
     def test_minute_hour_day_examples(self):
         t = 2 * MS_PER_DAY + 5 * MS_PER_HOUR + 3 * MS_PER_MINUTE + 999
         assert minute_index(t) == 2 * 1440 + 5 * 60 + 3
-        assert hour_slot(t) == 5
-        assert day_index(t) == 2
 
     @given(st.integers(min_value=0, max_value=10 ** 12))
     def test_decomposition_recomposes_below_t(self, t):
-        assert day_index(t) * MS_PER_DAY + hour_slot(t) * MS_PER_HOUR <= t
-        assert minute_index(t) * MS_PER_MINUTE <= t
-        assert hour_slot(t) == (minute_index(t) // 60) % 24
+        assert minute_index(t) * MS_PER_MINUTE <= t < (minute_index(t) + 1) * MS_PER_MINUTE
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nearness.domain import Nearness
+from nearness.domain import LABELS, Nearness
 from nearness.fusion import (
     SessionStats,
     fuse_minute,
@@ -107,31 +107,37 @@ class TestMonotonicity:
         assert social_interaction(s, 0, d, m) == social_interaction(s, 2, d, m)
 
 
+def labels_of(p_values, si_values, stats):
+    """(labels, provisional) of rows (p, si) against `stats`."""
+    codes, provisional = nearness_label(np.array(p_values, dtype=np.float64),
+                                        np.array(si_values, dtype=np.float64), stats)
+    return [LABELS[c] for c in codes], provisional
+
+
 class TestNearnessLabel:
     @staticmethod
     def _stats(p_values, si_values):
         stats = SessionStats()
-        for p, si in zip(p_values, si_values):
-            stats.add(p, si)
+        stats.add(np.array(p_values, dtype=np.float64), np.array(si_values, dtype=np.float64))
         return stats
 
     def test_provisional_low_below_ten_records(self):
         stats = self._stats(range(5), range(5))
-        label, provisional = nearness_label(100.0, 100.0, stats)
-        assert label is Nearness.LOW
+        labels, provisional = labels_of([100.0], [100.0], stats)
+        assert labels == [Nearness.LOW]
         assert provisional
 
     def test_tercile_mapping(self):
         spread = [float(k) for k in range(30)]
         stats = self._stats(spread, spread)
-        assert nearness_label(0.0, 0.0, stats) == (Nearness.LOW, False)
-        assert nearness_label(29.5, 0.0, stats) == (Nearness.AVG, False)  # (2+0)//2
-        assert nearness_label(29.5, 15.0, stats) == (Nearness.AVG, False)  # (2+1)//2
-        assert nearness_label(29.5, 29.5, stats) == (Nearness.HIGH, False)
+        labels, provisional = labels_of([0.0, 29.5, 29.5, 29.5], [0.0, 0.0, 15.0, 29.5], stats)
+        # (0+0)//2, (2+0)//2, (2+1)//2, (2+2)//2
+        assert labels == [Nearness.LOW, Nearness.AVG, Nearness.AVG, Nearness.HIGH]
+        assert not provisional
 
     def test_all_zero_history_reads_low(self):
         stats = self._stats([0.0] * 20, [0.0] * 20)
-        assert nearness_label(0.0, 0.0, stats) == (Nearness.LOW, False)
+        assert labels_of([0.0], [0.0], stats) == ([Nearness.LOW], False)
 
 
 class TestFuseMinute:

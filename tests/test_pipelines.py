@@ -80,69 +80,68 @@ class TestDetectContacts:
         assert len(full) == len(head) + len(tail) == 3
 
 
-def strength_at(state, contacts, boundary_ms):
+def strength_at(contacts, boundary_ms):
     """Strength as the engine reads it for the minute ending at `boundary_ms`:
-    coverage accrued up to the boundary, hour slot of the minute's start,
-    averaged over the days elapsed."""
-    minute = boundary_ms // MS_PER_MINUTE - 1
-    state.accrue(contacts, boundary_ms)
-    return state.strength((minute // 60) % 24, minute // 1440 + 1)
+    coverage up to the boundary, hour slot of the minute's start, averaged
+    over the days elapsed."""
+    (strength,) = SocialStrengthState(contacts).accrue(boundaries(boundary_ms))
+    return strength
 
 
 class TestSocialStrength:
     def test_single_day_single_slot(self):
         # 600 s of contact inside hour slot 10 of day 0
-        state = SocialStrengthState(PAIR)
         contact = ContactEvent(PAIR, 36_000_000, 36_540_000, 600.0)
-        assert strength_at(state, [contact], 39_000_000) == pytest.approx(600.0)
+        assert strength_at([contact], 39_000_000) == pytest.approx(600.0)
 
     def test_cross_day_average(self):
         # 600 s in slot 10 on day 0, 1200 s in slot 10 on day 1 -> (600+1200)/2
-        state = SocialStrengthState(PAIR)
         contacts = [
             ContactEvent(PAIR, 36_000_000, 36_540_000, 600.0),
             ContactEvent(PAIR, 122_400_000, 123_540_000, 1200.0),
         ]
-        assert strength_at(state, contacts, 123_800_000) == pytest.approx(900.0)
+        assert strength_at(contacts, 123_800_000) == pytest.approx(900.0)
 
     def test_never_in_contact(self):
-        state = SocialStrengthState(PAIR)
-        assert strength_at(state, [], 50_000_000) == 0.0
+        assert strength_at([], 50_000_000) == 0.0
 
     def test_other_slot_reads_zero(self):
-        state = SocialStrengthState(PAIR)
         contact = ContactEvent(PAIR, 36_000_000, 36_540_000, 600.0)
         # queried in slot 12, where the pair has never met
-        assert strength_at(state, [contact], 45_000_000) == 0.0
+        assert strength_at([contact], 45_000_000) == 0.0
 
     def test_non_decreasing_within_slot(self):
-        state = SocialStrengthState(PAIR)
         contact = ContactEvent(PAIR, 36_000_000, 38_000_000, 2060.0)
-        previous = -1.0
-        for now in range(36_060_000, 39_600_001, 60_000):
-            s = strength_at(state, [contact], now)
-            assert s >= previous
-            previous = s
+        state = SocialStrengthState([contact])
+        s = state.accrue(np.arange(36_060_000, 39_600_001, 60_000))
+        assert (np.diff(s) >= 0.0).all()
 
     def test_last_minute_of_hour_reads_its_own_slot(self):
         # minute 59 ends at the slot 0 / slot 1 edge; it reads slot 0
-        state = SocialStrengthState(PAIR)
         contact = ContactEvent(PAIR, 0, 3_540_000, 3600.0)
-        assert strength_at(state, [contact], 3_600_000) == 3600.0
+        assert strength_at([contact], 3_600_000) == 3600.0
 
     def test_coverage_splits_across_slot_boundary(self):
-        # one hour of contact straddling the slot 9 / slot 10 edge
-        state = SocialStrengthState(PAIR)
+        # one hour of contact straddling the slot 9 / slot 10 edge; the last
+        # minute of each slot reads that slot's whole day-0 coverage
         contact = ContactEvent(PAIR, 34_200_000, 37_740_000, 3600.0)
-        state.accrue([contact], upto_ms=86_400_000)
-        assert state.seconds[(0, 9)] == pytest.approx(1800.0)
-        assert state.seconds[(0, 10)] == pytest.approx(1800.0)
+        state = SocialStrengthState([contact])
+        assert state.accrue(boundaries(36_000_000, 39_600_000)).tolist() == \
+            pytest.approx([1800.0, 1800.0])
+        assert state.covered_ms(boundaries(86_400_000)).tolist() == [3_600_000]
 
     def test_slot_bucket_never_exceeds_hour(self):
-        state = SocialStrengthState(PAIR)
         contact = ContactEvent(PAIR, 0, 86_000_000, 86_060.0)
-        state.accrue([contact], upto_ms=90_000_000)
-        assert all(v <= 3600.0 for v in state.seconds.values())
+        state = SocialStrengthState([contact])
+        assert (state.accrue(np.arange(1, 1501) * MS_PER_MINUTE) <= 3600.0).all()
+
+    def test_dwell_tail_stops_at_next_contact(self):
+        # the first contact's 60 s dwell would run 15 s into the second one
+        contacts = contacts_from_times(times_ms(0, 45), PAIR, 30_000, 60)
+        state = SocialStrengthState(contacts)
+        assert state.end_ms.tolist() == [45_000, 105_000]
+        assert state.covered_ms(boundaries(30_000, 60_000, 300_000)).tolist() == \
+            [30_000, 60_000, 105_000]
 
 
 class TestDistanceEstimate:
