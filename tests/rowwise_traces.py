@@ -29,8 +29,9 @@ from nearness.ingest import (
 
 def _open_rows(path):
     """The file and its rows: only LF ends a line, and a field is the text
-    between two commas, verbatim; a blank line is a row of no fields."""
-    handle = open(path, "r", newline="\n", encoding="utf-8")
+    between two commas, verbatim; a blank line is a row of no fields.  A
+    byte that is not UTF-8 reads as a lone surrogate (see `_text`)."""
+    handle = open(path, "r", newline="\n", encoding="utf-8", errors="surrogateescape")
     rows = (line.split(",") if line else []
             for line in (raw.removesuffix("\n") for raw in handle))
     return handle, rows
@@ -42,7 +43,17 @@ def _check_header(path, row, expected):
                          f"malformed header: expected {','.join(expected)}")
 
 
+def _text(path, line, column, text) -> str:
+    """The field, unless it holds a byte that was not UTF-8 in the file."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(path, line, column, f"invalid UTF-8 in {text!r}") from None
+    return text
+
+
 def _parse_int(path, line, column, text) -> int:
+    text = _text(path, line, column, text)
     try:
         return int(text)
     except ValueError:
@@ -50,6 +61,7 @@ def _parse_int(path, line, column, text) -> int:
 
 
 def _parse_float(path, line, column, text) -> float:
+    text = _text(path, line, column, text)
     try:
         value = float(text)
     except ValueError:
@@ -60,6 +72,7 @@ def _parse_float(path, line, column, text) -> float:
 
 
 def _parse_node(path, line, column, text) -> str:
+    text = _text(path, line, column, text)
     try:
         return validate_node_id(text)
     except DomainError as exc:
@@ -71,6 +84,9 @@ def _parse_t(path, line, column, text, epoch_ms) -> int:
     if t < 0:
         raise ParseError(path, line, column,
                          f"timestamp {text} before the scenario epoch")
+    if t >= 2 ** 63:
+        raise ParseError(path, line, column,
+                         f"timestamp {text} beyond the 64-bit range")
     return t
 
 

@@ -74,7 +74,8 @@ def write_files(directory: Path, files) -> list[Path]:
     paths = []
     for name, header, lines in zip(("s.csv", "a.csv", "d.csv"), HEADERS, files):
         path = directory / name
-        with open(path, "w", newline="", encoding="utf-8") as handle:
+        with open(path, "w", newline="", encoding="utf-8",
+                  errors="surrogateescape") as handle:      # "\udcff" writes byte 0xff
             handle.write("".join(line + "\n" for line in [header] + lines))
         paths.append(path)
     return paths
@@ -121,9 +122,9 @@ def test_valid_files_read_like_the_reference(data, chunk):
 
 BAD_TOKENS = ["x", "nan", "inf", "-inf", "1.5", "1e3", "-1", "999", "2", " 3", "-121",
               "a", "b", "1_0", "a,b", '"q"', '"q', "q\r", "\r", "x" * 65, "-0.0",
-              "1\x00", ""]
+              "1\x00", "", "\udcff", "a\udcff"]
 ACTIONS = ["replace", "replace", "replace", "drop", "extra", "blank", "swap",
-           "self", "quote", "crlf"]
+           "self", "quote", "crlf", "late"]
 
 
 def draw_edit(rnd):
@@ -132,8 +133,9 @@ def draw_edit(rnd):
 
 def apply_edit(lines, line, edit):
     """One edit of one data line: a field replaced, dropped, added or quoted,
-    the subject set to the observer, a CR added, the line blanked, or the
-    line swapped with another (which may break stream order)."""
+    the subject set to the observer, a CR added, 2**63 added to the
+    timestamp, the line blanked, or the line swapped with another (which
+    may break stream order)."""
     action, where, token, other = edit
     fields = lines[line].split(",")
     column = int(where * len(fields))
@@ -151,6 +153,8 @@ def apply_edit(lines, line, edit):
         fields[column] = f'"{fields[column]}"'
     elif action == "crlf":
         fields[-1] += "\r"
+    elif action == "late" and fields[0].isascii() and fields[0].isdigit():
+        fields[0] = str(int(fields[0]) + 2 ** 63)
     elif action == "swap":
         other = int(other * len(lines))
         lines[line], lines[other] = lines[other], lines[line]
