@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_run.add_argument("--epoch", default=None,
                        help="scenario epoch for wall-clock trace timestamps "
-                            "(integer ms or ISO-8601)")
+                            "(integer ms or ISO-8601); wall-clock traces need it, "
+                            "as the run spans every minute from 0 to the last timestamp")
     p_run.set_defaults(func=cmd_run)
 
     p_ana = sub.add_parser("analyze", help="extract one metric series for a pair")

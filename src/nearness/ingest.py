@@ -26,16 +26,18 @@ self-sighting aborts with its line and column.
 from __future__ import annotations
 
 import math
+import operator
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
 from .domain import (
+    LABELS,
     RSSI_MAX_DBM,
     RSSI_MIN_DBM,
-    DomainError,
     MinuteRecord,
     Nearness,
     validate_node_id,
@@ -51,7 +53,7 @@ SIGHTINGS_FILENAME = "sightings.csv"
 ACCEL_FILENAME = "accel.csv"
 SOUND_FILENAME = "sound.csv"
 
-_WRITE_CHUNK = 16384
+WRITE_CHUNK = 16384
 
 
 class ParseError(ValueError):
@@ -161,37 +163,257 @@ def traces_equal(a: TraceSet, b: TraceSet) -> bool:
 
 # --- reading -----------------------------------------------------------------
 #
-# Trace files are parsed a chunk of lines at a time into numpy columns.  Each
-# chunk is split on LF and commas, as `_fields` splits one line, converted
-# with Python's own int/float, then checked with vectorised rules; the
-# stream-order rule runs once over the whole file.  When a check fails, the
-# first offending row in file order is re-checked field by field with the
-# scalar helpers below, so the ParseError names the same line, column and
-# message a row-at-a-time reader would: within a row the fields are checked
-# left to right, and stream order last.
+# Each layout (three trace files, minute records) is one ordered table of
+# steps: `Convert` turns a column's text into values, `Rule` tests values
+# with a plain expression.  `Layout.read_chunk` runs every step over a
+# chunk's whole columns to find its first bad row; `Layout.check_row` runs
+# the steps on that one row's Python values, in table order, and the first
+# that fails words the error.  Trace tables go column by column; a trace
+# file's stream order is checked over the whole file, and an order breach
+# before a bad row wins.
 
 _READ_CHUNK = 1 << 20      # characters of CSV text converted per step
 _T_MAX = int(np.iinfo(np.int64).max)
 
 
+class RowError(ValueError):
+    """One row broke a layout's step; `column` is the 0-based field it names."""
+
+    def __init__(self, column: int, message: str):
+        super().__init__(message)
+        self.column = column
+
+
 @dataclass(frozen=True)
-class _Layout:
-    """Column rules of one trace file.
+class Kind:
+    """`one(text, epoch_ms)` converts one field or raises ValueError;
+    `many(text, epoch_ms, codes, names)` converts a column to an array that
+    ends before the first field `one` rejects, or (node ids, labels) holds
+    a code there that `valid` rejects."""
+    one: Callable
+    many: Callable | None = None
+    valid: Callable | None = None
 
-    `kinds` holds one letter per column: ``t`` timestamp, ``n`` node id,
-    ``s`` node id that must differ from the node id before it (the sighted
-    subject), ``r`` finite real.  `bounds` maps a real column's index to
-    (lo, hi, name, range text) for a closed range check.
+
+@dataclass(frozen=True)
+class Convert:
+    """Converts `column` with `kind`; `message`, formatted with the field as
+    ``text``, replaces the error text of a field `kind` rejects."""
+    column: str
+    kind: Kind
+    message: str | None = None
+
+
+@dataclass(frozen=True)
+class Rule:
+    """`test`, a plain expression of the values of `column` and `also`, is
+    true where a row passes, on numpy columns and Python values alike.
+    `message` is formatted with the values by column name and ``text``."""
+    column: str
+    test: Callable
+    message: str
+    also: tuple[str, ...] = ()
+
+
+class Layout:
+    """The header of one CSV layout and its ordered table of steps."""
+
+    def __init__(self, header: list[str], *steps):
+        self.header = header
+        self.steps = steps
+        self._index = {name: k for k, name in enumerate(header)}
+        # (test, column, other columns) of every step that tests values
+        self._checks = [(step.test, self._index[step.column],
+                         [self._index[c] for c in step.also]) if isinstance(step, Rule)
+                        else (step.kind.valid, self._index[step.column], [])
+                        for step in steps if isinstance(step, Rule) or step.kind.valid]
+
+    def read_chunk(self, lines: list[str], epoch_ms: int, codes: dict, names: list):
+        """Values of the rows of `lines` before the first that breaks the
+        layout, one array per column, and that row's index (`len(lines)`
+        when none does).  Only commas split a row.  Node ids become codes
+        into `names`, and `codes` maps every id seen to its code."""
+        ncols = len(self.header)
+        commas = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.int64,
+                             count=len(lines))
+        count = first_false(commas == ncols - 1, len(lines))
+        flat = ",".join(lines[:count]).split(",") if count else []
+        values = {step.column: step.kind.many(flat[self._index[step.column]::ncols],
+                                              epoch_ms, codes, names)
+                  for step in self.steps if isinstance(step, Convert) and step.kind.many}
+        cols = [values[name] for name in self.header]
+        bad = min(count, *map(len, cols))
+        bad = self.breach([c[:bad] for c in cols])
+        return [c[:bad] for c in cols], bad
+
+    def breach(self, cols: list[np.ndarray]) -> int:
+        """Index of the first row of the value columns `cols` that a step
+        rejects, or the number of rows."""
+        ok = np.ones(len(cols[0]), dtype=bool)
+        for test, k, also in self._checks:
+            ok &= test(cols[k], *[cols[a] for a in also]) if also else test(cols[k])
+        return first_false(ok, len(ok))
+
+    def check_row(self, fields: list[str], epoch_ms: int = 0) -> dict:
+        """One row's Python values by column, from its fields; the steps run
+        in table order, and the first that fails raises its RowError."""
+        if len(fields) != len(self.header):
+            raise RowError(0, f"expected {len(self.header)} fields, got {len(fields)}")
+        values = {}
+        for step in self.steps:
+            column = self._index[step.column]
+            text = fields[column]
+            if isinstance(step, Convert):
+                try:
+                    values[step.column] = step.kind.one(text, epoch_ms)
+                except ValueError as exc:
+                    message = str(exc) if step.message is None else step.message.format(text=text)
+                    raise RowError(column, message) from None
+            elif not step.test(values[step.column], *map(values.__getitem__, step.also)):
+                raise RowError(column, step.message.format(text=text, **values))
+        return values
+
+
+def first_false(ok: np.ndarray, limit: int) -> int:
+    """Index of the first False among the first `limit` entries of `ok`, or `limit`."""
+    head = ok[:limit]
+    return limit if head.all() else int(np.argmin(head))
+
+
+def _undecodable(text: str) -> bool:
+    """Whether `text` holds bytes that were not UTF-8 in the file.
+
+    Input files are decoded with ``surrogateescape``, which maps each such
+    byte to a lone surrogate, so a bad byte fails like any other bad field:
+    at its own line and column, after every earlier violation.
     """
-    header: list[str]
-    kinds: str
-    bounds: dict = field(default_factory=dict)
+    return not text.isascii() and any("\udc80" <= c <= "\udcff" for c in text)
 
 
-_SIGHTINGS = _Layout(SIGHTINGS_HEADER, "tnsr", {
-    3: (RSSI_MIN_DBM, RSSI_MAX_DBM, "rssi", f"[{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]")})
-_ACCEL = _Layout(ACCEL_HEADER, "tnrrr")
-_SOUND = _Layout(SOUND_HEADER, "tnr", {2: (0.0, 1.0, "amplitude", "[0, 1]")})
+def _utf8(text: str, _epoch_ms: int) -> str:
+    if _undecodable(text):
+        raise ValueError("not UTF-8")
+    return text
+
+
+def _int_prefix(text: list[str], offset: int) -> np.ndarray:
+    """int(x) - offset for the fields x of `text`, up to the first that is
+    not an integer or whose value leaves the int64 range."""
+    values: list[int] = []
+    try:
+        values.extend(map(int, text))
+    except ValueError:
+        pass      # `values` ends before the first non-integer
+    if offset:
+        values = [v - offset for v in values]
+    if values and (min(values) < -_T_MAX - 1 or max(values) > _T_MAX):
+        values = values[:next(k for k, v in enumerate(values) if not -_T_MAX - 1 <= v <= _T_MAX)]
+    return np.array(values, dtype=np.int64)
+
+
+def _real_prefix(text: list[str], *_) -> np.ndarray:
+    """The values of `text` up to the first that is not a number."""
+    values: list[float] = []
+    try:
+        values.extend(map(float, text))
+    except ValueError:
+        pass
+    return np.array(values, dtype=np.float64)
+
+
+def _distance(text: str, _epoch_ms: int = 0) -> float:
+    """A distance field: only the text ``inf`` reads as infinity; any other
+    spelling of it reads as NaN, which no rule accepts."""
+    value = float(text)
+    return value if text == "inf" or not math.isinf(value) else math.nan
+
+
+def _distances(text: list[str], *_) -> np.ndarray:
+    values = _real_prefix(text)
+    if np.isinf(values).any():
+        values[np.isinf(values) & np.fromiter(map("inf".__ne__, text[:len(values)]),
+                                              dtype=bool, count=len(values))] = np.nan
+    return values
+
+
+def node_codes(text: list[str], codes: dict, names: list) -> np.ndarray:
+    """Codes into `names` (new valid ids are appended); -1 for an id that is
+    invalid or holds a byte that was not UTF-8."""
+    for name in set(text).difference(codes):
+        try:
+            _utf8(validate_node_id(name), 0)
+        except ValueError:
+            codes[name] = -1
+        else:
+            codes[name] = len(names)
+            names.append(name)
+    return np.fromiter(map(codes.__getitem__, text), dtype=np.int64, count=len(text))
+
+
+_LABEL_CODES = {label.value: code for code, label in enumerate(LABELS)}
+
+# A field that is not UTF-8 never gets past its column's own conversion (int,
+# float and node_codes all reject a lone surrogate), so TEXT needs no pass
+# over whole columns; it puts the UTF-8 message before the conversion's own.
+TEXT = Kind(_utf8)
+INT = Kind(lambda text, _: int(text), lambda text, *_: _int_prefix(text, 0))
+TIME = Kind(lambda text, epoch_ms: int(text) - epoch_ms,
+            lambda text, epoch_ms, *_: _int_prefix(text, epoch_ms))
+REAL = Kind(lambda text, _: float(text), _real_prefix)
+DISTANCE = Kind(_distance, _distances)
+NODE = Kind(lambda text, _: validate_node_id(text),
+            lambda text, _, codes, names: node_codes(text, codes, names),
+            lambda codes: codes >= 0)
+LABEL = Kind(lambda text, _: Nearness(text),
+             lambda text, *_: np.fromiter(map(_LABEL_CODES.get, text, repeat(-1)),
+                                          dtype=np.int64, count=len(text)),
+             lambda codes: (codes >= 0) & (codes < len(LABELS)))
+
+
+def _not_negative(x):
+    return x >= 0
+
+
+def _fits_int64(x):
+    return x <= _T_MAX
+
+
+def _finite_not_negative(x):
+    return np.isfinite(x) & (x >= 0.0)
+
+
+def _within(lo, hi):
+    return lambda x: (x >= lo) & (x <= hi)
+
+
+def _decoded(column: str) -> Convert:
+    """Every trace field is checked for bytes that are not UTF-8 first."""
+    return Convert(column, TEXT, "invalid UTF-8 in {text!r}")
+
+
+def _node(column: str) -> tuple:
+    return _decoded(column), Convert(column, NODE)
+
+
+def _real(column: str) -> tuple:
+    return (_decoded(column), Convert(column, REAL, "invalid number {text!r}"),
+            Rule(column, np.isfinite, "non-finite value {text!r}"))
+
+
+_TIMESTAMP = (_decoded("t_ms"), Convert("t_ms", TIME, "invalid integer {text!r}"),
+              Rule("t_ms", _not_negative, "timestamp {text} before the scenario epoch"),
+              Rule("t_ms", _fits_int64, "timestamp {text} beyond the 64-bit range"))
+
+_SIGHTINGS = Layout(
+    SIGHTINGS_HEADER, *_TIMESTAMP, *_node("observer"), *_node("subject"),
+    Rule("subject", operator.ne, "{subject!r} sighted itself", also=("observer",)),
+    *_real("rssi_dbm"),
+    Rule("rssi_dbm", _within(RSSI_MIN_DBM, RSSI_MAX_DBM),
+         f"rssi {{text}} outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]"))
+_ACCEL = Layout(ACCEL_HEADER, *_TIMESTAMP, *_node("node"), *_real("ax"), *_real("ay"),
+                *_real("az"))
+_SOUND = Layout(SOUND_HEADER, *_TIMESTAMP, *_node("node"), *_real("amplitude"),
+                Rule("amplitude", _within(0.0, 1.0), "amplitude {text} outside [0, 1]"))
 
 
 def _open_text(path):
@@ -205,177 +427,22 @@ def _fields(line: str) -> list[str]:
     return line.split(",") if line else []
 
 
+def _line_chunks(handle):
+    """Yield the rest of `handle` as lists of lines without their LF, about
+    `_READ_CHUNK` characters at a time."""
+    rest = ""
+    while chunk := handle.read(_READ_CHUNK):
+        *lines, rest = (rest + chunk).split("\n")
+        if lines:
+            yield lines
+    if rest:
+        yield [rest]
+
+
 def _check_header(path, row, expected):
     if row != expected:
         raise ParseError(path, 1, 1,
                          f"malformed header: expected {','.join(expected)}")
-
-
-def _parse_int(path, line, column, text) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(path, line, column, f"invalid integer {text!r}") from None
-
-
-def _parse_float(path, line, column, text) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(path, line, column, f"invalid number {text!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(path, line, column, f"non-finite value {text!r}")
-    return value
-
-
-def _parse_node(path, line, column, text) -> str:
-    try:
-        return validate_node_id(text)
-    except DomainError as exc:
-        raise ParseError(path, line, column, str(exc)) from None
-
-
-def _parse_t(path, line, column, text, epoch_ms) -> int:
-    t = _parse_int(path, line, column, text) - epoch_ms
-    if t < 0:
-        raise ParseError(path, line, column,
-                         f"timestamp {text} before the scenario epoch")
-    if t > _T_MAX:
-        raise ParseError(path, line, column,
-                         f"timestamp {text} beyond the 64-bit range")
-    return t
-
-
-def _undecodable(text: str) -> bool:
-    """Whether `text` holds bytes that were not UTF-8 in the file.
-
-    Input files are decoded with ``surrogateescape``, which maps each such
-    byte to a lone surrogate, so a bad byte fails like any other bad field:
-    at its own line and column, after every earlier violation.
-    """
-    return not text.isascii() and any("\udc80" <= c <= "\udcff" for c in text)
-
-
-def _raise_row_error(path, line, row, layout, epoch_ms) -> None:
-    """Re-check one row field by field and raise its first violation."""
-    if len(row) != len(layout.header):
-        raise ParseError(path, line, 1,
-                         f"expected {len(layout.header)} fields, got {len(row)}")
-    node = None
-    for column, (kind, text) in enumerate(zip(layout.kinds, row), start=1):
-        if _undecodable(text):
-            raise ParseError(path, line, column, f"invalid UTF-8 in {text!r}")
-        if kind == "t":
-            _parse_t(path, line, column, text, epoch_ms)
-        elif kind == "r":
-            value = _parse_float(path, line, column, text)
-            bounds = layout.bounds.get(column - 1)
-            if bounds and not bounds[0] <= value <= bounds[1]:
-                raise ParseError(path, line, column,
-                                 f"{bounds[2]} {text} outside {bounds[3]}")
-        else:
-            previous, node = node, _parse_node(path, line, column, text)
-            if kind == "s" and node == previous:
-                raise ParseError(path, line, column, f"{node!r} sighted itself")
-    raise AssertionError(f"{path}:{line}: row flagged but passes every check")
-
-
-def _data_chunks(handle, ncols: int):
-    """Yield the data lines a chunk at a time as (columns, count, lines).
-
-    `columns` holds the fields of the first `count` lines as `ncols` lists
-    of text; if `count < len(lines)`, line `count` has the wrong number of
-    fields.
-    """
-    while lines := handle.readlines(_READ_CHUNK):
-        commas = np.fromiter(map(str.count, lines, repeat(",")),
-                             dtype=np.int64, count=len(lines))
-        wrong = np.flatnonzero(commas != ncols - 1)
-        count = int(wrong[0]) if len(wrong) else len(lines)
-        text = "".join(lines[:count]).removesuffix("\n")
-        flat = text.replace("\n", ",").split(",") if count else []
-        yield [flat[k::ncols] for k in range(ncols)], count, lines
-
-
-def _int_prefix(text: list[str], lo: int, hi: int) -> list[int]:
-    """The values of `text` up to the first that is not an integer in [lo, hi]."""
-    values: list[int] = []
-    try:
-        values.extend(map(int, text))
-    except ValueError:
-        pass      # `values` ends before the first non-integer
-    if values and (min(values) < lo or max(values) > hi):
-        values = values[:next(k for k, v in enumerate(values) if not lo <= v <= hi)]
-    return values
-
-
-def _real_prefix(text: list[str]) -> np.ndarray:
-    """The values of `text` up to the first that is not a number."""
-    values: list[float] = []
-    try:
-        values.extend(map(float, text))
-    except ValueError:
-        pass
-    return np.array(values, dtype=np.float64)
-
-
-def _node_codes(text: list[str], codes: dict, names: list) -> np.ndarray:
-    """Codes into `names` (new valid ids are appended); -1 for an invalid id."""
-    for name in set(text).difference(codes):
-        try:
-            validate_node_id(name)
-        except DomainError:
-            codes[name] = -1
-        else:
-            if _undecodable(name):
-                codes[name] = -1
-            else:
-                codes[name] = len(names)
-                names.append(name)
-    return np.fromiter(map(codes.__getitem__, text), dtype=np.int64, count=len(text))
-
-
-def _convert_chunk(columns, count: int, layout: _Layout, epoch_ms: int,
-                   codes: dict, names: list):
-    """Convert one chunk's columns and apply the per-row rules.
-
-    Returns the converted columns (node ids as codes into `names`) cut
-    before the chunk's first offending row, and that row's index (`count`
-    when every row passes).
-    """
-    bad = count
-    out = []
-    previous = None
-    for column, (kind, text) in enumerate(zip(layout.kinds, columns)):
-        if kind == "t":
-            values = _int_prefix(text, epoch_ms, epoch_ms + _T_MAX)
-            if epoch_ms:
-                values = [v - epoch_ms for v in values]
-            bad = min(bad, len(values))
-            out.append(np.array(values, dtype=np.int64))
-        elif kind == "r":
-            arr = _real_prefix(text)
-            bad = min(bad, len(arr))
-            ok = np.isfinite(arr)
-            bounds = layout.bounds.get(column)
-            if bounds:
-                ok &= (arr >= bounds[0]) & (arr <= bounds[1])
-            out.append(arr)
-            bad = _first_false(ok, bad)
-        else:
-            arr = _node_codes(text, codes, names)
-            ok = arr >= 0
-            if kind == "s":
-                ok &= arr != previous
-            out.append(arr)
-            bad = _first_false(ok, bad)
-            previous = arr
-    return [arr[:bad] for arr in out], bad
-
-
-def _first_false(ok: np.ndarray, limit: int) -> int:
-    head = ok[:limit]
-    return limit if head.all() else int(np.argmin(head))
 
 
 def _stream_order(t: np.ndarray, key: np.ndarray):
@@ -395,23 +462,21 @@ def _stream_order(t: np.ndarray, key: np.ndarray):
     return order, (int(order[k + 1]), int(t_sorted[k]))
 
 
-def _read_columns(path, layout: _Layout, epoch_ms: int):
+def _read_columns(path, layout: Layout, epoch_ms: int):
     """Parse one trace file into columns in file order; checks every rule.
 
     Returns (columns, names, order): node columns are codes into `names`,
     and `order` stably sorts the rows by stream (observer and subject for
     sightings, node otherwise).
     """
-    ncols = len(layout.header)
-    node_columns = [k for k, kind in enumerate(layout.kinds) if kind in "ns"]
+    node_columns = [layout.header.index(step.column) for step in layout.steps
+                    if isinstance(step, Convert) and step.kind is NODE]
     codes: dict[str, int] = {}
     names: list[str] = []
-    parts: list[list[np.ndarray]] = [[] for _ in range(ncols)]
+    parts = [[empty] for empty in layout.read_chunk([], epoch_ms, codes, names)[0]]
 
     def columns():
-        cols = [np.concatenate(part) if part
-                else np.empty(0, dtype=np.float64 if kind == "r" else np.int64)
-                for part, kind in zip(parts, layout.kinds)]
+        cols = [np.concatenate(part) for part in parts]
         parts[:] = [[c] for c in cols]    # frees the chunks
         return cols
 
@@ -434,20 +499,23 @@ def _read_columns(path, layout: _Layout, epoch_ms: int):
         if first:
             _check_header(path, _fields(first), layout.header)
         line = 2
-        for text_columns, count, lines in _data_chunks(handle, ncols):
-            converted, bad = _convert_chunk(text_columns, count, layout,
-                                            epoch_ms, codes, names)
+        for lines in _line_chunks(handle):
+            converted, bad = layout.read_chunk(lines, epoch_ms, codes, names)
             for part, arr in zip(parts, converted):
                 part.append(arr)
             if bad < len(lines):
                 stream_order(columns())       # an earlier order breach wins
-                _raise_row_error(path, line + bad, _fields(lines[bad]), layout, epoch_ms)
+                try:
+                    layout.check_row(_fields(lines[bad]), epoch_ms)
+                except RowError as exc:
+                    raise ParseError(path, line + bad, exc.column + 1, str(exc)) from None
+                raise AssertionError(f"{path}:{line + bad}: row flagged but passes every check")
             line += len(lines)
     cols = columns()
     return cols, names, stream_order(cols)
 
 
-def _node_ranks(names: list[str]) -> np.ndarray:
+def node_ranks(names: list[str]) -> np.ndarray:
     """rank[code] is the position of names[code] in sorted order."""
     rank = np.empty(len(names), dtype=np.int64)
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
@@ -475,7 +543,7 @@ def read_traces(sightings_path, accel_path, sound_path, epoch_ms: int = 0) -> Tr
     order, aborts with the offending line and column.
     """
     (t, obs, subj, rssi), names, _ = _read_columns(sightings_path, _SIGHTINGS, epoch_ms)
-    rank = _node_ranks(names)
+    rank = node_ranks(names)
     order = np.lexsort((rank[subj], rank[obs], t))
     name_of = np.array(names, dtype=object)
     sightings = SightingTable(t[order], name_of[obs[order]], name_of[subj[order]],
@@ -491,7 +559,7 @@ def read_traces(sightings_path, accel_path, sound_path, epoch_ms: int = 0) -> Tr
 
 def _write_csv(path, header: list[str], columns: list[np.ndarray],
                order: np.ndarray | None, format_rows) -> None:
-    """Write a header and the rows of `columns`, `_WRITE_CHUNK` rows at a time.
+    """Write a header and the rows of `columns`, `WRITE_CHUNK` rows at a time.
 
     Rows go out in `order` (row indices), or as stored when it is None.
     `format_rows` maps one block of columns, as Python lists (ints and
@@ -499,8 +567,8 @@ def _write_csv(path, header: list[str], columns: list[np.ndarray],
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), _WRITE_CHUNK):
-            hi = lo + _WRITE_CHUNK
+        for lo in range(0, len(columns[0]), WRITE_CHUNK):
+            hi = lo + WRITE_CHUNK
             rows = slice(lo, hi) if order is None else order[lo:hi]
             handle.writelines(format_rows(*(c[rows].tolist() for c in columns)))
 
@@ -555,52 +623,37 @@ def format_record_row(minute: int, i: str, j: str, n_i: int, m_i: int, v_i: int,
             f"{fmt_float(p)},{fmt_float(si)},{nearness.value}")
 
 
-_NEARNESS_BY_NAME = {n.value: n for n in Nearness}
+# The order of the old row parser: the conversions of s_s, p and si all come
+# before their checks, then the scores rule, then the label.
+RECORDS = Layout(
+    RECORDS_HEADER,
+    Convert("minute", INT),
+    Rule("minute", _not_negative, "negative minute {minute}"),
+    Rule("minute", _fits_int64, "minute {minute} beyond the 64-bit range"),
+    Convert("i", NODE), Convert("j", NODE),
+    Rule("j", operator.ne, "record pairs {i!r} with itself", also=("i",)),
+    Convert("n_i", INT),
+    Rule("n_i", _not_negative, "negative node degree {n_i}"),
+    Rule("n_i", _fits_int64, "node degree {n_i} beyond the 64-bit range"),
+    Convert("m_i", INT),
+    Rule("m_i", lambda m: (m == 1) | (m == 2), "motion code {m_i} not in {{1, 2}}"),
+    Convert("v_i", INT),
+    Rule("v_i", _within(0, 3), "sound class {v_i} not in 0..3"),
+    Convert("d_m", DISTANCE),
+    Rule("d_m", _not_negative, "bad distance {text!r}"),    # NaN and -inf fail, inf passes
+    Convert("s_s", REAL), Convert("p", REAL), Convert("si", REAL),
+    Rule("s_s", _finite_not_negative, "bad s_s value {s_s!r}"),
+    Rule("p", _finite_not_negative, "bad p value {p!r}"),
+    Rule("si", _finite_not_negative, "bad si value {si!r}"),
+    Rule("d_m", lambda d, p, si: (d != math.inf) | ((p == 0.0) & (si == 0.0)),
+         "scores must be zero without a distance estimate", also=("p", "si")),
+    Convert("nearness", LABEL, "unknown nearness label {text!r}"))
 
 
 def parse_record_row(row: str) -> MinuteRecord:
-    """Parse one minute-record CSV row; raises ValueError on any violation."""
-    fields = row.split(",")
-    if len(fields) != 11:
-        raise ValueError(f"expected 11 fields, got {len(fields)}")
-    minute = int(fields[0])
-    if minute < 0:
-        raise ValueError(f"negative minute {minute}")
-    if minute > _T_MAX:
-        raise ValueError(f"minute {minute} beyond the 64-bit range")
-    i = validate_node_id(fields[1])
-    j = validate_node_id(fields[2])
-    if i == j:
-        raise ValueError(f"record pairs {i!r} with itself")
-    n_i = int(fields[3])
-    if n_i < 0:
-        raise ValueError(f"negative node degree {n_i}")
-    if n_i > _T_MAX:
-        raise ValueError(f"node degree {n_i} beyond the 64-bit range")
-    m_i = int(fields[4])
-    if m_i not in (1, 2):
-        raise ValueError(f"motion code {m_i} not in {{1, 2}}")
-    v_i = int(fields[5])
-    if not 0 <= v_i <= 3:
-        raise ValueError(f"sound class {v_i} not in 0..3")
-    if fields[6] == "inf":
-        d_m = math.inf
-    else:
-        d_m = float(fields[6])
-        if not (math.isfinite(d_m) and d_m >= 0.0):
-            raise ValueError(f"bad distance {fields[6]!r}")
-    s_s = float(fields[7])
-    p = float(fields[8])
-    si = float(fields[9])
-    for name, value in (("s_s", s_s), ("p", p), ("si", si)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"bad {name} value {value!r}")
-    if d_m == math.inf and (p != 0.0 or si != 0.0):
-        raise ValueError("scores must be zero without a distance estimate")
-    if fields[10] not in _NEARNESS_BY_NAME:
-        raise ValueError(f"unknown nearness label {fields[10]!r}")
-    return MinuteRecord(minute, i, j, n_i, m_i, v_i, d_m, s_s, p, si,
-                        _NEARNESS_BY_NAME[fields[10]])
+    """Parse one minute-record CSV row with the RECORDS table; raises
+    ValueError (a RowError) at the first step the row fails."""
+    return MinuteRecord(**RECORDS.check_row(row.split(",")))
 
 
 def write_minute_records(rows, path) -> None:

@@ -13,34 +13,31 @@ of the original sequence; a torn final frame is dropped on open.
 The log is held as numpy columns, one per MinuteRecord field, with node ids
 as codes in first-seen order (the key-order check ranks them by id).
 `open` reads the file in one pass, `_READ_FRAMES` frames at a time: each
-chunk's payloads are joined with LF, decoded and split in one step (a chunk
-that is not UTF-8, or whose payloads hold an LF, is decoded frame by frame)
-and converted with Python's int and float as `ingest` converts traces.
-`append` takes a MinuteBatch.  Both check the same vectorised rules (those
-of `parse_record_row`) and key order on the columns, so `append` writes
-only what a reopen reads.  The first record `open` rejects is parsed again
-with `parse_record_row`, so its StoreError is the one a frame-at-a-time
-scanner gives.  Frames and exports are formatted from the columns; reads
-build MinuteRecords only for the rows they return.
+chunk's payloads are decoded and read with `ingest.RECORDS`, the record
+layout's table of rules, as `ingest` reads traces.  `append` takes a MinuteBatch.  Both run the table's
+rules and the key-order check on whole columns, so `append` writes only
+what a reopen reads.  The first record either one rejects goes through the
+same table alone, in table order, via `parse_record_row`, which words its
+StoreError as a frame-at-a-time scanner does.  Frames and exports are
+formatted from the columns; reads build MinuteRecords only for the rows
+they return.
 """
 
 from __future__ import annotations
 
 import struct
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
-from .domain import LABELS, MinuteBatch, MinuteRecord
+from .domain import MinuteBatch, MinuteRecord
 from .ingest import (
-    _T_MAX,
-    _WRITE_CHUNK,
-    _first_false,
-    _int_prefix,
-    _node_codes,
-    _node_ranks,
-    _real_prefix,
+    RECORDS,
+    WRITE_CHUNK,
+    first_false,
     format_record_row,
+    node_codes,
+    node_ranks,
     parse_record_row,
     write_minute_records,
 )
@@ -48,11 +45,6 @@ from .ingest import (
 MAGIC = b"NSNS1"
 _LEN = struct.Struct(">I")
 _READ_FRAMES = 4096        # frames converted per step
-
-# one column per MinuteRecord field; node ids and labels are codes
-_DTYPES = (np.int64,) * 6 + (np.float64,) * 4 + (np.int64,)
-_KINDS = "".join(np.dtype(dtype).kind for dtype in _DTYPES)
-_LABEL_CODES = {label.value: code for code, label in enumerate(LABELS)}
 
 
 class StoreError(ValueError):
@@ -62,62 +54,20 @@ class StoreError(ValueError):
 # --- columnar read ---------------------------------------------------------------
 
 def _empty_columns() -> list[np.ndarray]:
-    return [np.empty(0, dtype=dtype) for dtype in _DTYPES]
+    """One empty column per MinuteRecord field; node ids and labels are codes."""
+    return RECORDS.read_chunk([], 0, {}, [])[0]
 
 
-def _ints(text: list[str]) -> np.ndarray:
-    return np.array(_int_prefix(text, -_T_MAX - 1, _T_MAX), dtype=np.int64)
-
-
-def _text_columns(lines: list[str], codes: dict, names: list):
-    """Columns of the rows before the first that does not convert (11 fields,
-    int64s, reals, a label), and which rows hold the distance text ``inf``."""
-    ncols = len(_DTYPES)
-    commas = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.int64,
-                         count=len(lines))
-    bad = _first_false(commas == ncols - 1, len(lines))
-    flat = ",".join(lines[:bad]).split(",") if bad else []
-    text = [flat[k::ncols] for k in range(ncols)]
-    no_distance = np.fromiter(map("inf".__eq__, text[6]), dtype=bool, count=bad)
-    cols = [_ints(text[0]),
-            _node_codes(text[1], codes, names), _node_codes(text[2], codes, names),
-            *map(_ints, text[3:6]), *map(_real_prefix, text[6:10]),
-            np.fromiter(map(_LABEL_CODES.get, text[10], repeat(-1)), dtype=np.int64,
-                        count=bad)]
-    bad = min(bad, *map(len, cols))
-    return [c[:bad] for c in cols], no_distance[:bad]
-
-
-def _rule_breach(cols: list[np.ndarray], no_distance: np.ndarray) -> int:
-    """Index of the first row that breaks a `parse_record_row` rule, or the
-    number of rows; `no_distance` marks the rows that hold no distance."""
-    minute, i, j, n, m, v, d, s, p, si, label = cols
-    ok = (minute >= 0) & (i >= 0) & (j >= 0) & (i != j) & (n >= 0)
-    ok &= ((m == 1) | (m == 2)) & (v >= 0) & (v <= 3)
-    ok &= (label >= 0) & (label < len(LABELS))
-    ok &= no_distance | (np.isfinite(d) & (d >= 0.0))
-    for score in (s, p, si):
-        ok &= np.isfinite(score) & (score >= 0.0)
-    ok &= ~no_distance | ((p == 0.0) & (si == 0.0))
-    return _first_false(ok, len(minute))
+_KINDS = "".join(c.dtype.kind for c in _empty_columns())
 
 
 def _chunk_lines(payloads: list[bytes]) -> list[str]:
     """The payloads as text, up to the first one that is not UTF-8."""
+    lines: list[str] = []
     try:
-        lines = b"\n".join(payloads).decode("utf-8").split("\n")
+        lines.extend(map(bytes.decode, payloads))
     except UnicodeDecodeError:
-        lines = []
-    if len(lines) == len(payloads):
-        return lines
-    # Not UTF-8, or a payload holds an LF (which `int` accepts around a
-    # number): decode each frame on its own.
-    lines = []
-    for payload in payloads:
-        try:
-            lines.append(payload.decode("utf-8"))
-        except UnicodeDecodeError:
-            break
+        pass      # `lines` ends before it
     return lines
 
 
@@ -130,16 +80,14 @@ def _corrupt(path, k: int, payload: bytes) -> StoreError:
     raise AssertionError(f"{path}: record #{k} rejected but parses")
 
 
-def _key_breach(last: list[np.ndarray], cols: list[np.ndarray], names: list) -> int:
+def _key_breach(last: list[np.ndarray], cols: list[np.ndarray], rank: np.ndarray) -> int:
     """Index in `cols` of the first row whose key (minute, i, j) does not
     exceed the key before it (`last` holds the previous chunk's final row),
-    or the number of rows when keys only increase."""
-    rank = _node_ranks(names)
+    or the number of rows when keys only increase; ids compare by `rank`."""
     minute, i, j = (np.concatenate([a, b]) for a, b in zip(last, cols[:3]))
-    i, j = rank[i], rank[j]
-    up = (minute[1:] > minute[:-1]) | ((minute[1:] == minute[:-1]) & (
-        (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))))
-    return _first_false(up, len(up)) + 1 - len(last[0])
+    pair = rank[i] * len(rank) + rank[j]      # orders as (rank[i], rank[j])
+    up = (minute[1:] > minute[:-1]) | ((minute[1:] == minute[:-1]) & (pair[1:] > pair[:-1]))
+    return first_false(up, len(up)) + 1 - len(last[0])
 
 
 def _payload_chunks(data: bytes):
@@ -170,23 +118,18 @@ def _read_columns(path):
         raise StoreError(f"{path}: not a record log (bad magic)")
     codes: dict[str, int] = {}
     names: list[str] = []
-    chunks: list[list[np.ndarray]] = []
-    last = [np.empty(0, dtype=np.int64)] * 3
+    chunks = [_empty_columns()]
     count, end = 0, len(MAGIC)
     for payloads, end in _payload_chunks(data):
-        cols, no_distance = _text_columns(_chunk_lines(payloads), codes, names)
-        bad = _rule_breach(cols, no_distance)
-        cols = [c[:bad] for c in cols]
-        breach = _key_breach(last, cols, names)
+        cols, bad = RECORDS.read_chunk(_chunk_lines(payloads), 0, codes, names)
+        breach = _key_breach([c[-1:] for c in chunks[-1][:3]], cols, node_ranks(names))
         if breach < bad:
             raise StoreError(f"{path}: keys not increasing at record #{count + breach}")
         if bad < len(payloads):
             raise _corrupt(path, count + bad, payloads[bad])
         chunks.append(cols)
-        last = [c[-1:] for c in cols[:3]]
         count += bad
-    columns = [np.concatenate(c) for c in zip(*chunks)] if chunks else _empty_columns()
-    return columns, names, end
+    return [np.concatenate(c) for c in zip(*chunks)], names, end
 
 
 class RecordLog:
@@ -206,6 +149,7 @@ class RecordLog:
         self._pending: list[list[np.ndarray]] = []   # appended since the last read
         self._names = names              # node id of each code, first seen first
         self._codes = {name: code for code, name in enumerate(names)}
+        self._rank = node_ranks(names)   # of each code, by id
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -256,13 +200,14 @@ class RecordLog:
             raise StoreError(f"{self.path}: log {state}")
         codes, names = dict(self._codes), list(self._names)
         minute, i, j, *rest = batch.columns()
-        cols = [minute, _node_codes(i.tolist(), codes, names),
-                _node_codes(j.tolist(), codes, names), *rest]
+        cols = [minute, node_codes(i.tolist(), codes, names),
+                node_codes(j.tolist(), codes, names), *rest]
         if "".join(c.dtype.kind for c in cols) != _KINDS:
             raise StoreError(f"{self.path}: batch column types differ from MinuteBatch's")
-        bad = _rule_breach(cols, cols[6] == np.inf)
+        bad = RECORDS.breach(cols)
         last = [c[-1:] for c in (self._pending or [self._columns])[-1][:3]]   # last stored key
-        breach = _key_breach(last, [c[:bad] for c in cols[:3]], names)
+        rank = self._rank if len(names) == len(self._names) else node_ranks(names)
+        breach = _key_breach(last, [c[:bad] for c in cols[:3]], rank)
         if breach < bad:
             raise StoreError(f"{self.path}: keys not increasing at record #{len(self) + breach}")
         if bad < len(batch):
@@ -277,7 +222,7 @@ class RecordLog:
         self._handle.write(frames)
         self._handle.flush()
         self._pending.append(cols)
-        self._codes, self._names = codes, names
+        self._codes, self._names, self._rank = codes, names, rank
 
     # -- reads ------------------------------------------------------------------
 
@@ -335,7 +280,7 @@ def export_csv(log: RecordLog, path, pair: tuple[str, str] | None = None,
     Rows go from the columns to the CSV one write chunk at a time.
     """
     rows = log._rows(pair, from_minute, to_minute)
-    chunks = (zip(*log._batch(rows[k:k + _WRITE_CHUNK]).values())
-              for k in range(0, len(rows), _WRITE_CHUNK))
+    chunks = (zip(*log._batch(rows[k:k + WRITE_CHUNK]).values())
+              for k in range(0, len(rows), WRITE_CHUNK))
     write_minute_records(chain.from_iterable(chunks), path)
     return len(rows)
