@@ -222,7 +222,11 @@ class Layout:
         self.header = header
         self.steps = steps
         self._index = {name: k for k, name in enumerate(header)}
-        # (test, column, other columns) of every step that tests values
+        # each column's last whole-column conversion, and (test, column,
+        # other columns) of every step that tests values
+        many = {step.column: step.kind.many for step in steps
+                if isinstance(step, Convert) and step.kind.many}
+        self._converters = [many[name] for name in header]
         self._checks = [(step.test, self._index[step.column],
                          [self._index[c] for c in step.also]) if isinstance(step, Rule)
                         else (step.kind.valid, self._index[step.column], [])
@@ -238,10 +242,8 @@ class Layout:
                              count=len(lines))
         count = first_false(commas == ncols - 1, len(lines))
         flat = ",".join(lines[:count]).split(",") if count else []
-        values = {step.column: step.kind.many(flat[self._index[step.column]::ncols],
-                                              epoch_ms, codes, names)
-                  for step in self.steps if isinstance(step, Convert) and step.kind.many}
-        cols = [values[name] for name in self.header]
+        cols = [many(flat[k::ncols], epoch_ms, codes, names)
+                for k, many in enumerate(self._converters)]
         bad = min(count, *map(len, cols))
         bad = self.breach([c[:bad] for c in cols])
         return [c[:bad] for c in cols], bad
@@ -352,9 +354,8 @@ def node_codes(text: list[str], codes: dict, names: list) -> np.ndarray:
 
 _LABEL_CODES = {label.value: code for code, label in enumerate(LABELS)}
 
-# A field that is not UTF-8 never gets past its column's own conversion (int,
-# float and node_codes all reject a lone surrogate), so TEXT needs no pass
-# over whole columns; it puts the UTF-8 message before the conversion's own.
+# int, float and node_codes all reject a field holding a lone surrogate, so
+# TEXT needs no column pass; it only puts the UTF-8 message before theirs.
 TEXT = Kind(_utf8)
 INT = Kind(lambda text, _: int(text), lambda text, *_: _int_prefix(text, 0))
 TIME = Kind(lambda text, epoch_ms: int(text) - epoch_ms,
@@ -623,8 +624,9 @@ def format_record_row(minute: int, i: str, j: str, n_i: int, m_i: int, v_i: int,
             f"{fmt_float(p)},{fmt_float(si)},{nearness.value}")
 
 
-# The order of the old row parser: the conversions of s_s, p and si all come
-# before their checks, then the scores rule, then the label.
+# A record's error is its first failing step in this order, which the log's
+# error texts keep: the conversions of s_s, p and si all come before their
+# checks, then the scores rule, then the label.
 RECORDS = Layout(
     RECORDS_HEADER,
     Convert("minute", INT),

@@ -53,12 +53,10 @@ class StoreError(ValueError):
 
 # --- columnar read ---------------------------------------------------------------
 
-def _empty_columns() -> list[np.ndarray]:
-    """One empty column per MinuteRecord field; node ids and labels are codes."""
-    return RECORDS.read_chunk([], 0, {}, [])[0]
-
-
-_KINDS = "".join(c.dtype.kind for c in _empty_columns())
+# one empty column per MinuteRecord field, typed as `open` reads them (node
+# ids and labels are codes); shared, as nothing can write into them
+_EMPTY = tuple(RECORDS.read_chunk([], 0, {}, [])[0])
+_KINDS = "".join(c.dtype.kind for c in _EMPTY)
 
 
 def _chunk_lines(payloads: list[bytes]) -> list[str]:
@@ -118,7 +116,7 @@ def _read_columns(path):
         raise StoreError(f"{path}: not a record log (bad magic)")
     codes: dict[str, int] = {}
     names: list[str] = []
-    chunks = [_empty_columns()]
+    chunks = [_EMPTY]
     count, end = 0, len(MAGIC)
     for payloads, end in _payload_chunks(data):
         cols, bad = RECORDS.read_chunk(_chunk_lines(payloads), 0, codes, names)
@@ -158,7 +156,7 @@ class RecordLog:
         handle = open(path, "wb")
         handle.write(MAGIC)
         handle.flush()
-        return cls(path, handle, _empty_columns(), [])
+        return cls(path, handle, list(_EMPTY), [])
 
     @classmethod
     def open(cls, path, writable: bool = False) -> "RecordLog":

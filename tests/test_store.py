@@ -239,27 +239,24 @@ class TestStoreErrors:
         (b"1,a,b,1,1,1,2.0,nan,1.0,0.5,Low", "bad s_s value nan"),
         (b"1,a,b,1,1,1,2.0,60.0,-1.0,0.5,Low", "bad p value -1.0"),
         (b"1,a,b,1,1,1,2.0,60.0,1.0,1e400,Low", "bad si value inf"),
-    ], ids=["bad-field", "invalid-utf8", "empty", "lf-in-node-id", "inf-scores",
-            "label", "negative-minute", "empty-node", "self-pair", "negative-degree",
-            "motion", "sound", "infinity", "padded-inf", "negative-distance", "nan",
-            "negative-p", "overflow-si"])
-    def test_corrupt_record(self, log_path, bad, reason):
-        write_frames(log_path, [payload(0), bad, payload(2)])
-        self.expect(log_path, f"corrupt record #1: {reason}")
-
-    @pytest.mark.parametrize("bad, reason", [
+        # two rules broken in one record: the first in table order wins
         (b"1,a,b,1,1,1,2.0,-1.0,x,0.5,Low", "could not convert string to float: 'x'"),
         (b"1,a,b,1,1,1,2.0,-1.0,1.0,nan,Low", "bad s_s value -1.0"),
         (b"1,a,b,1,1,1,inf,60.0,1.0,0.5,low", "scores must be zero without a distance estimate"),
         (b"1,a,a,1,0,1,2.0,60.0,1.0,0.5,Low", "record pairs 'a' with itself"),
+        # rules see Python ints, not int64
         (b"1,a,b,1,99999999999999999999,1,2.0,60.0,1.0,0.5,Low",
          "motion code 99999999999999999999 not in {1, 2}"),
         (b"-99999999999999999999,a,b,1,1,1,2.0,60.0,1.0,0.5,Low",
          "negative minute -99999999999999999999"),
-    ], ids=["conversions-before-checks", "s_s-before-si", "scores-before-label",
-            "pair-before-motion", "python-int-motion", "python-int-minute"])
-    def test_rules_run_in_table_order(self, log_path, bad, reason):
-        write_frames(log_path, [payload(0), bad])
+    ], ids=["bad-field", "invalid-utf8", "empty", "lf-in-node-id", "inf-scores",
+            "label", "negative-minute", "empty-node", "self-pair", "negative-degree",
+            "motion", "sound", "infinity", "padded-inf", "negative-distance", "nan",
+            "negative-p", "overflow-si", "conversions-before-checks", "s_s-before-si",
+            "scores-before-label", "pair-before-motion", "python-int-motion",
+            "python-int-minute"])
+    def test_corrupt_record(self, log_path, bad, reason):
+        write_frames(log_path, [payload(0), bad, payload(2)])
         self.expect(log_path, f"corrupt record #1: {reason}")
 
     @pytest.mark.parametrize("keys, k", [
