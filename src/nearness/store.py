@@ -14,13 +14,13 @@ The log is held as numpy columns, one per MinuteRecord field, with node ids
 as codes in first-seen order (the key-order check ranks them by id).
 `open` reads the file in one pass, `_READ_FRAMES` frames at a time: each
 chunk's payloads are decoded and read with `ingest.RECORDS`, the record
-layout's table of rules, as `ingest` reads traces.  `append` takes a MinuteBatch.  Both run the table's
-rules and the key-order check on whole columns, so `append` writes only
-what a reopen reads.  The first record either one rejects goes through the
-same table alone, in table order, via `parse_record_row`, which words its
-StoreError as a frame-at-a-time scanner does.  Frames and exports are
-formatted from the columns; reads build MinuteRecords only for the rows
-they return.
+layout's table of rules, as `ingest` reads traces.  `append` takes a
+MinuteBatch.  Both run the table's rules and the key-order check on whole
+columns, so `append` writes only what a reopen reads.  The first record
+either one rejects goes through the same table alone, in table order, via
+`parse_record_row`, which words its StoreError as a frame-at-a-time
+scanner does.  Frames and exports are formatted from the columns; reads
+build MinuteRecords only for the rows they return.
 """
 
 from __future__ import annotations
