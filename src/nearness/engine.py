@@ -19,7 +19,10 @@ is exactly the asymmetry the symmetric-scenario analysis studies.
 
 Per-minute feature windows are half-open intervals ending at the minute
 boundary: motion uses the last 5 s of the minute, sound the last second,
-and node degree the trailing two minutes.
+and node degree the trailing two minutes.  Each paired node's accelerometer
+series is looked up once, for the motion kernel, and dropped before the next
+node's; with traces from `generate`, which draws a series on lookup, the
+engine holds one node's samples at a time.
 """
 
 from __future__ import annotations
@@ -87,6 +90,13 @@ class RunResult:
     runtime_s: float
 
 
+def _motion(accel: AccelSeries, boundaries: np.ndarray, config: EngineConfig) -> np.ndarray:
+    """Motion codes of one node's series, which is dropped on return: a
+    series drawn on lookup is then freed before the next node's is drawn."""
+    return motion_codes(accel.t_ms, accel.ax, accel.ay, accel.az, boundaries,
+                        config.motion_window_ms, config.motion_threshold)
+
+
 def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
                duration_ms: int | None = None,
                log: RecordLog | None = None) -> RunResult:
@@ -127,9 +137,7 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
     for node in {n for pair in active_pairs for n in pair}:
         degree = node_degrees([ts for (obs, _), ts in times.items() if obs == node],
                               boundaries, config.degree_window_ms)
-        accel = traces.accel.get(node, _NO_ACCEL)
-        motion = motion_codes(accel.t_ms, accel.ax, accel.ay, accel.az, boundaries,
-                              config.motion_window_ms, config.motion_threshold)
+        motion = _motion(traces.accel.get(node, _NO_ACCEL), boundaries, config)
         sound = traces.sound.get(node, _NO_SOUND)
         classes = sound_classes(sound.t_ms, sound.amplitude, boundaries,
                                 config.sound_window_ms, config.sound_thresholds)

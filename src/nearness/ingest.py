@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -112,11 +112,53 @@ class SoundSeries:
         return len(self.t_ms)
 
 
+class DrawnAccel(Mapping):
+    """Read-only map of node -> AccelSeries whose series are drawn on lookup.
+
+    Every series shares the time axis `t_ms`, which is read-only.  Looking a
+    node up calls `draw(node)` for its (ax, ay, az) columns and keeps
+    nothing, so a caller holds only the series it is using.  Membership,
+    iteration and the length read the node ids alone.
+    """
+
+    def __init__(self, t_ms: np.ndarray, nodes, draw: Callable):
+        t_ms.flags.writeable = False
+        self.t_ms = t_ms
+        self._nodes = dict.fromkeys(nodes)
+        self._draw = draw
+
+    def __getitem__(self, node: str) -> AccelSeries:
+        if node not in self._nodes:
+            raise KeyError(node)
+        return AccelSeries(self.t_ms, *self._draw(node))
+
+    def __contains__(self, node) -> bool:
+        return node in self._nodes
+
+    def __iter__(self):
+        return iter(self._nodes)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+
+def _time_columns(series: Mapping) -> list[np.ndarray]:
+    """The time column of every node's series, drawing no samples."""
+    if isinstance(series, DrawnAccel):
+        return [series.t_ms] * len(series)
+    return [s.t_ms for s in series.values()]
+
+
 @dataclass(frozen=True)
 class TraceSet:
-    """The three sensor streams of one run, split per node where applicable."""
+    """The three sensor streams of one run, split per node where applicable.
+
+    `accel` is a Mapping whose values may be drawn on lookup (`generate`
+    returns a `DrawnAccel`): look a node up once per use, and keep the series
+    only while using it.  `nodes`, `counts` and `max_t_ms` draw nothing.
+    """
     sightings: SightingTable
-    accel: dict[str, AccelSeries] = field(default_factory=dict)
+    accel: Mapping[str, AccelSeries] = field(default_factory=dict)
     sound: dict[str, SoundSeries] = field(default_factory=dict)
 
     def nodes(self) -> list[str]:
@@ -127,14 +169,14 @@ class TraceSet:
 
     def counts(self) -> tuple[int, int, int]:
         return (len(self.sightings),
-                sum(len(s) for s in self.accel.values()),
-                sum(len(s) for s in self.sound.values()))
+                sum(map(len, _time_columns(self.accel))),
+                sum(map(len, _time_columns(self.sound))))
 
     def max_t_ms(self) -> int:
         """Latest timestamp over all streams, -1 when there is none."""
         columns = [self.sightings.t_ms]
-        columns += [s.t_ms for s in self.accel.values()]
-        columns += [s.t_ms for s in self.sound.values()]
+        columns += _time_columns(self.accel)
+        columns += _time_columns(self.sound)
         return max((int(c.max()) for c in columns if len(c)), default=-1)
 
 
@@ -338,12 +380,21 @@ def _distances(text: list[str], *_) -> np.ndarray:
     return values
 
 
+def _node_id(text: str, _epoch_ms: int = 0) -> str:
+    """A valid node id that UTF-8 can encode: one with no lone surrogate,
+    which includes every byte of a file that was not UTF-8."""
+    validate_node_id(text)
+    if not text.isascii() and any("\ud800" <= c <= "\udfff" for c in text):
+        raise ValueError(f"node id holds a lone surrogate: {text!r}")
+    return text
+
+
 def node_codes(text: list[str], codes: dict, names: list) -> np.ndarray:
     """Codes into `names` (new valid ids are appended); -1 for an id that is
-    invalid or holds a byte that was not UTF-8."""
+    invalid or that UTF-8 cannot encode."""
     for name in set(text).difference(codes):
         try:
-            _utf8(validate_node_id(name), 0)
+            _node_id(name)
         except ValueError:
             codes[name] = -1
         else:
@@ -362,7 +413,7 @@ TIME = Kind(lambda text, epoch_ms: int(text) - epoch_ms,
             lambda text, epoch_ms, *_: _int_prefix(text, epoch_ms))
 REAL = Kind(lambda text, _: float(text), _real_prefix)
 DISTANCE = Kind(_distance, _distances)
-NODE = Kind(lambda text, _: validate_node_id(text),
+NODE = Kind(_node_id,
             lambda text, _, codes, names: node_codes(text, codes, names),
             lambda codes: codes >= 0)
 LABEL = Kind(lambda text, _: Nearness(text),

@@ -177,14 +177,17 @@ def motion_codes(t_ms: np.ndarray, ax: np.ndarray, ay: np.ndarray, az: np.ndarra
     samples reads stationary (1), so missing data carries no penalty (the
     fusion formulas divide by m, so it must stay >= 1).
     """
-    magnitude = np.sqrt(ax ** 2 + ay ** 2 + az ** 2)
     lo, hi = _windows(t_ms, boundaries, window_ms)
+    size = hi - lo
     codes = np.ones(len(boundaries), dtype=np.int64)
-    for k in np.flatnonzero(hi - lo >= MIN_MOTION_SAMPLES):
-        # np.std centres the window before squaring; a running sum of
+    for n in np.unique(size[size >= MIN_MOTION_SAMPLES]).tolist():
+        # the windows of n samples, one per row, and only their samples;
+        # np.std centres each row before squaring, as a running sum of
         # squares would cancel around 9.81 m/s^2 and flip labels
-        if np.std(magnitude[lo[k]:hi[k]]) > threshold_ms2:
-            codes[k] = 2
+        k = np.flatnonzero(size == n)
+        rows = lo[k, None] + np.arange(n)
+        magnitude = np.sqrt(ax[rows] ** 2 + ay[rows] ** 2 + az[rows] ** 2)
+        codes[k[np.std(magnitude, axis=1) > threshold_ms2]] = 2
     return codes
 
 

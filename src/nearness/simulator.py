@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import RSSI_MAX_DBM, RSSI_MIN_DBM, DomainError, validate_node_id
-from .ingest import AccelSeries, SightingTable, SoundSeries, TraceSet, _undecodable
+from .ingest import DrawnAccel, SightingTable, SoundSeries, TraceSet, _undecodable
 
 ACCEL_INTERVAL_MS = 50      # 20 Hz
 SOUND_INTERVAL_MS = 1000    # 1 Hz
@@ -232,7 +232,13 @@ def _stream_rng(seed: int, *labels: str) -> np.random.Generator:
 # --- generation -----------------------------------------------------------------
 
 def generate(config: ScenarioConfig) -> tuple[TraceSet, GroundTruth]:
-    """Run a scenario and return its sensor traces plus the ground truth."""
+    """Run a scenario and return its sensor traces plus the ground truth.
+
+    Sightings and sound are built here.  Accelerometer series are not: the
+    traces' `accel` draws a node's series from its own substream each time
+    it is looked up, so only the series in use is held, and every lookup
+    gives the same bits.
+    """
     validate_config(config)
     gt = GroundTruth(config)
     names = sorted(a.id for a in config.agents)
@@ -274,34 +280,31 @@ def generate(config: ScenarioConfig) -> tuple[TraceSet, GroundTruth]:
                               np.empty(0, dtype=object),
                               np.empty(0, dtype=np.float64))
 
-    # accelerometer at 20 Hz: gravity plus noise, a 2 Hz tone while moving
+    # accelerometer at 20 Hz: gravity plus noise, a 2 Hz tone while moving.
+    # The tone rides the gravity axis so the magnitude-std feature sees its
+    # full amplitude (off-axis it would only enter at second order and stay
+    # below any sensible threshold).
     t_acc = np.arange(0, config.duration_ms, ACCEL_INTERVAL_MS, dtype=np.int64)
-    accel = {}
-    for node in names:
+    tone = MOVING_TONE_MS2 * np.sin(2.0 * np.pi * MOVING_TONE_HZ * (t_acc / 1000.0))
+
+    def draw_accel(node: str) -> np.ndarray:
+        moving = gt.moving_mask(node, t_acc)
         if config.accel_noise_sigma > 0:
             rng = _stream_rng(config.seed, "accel", node)
-            noise = rng.normal(0.0, config.accel_noise_sigma, (len(t_acc), 3))
+            xyz = rng.normal(0.0, config.accel_noise_sigma, (len(t_acc), 3))
         else:
-            noise = np.zeros((len(t_acc), 3))
-        ax = noise[:, 0].copy()
-        ay = noise[:, 1].copy()
-        az = noise[:, 2] + GRAVITY_MS2
-        moving = gt.moving_mask(node, t_acc)
-        if moving.any():
-            # the tone rides the gravity axis so the magnitude-std feature
-            # sees its full amplitude (off-axis it would only enter at
-            # second order and stay below any sensible threshold)
-            tone = MOVING_TONE_MS2 * np.sin(
-                2.0 * np.pi * MOVING_TONE_HZ * (t_acc / 1000.0))
-            az = az + np.where(moving, tone, 0.0)
-        accel[node] = AccelSeries(t_acc.copy(), ax, ay, az)
+            xyz = np.zeros((len(t_acc), 3))
+        az = xyz[:, 2]
+        az += GRAVITY_MS2
+        np.add(az, tone, out=az, where=moving)
+        return xyz.T
 
     # sound amplitude at 1 Hz, exactly the scripted schedule
     t_snd = np.arange(0, config.duration_ms, SOUND_INTERVAL_MS, dtype=np.int64)
     sound = {node: SoundSeries(t_snd.copy(), gt.amplitudes(node, t_snd))
              for node in names}
 
-    return TraceSet(table, accel, sound), gt
+    return TraceSet(table, DrawnAccel(t_acc, names, draw_accel), sound), gt
 
 
 # --- scenario file grammar -------------------------------------------------------

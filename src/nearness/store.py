@@ -30,7 +30,7 @@ from itertools import chain
 
 import numpy as np
 
-from .domain import MinuteBatch, MinuteRecord
+from .domain import LABELS, MinuteBatch, MinuteRecord
 from .ingest import (
     RECORDS,
     WRITE_CHUNK,
@@ -76,6 +76,16 @@ def _corrupt(path, k: int, payload: bytes) -> StoreError:
     except ValueError as exc:       # UnicodeDecodeError included
         return StoreError(f"{path}: corrupt record #{k}: {exc}")
     raise AssertionError(f"{path}: record #{k} rejected but parses")
+
+
+def _payload(batch: MinuteBatch, k: int) -> bytes:
+    """Row k of `batch` as a frame would hold it, for `_corrupt` to word.  A
+    label code outside LABELS is written as its number, which reads as no
+    label, and a lone surrogate in an id as bytes that are not UTF-8."""
+    *values, code = (c[k:k + 1].tolist()[0] for c in batch.columns())
+    row = format_record_row(*values, LABELS[0]).rpartition(",")[0]
+    label = LABELS[code].value if 0 <= code < len(LABELS) else code
+    return f"{row},{label}".encode("utf-8", "surrogatepass")
 
 
 def _key_breach(last: list[np.ndarray], cols: list[np.ndarray], rank: np.ndarray) -> int:
@@ -209,9 +219,7 @@ class RecordLog:
         if breach < bad:
             raise StoreError(f"{self.path}: keys not increasing at record #{len(self) + breach}")
         if bad < len(batch):
-            (row,) = zip(*batch.values(slice(bad, bad + 1)))
-            payload = format_record_row(*row).encode("utf-8", "surrogatepass")
-            raise _corrupt(self.path, len(self) + bad, payload)
+            raise _corrupt(self.path, len(self) + bad, _payload(batch, bad))
         frames = bytearray()
         for row in zip(*batch.values()):
             payload = format_record_row(*row).encode("utf-8")

@@ -1,0 +1,45 @@
+"""Reference accelerometer traces: every node's series built up front.
+
+This is the loop `generate` ran before its traces drew each node's series
+on lookup, and it holds every node's samples at once.  Tests use it as the
+oracle: every lookup must give its arrays bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from nearness.ingest import AccelSeries
+from nearness.simulator import (
+    ACCEL_INTERVAL_MS,
+    GRAVITY_MS2,
+    MOVING_TONE_HZ,
+    MOVING_TONE_MS2,
+    GroundTruth,
+    ScenarioConfig,
+    _stream_rng,
+)
+
+
+def eager_accel(config: ScenarioConfig) -> dict[str, AccelSeries]:
+    """Every agent's accelerometer series, by agent id."""
+    gt = GroundTruth(config)
+    names = sorted(a.id for a in config.agents)
+    t_acc = np.arange(0, config.duration_ms, ACCEL_INTERVAL_MS, dtype=np.int64)
+    accel = {}
+    for node in names:
+        if config.accel_noise_sigma > 0:
+            rng = _stream_rng(config.seed, "accel", node)
+            noise = rng.normal(0.0, config.accel_noise_sigma, (len(t_acc), 3))
+        else:
+            noise = np.zeros((len(t_acc), 3))
+        ax = noise[:, 0].copy()
+        ay = noise[:, 1].copy()
+        az = noise[:, 2] + GRAVITY_MS2
+        moving = gt.moving_mask(node, t_acc)
+        if moving.any():
+            tone = MOVING_TONE_MS2 * np.sin(
+                2.0 * np.pi * MOVING_TONE_HZ * (t_acc / 1000.0))
+            az = az + np.where(moving, tone, 0.0)
+        accel[node] = AccelSeries(t_acc.copy(), ax, ay, az)
+    return accel

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 from conftest import make_traces
 from nearness.engine import EngineConfig, build_report, run_engine
 from nearness.simulator import AgentSpec, ScenarioConfig, Waypoint, generate, load_scenario
 from nearness.store import RecordLog
+from test_simulator import walking_crowd
 
 
 def sightings_traces(times_s, rssi=-48.0, pair=("a", "b")):
@@ -98,6 +100,24 @@ class TestLog:
             assert log.records() == result.records.records()
         assert len(result.records) > 0
         assert RecordLog.open(path).records() == result.records.records()
+
+
+class TestMemory:
+    def test_scenario_run_holds_about_one_nodes_accel_series(self):
+        # all 8 agents pair up, so the engine reads every node's series
+        config = walking_crowd(8, 3_600_000, seed=2)
+        series_bytes = 8 * 4 * (config.duration_ms // 50)    # t_ms, ax, ay, az
+        run_engine(generate(walking_crowd(2, 60_000))[0])    # first-use imports and caches
+        tracemalloc.start()
+        try:
+            traces, _ = generate(config)
+            result = run_engine(traces, EngineConfig(rf=config.rf),
+                                duration_ms=config.duration_ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(result.records.i.tolist()) == set(traces.accel)
+        assert peak < 2 * series_bytes
 
 
 class TestWindowRules:

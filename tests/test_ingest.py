@@ -331,6 +331,14 @@ class TestMinuteRecordCodec:
         with pytest.raises(ValueError):
             parse_record_row(",".join(row))
 
+    def test_node_id_with_a_lone_surrogate_rejected(self):
+        # no UTF-8 encodes it, so a record holding it could not be stored
+        row = format_record_row(*ROWS[0]).split(",")
+        row[1] = "a\ud800"
+        with pytest.raises(ValueError, match="lone surrogate"):
+            parse_record_row(",".join(row))
+        assert ingest.node_codes(["a\ud800", "a", "\udfff"], {}, []).tolist() == [-1, 0, -1]
+
 
 class TestLargeRoundtrip:
     def test_million_sample_set_roundtrips(self, exp1_run, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearness import simulator
 from nearness.domain import DomainError
 from nearness.ingest import traces_equal, write_traces
 from nearness.simulator import (
@@ -24,6 +25,7 @@ from nearness.simulator import (
     rssi_from_distance,
     validate_config,
 )
+from rowwise_simulator import eager_accel
 
 
 def fixed_agent(agent_id, x, y, sound=()):
@@ -224,6 +226,72 @@ class TestGenerate:
         config = dataclasses.replace(
             two_agent_config(duration_ms=120_000, shadowing_sigma_db=2.0), seed=seed)
         assert traces_equal(generate(config)[0], generate(config)[0])
+
+
+def walking_crowd(agents, duration_ms, **overrides):
+    """`agents` agents one metre apart that walk 10 m in the first half of
+    the run and stand still in the second."""
+    half = duration_ms // 2
+    return ScenarioConfig(
+        agents=tuple(AgentSpec(id=f"n{k}", waypoints=(Waypoint(0, float(k), 0.0),
+                                                      Waypoint(half, float(k), 10.0)))
+                     for k in range(agents)),
+        duration_ms=duration_ms, **overrides)
+
+
+def bits(series):
+    return [(getattr(series, c).dtype, getattr(series, c).tobytes())
+            for c in ("t_ms", "ax", "ay", "az")]
+
+
+class TestDrawnAccel:
+    """`generate` draws each node's accelerometer series when it is looked up."""
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.0])
+    def test_every_lookup_equals_the_eager_loop(self, sigma):
+        config = walking_crowd(3, 300_000, accel_noise_sigma=sigma, seed=11)
+        traces, _ = generate(config)
+        oracle = eager_accel(config)
+        assert list(traces.accel) == sorted(oracle)
+        for node, series in oracle.items():
+            assert bits(traces.accel[node]) == bits(series)
+            assert bits(traces.accel[node]) == bits(series)
+
+    def test_lookup_order_does_not_matter(self):
+        config = walking_crowd(4, 120_000, seed=5)
+        forward, _ = generate(config)
+        backward, _ = generate(config)
+        drawn = {node: bits(forward.accel[node]) for node in forward.accel}
+        for node in [*reversed(list(backward.accel)), "n2", "n0"]:
+            assert bits(backward.accel[node]) == drawn[node]
+
+    def test_unknown_node_raises_key_error(self):
+        traces, _ = generate(walking_crowd(2, 60_000))
+        with pytest.raises(KeyError):
+            traces.accel["zz"]
+        assert "zz" not in traces.accel and traces.accel.get("zz") is None
+
+    def test_time_axis_is_shared_and_read_only(self):
+        traces, _ = generate(walking_crowd(2, 60_000))
+        t_ms = traces.accel["n0"].t_ms
+        assert t_ms is traces.accel["n1"].t_ms
+        assert not t_ms.flags.writeable
+        with pytest.raises(ValueError):
+            t_ms[0] = 1
+
+    def test_counts_and_nodes_draw_nothing(self, monkeypatch):
+        draws = []
+        stream_rng = simulator._stream_rng
+        monkeypatch.setattr(simulator, "_stream_rng",
+                            lambda seed, *labels: draws.append(labels) or stream_rng(seed, *labels))
+        traces, _ = generate(walking_crowd(3, 60_000))
+        assert traces.counts() == (6, 3 * 1200, 3 * 60)
+        assert traces.nodes() == ["n0", "n1", "n2"]
+        assert traces.max_t_ms() == 59_950
+        assert len(traces.accel) == 3 and "n1" in traces.accel
+        assert draws == []
+        traces.accel["n1"]
+        assert draws == [("accel", "n1")]
 
 
 class TestConfigValidation:

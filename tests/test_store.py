@@ -91,6 +91,35 @@ class TestAppendAndQuery:
             log.append(batch_of([record(1, "a", "c")]))
         assert RecordLog.open(log_path).records() == [record(0), record(1, "a", "c")]
 
+    @pytest.mark.parametrize("code", [3, -1], ids=["above", "negative"])
+    def test_label_code_outside_labels_is_corrupt(self, log_path, code):
+        with RecordLog.create(log_path) as log:
+            log.append(batch_of([record(0)]))
+            blob = log_path.read_bytes()
+            batch = batch_of([record(1), record(1, "a", "c")])
+            batch.nearness[1] = code
+            with pytest.raises(StoreError) as caught:
+                log.append(batch)
+            assert str(caught.value) == \
+                f"{log_path}: corrupt record #2: unknown nearness label '{code}'"
+            assert log_path.read_bytes() == blob
+            assert log.node_ids() == {"a", "b"} and log.records() == [record(0)]
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["i", "j"])
+    def test_node_id_with_a_lone_surrogate_is_corrupt(self, log_path, side):
+        ids = ["a", "c"]
+        ids[side] = "a\ud800"
+        with RecordLog.create(log_path) as log:
+            log.append(batch_of([record(0)]))
+            blob = log_path.read_bytes()
+            with pytest.raises(StoreError) as caught:
+                log.append(batch_of([record(1), record(1, *ids)]))
+            assert str(caught.value).startswith(
+                f"{log_path}: corrupt record #2: 'utf-8' codec can't decode byte 0xed")
+            assert log_path.read_bytes() == blob
+            assert log.node_ids() == {"a", "b"} and log.records() == [record(0)]
+        assert RecordLog.open(log_path).records() == [record(0)]
+
     def test_empty_append_is_noop(self, log_path):
         with RecordLog.create(log_path) as log:
             log.append(batch_of([]))
