@@ -16,6 +16,10 @@ file, when the pair had no fresh distance estimate.
 Trace files need only be time-ordered within each stream (one per ordered
 observer/subject pair, one per node for accel and sound); reading sorts the
 sightings by (t_ms, observer, subject) and each node's series by time.
+Both codecs work a block at a time: the writer merges the nodes' accel and
+sound rows into time-major order one time span of rows at a time, and the
+reader parses each file a chunk of text at a time and splits each chunk's
+accel and sound rows by node as it goes.
 Readers split text exactly as the writers join it: only LF ends a line, and
 a field is the text between two commas, verbatim and unquoted (CR and NUL
 are data).  Parsing is strict: the first malformed header, byte that is not
@@ -29,7 +33,7 @@ import math
 import operator
 import os
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -53,7 +57,7 @@ SIGHTINGS_FILENAME = "sightings.csv"
 ACCEL_FILENAME = "accel.csv"
 SOUND_FILENAME = "sound.csv"
 
-WRITE_CHUNK = 16384
+WRITE_CHUNK = 16384     # records formatted per step of an export
 
 
 class ParseError(ValueError):
@@ -181,26 +185,21 @@ class TraceSet:
 
 
 def traces_equal(a: TraceSet, b: TraceSet) -> bool:
-    """Bit-exact equality of two trace sets (float columns compared bitwise)."""
+    """Bit-exact equality of two trace sets (float columns compared bitwise).
+
+    Each node is looked up on both sides and compared before the next, so a
+    drawn series is released before the next one is drawn.
+    """
     if sorted(a.accel) != sorted(b.accel) or sorted(a.sound) != sorted(b.sound):
         return False
-    sa, sb = a.sightings, b.sightings
-    if not (np.array_equal(sa.t_ms, sb.t_ms)
-            and np.array_equal(sa.observer, sb.observer)
-            and np.array_equal(sa.subject, sb.subject)
-            and np.array_equal(sa.rssi_dbm, sb.rssi_dbm)):
-        return False
-    for node in a.accel:
-        xa, xb = a.accel[node], b.accel[node]
-        if not all(np.array_equal(getattr(xa, c), getattr(xb, c))
-                   for c in ("t_ms", "ax", "ay", "az")):
-            return False
-    for node in a.sound:
-        xa, xb = a.sound[node], b.sound[node]
-        if not (np.array_equal(xa.t_ms, xb.t_ms)
-                and np.array_equal(xa.amplitude, xb.amplitude)):
-            return False
-    return True
+    return (_columns_equal(a.sightings, b.sightings)
+            and all(_columns_equal(a.accel[node], b.accel[node]) for node in a.accel)
+            and all(_columns_equal(a.sound[node], b.sound[node]) for node in a.sound))
+
+
+def _columns_equal(a, b) -> bool:
+    """Whether the columns `a` and `b` (dataclasses) hold equal arrays in every field."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
 # --- reading -----------------------------------------------------------------
@@ -211,10 +210,10 @@ def traces_equal(a: TraceSet, b: TraceSet) -> bool:
 # chunk's whole columns to find its first bad row; `Layout.check_row` runs
 # the steps on that one row's Python values, in table order, and the first
 # that fails words the error.  Trace tables go column by column; a trace
-# file's stream order is checked over the whole file, and an order breach
-# before a bad row wins.
+# file's stream order is checked chunk by chunk against each stream's last
+# timestamp so far, and an order breach before a bad row wins.
 
-_READ_CHUNK = 1 << 20      # characters of CSV text converted per step
+_READ_CHUNK = 1 << 17      # characters of CSV text converted per step
 _T_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -497,74 +496,55 @@ def _check_header(path, row, expected):
                          f"malformed header: expected {','.join(expected)}")
 
 
-def _stream_order(t: np.ndarray, key: np.ndarray):
-    """Stable sort by stream key, and the stream contract's first breach.
+def _checked_chunks(path, layout: Layout, epoch_ms: int, names: list):
+    """Parse one trace file a chunk at a time, checking every rule.
 
-    Returns the sort order and, if a stream's timestamp ever decreases, the
-    first such row in file order with the timestamp before it in its stream
-    (else None).
-    """
-    order = np.argsort(key, kind="stable")
-    t_sorted, key_sorted = t[order], key[order]
-    drops = np.flatnonzero((key_sorted[1:] == key_sorted[:-1])
-                           & (t_sorted[1:] < t_sorted[:-1]))
-    if not len(drops):
-        return order, None
-    k = drops[np.argmin(order[drops + 1])]
-    return order, (int(order[k + 1]), int(t_sorted[k]))
-
-
-def _read_columns(path, layout: Layout, epoch_ms: int):
-    """Parse one trace file into columns in file order; checks every rule.
-
-    Returns (columns, names, order): node columns are codes into `names`,
-    and `order` stably sorts the rows by stream (observer and subject for
-    sightings, node otherwise).
+    Yields, per chunk, its value columns in file order (node columns are
+    codes into `names`), the stable sort of its rows by stream (observer and
+    subject for sightings, node otherwise) and the bounds of each stream's
+    run in that order.  A stream's timestamps are checked against its last
+    one in earlier chunks, so the first violation in file order aborts.
     """
     node_columns = [layout.header.index(step.column) for step in layout.steps
                     if isinstance(step, Convert) and step.kind is NODE]
     codes: dict[str, int] = {}
-    names: list[str] = []
-    parts = [[empty] for empty in layout.read_chunk([], epoch_ms, codes, names)[0]]
-
-    def columns():
-        cols = [np.concatenate(part) for part in parts]
-        parts[:] = [[c] for c in cols]    # frees the chunks
-        return cols
-
-    def stream_order(cols):
-        key = cols[node_columns[0]]
-        for k in node_columns[1:]:
-            key = key * len(names) + cols[k]
-        order, breach = _stream_order(cols[0], key)
-        if breach is not None:
-            row, prev = breach
-            stream = tuple(names[cols[k][row]] for k in node_columns)
-            raise ParseError(path, row + 2, 1,
-                             f"timestamp decreases within stream "
-                             f"{stream if len(stream) > 1 else stream[0]}: "
-                             f"{int(cols[0][row])} after {prev}")
-        return order
-
+    last_t: dict[int, int] = {}     # stream key -> its latest timestamp
     with _open_text(path) as handle:
         first = handle.readline()
         if first:
             _check_header(path, _fields(first), layout.header)
         line = 2
         for lines in _line_chunks(handle):
-            converted, bad = layout.read_chunk(lines, epoch_ms, codes, names)
-            for part, arr in zip(parts, converted):
-                part.append(arr)
+            cols, bad = layout.read_chunk(lines, epoch_ms, codes, names)
+            key = cols[node_columns[0]]
+            for k in node_columns[1:]:
+                key = (key << 32) | cols[k]
+            order = np.argsort(key, kind="stable")
+            t, key = cols[0][order], key[order]
+            bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
+            streams = key[bounds[:-1]].tolist()
+            prev = np.empty_like(t)     # each row's predecessor in its stream
+            prev[1:] = t[:-1]
+            # a new stream's first row follows -1, below every valid timestamp
+            prev[bounds[:-1]] = [last_t.get(s, -1) for s in streams]
+            drops = np.flatnonzero(t < prev)
+            if len(drops):
+                k = drops[np.argmin(order[drops])]
+                row = int(order[k])
+                stream = tuple(names[cols[c][row]] for c in node_columns)
+                raise ParseError(path, line + row, 1,
+                                 f"timestamp decreases within stream "
+                                 f"{stream if len(stream) > 1 else stream[0]}: "
+                                 f"{int(t[k])} after {int(prev[k])}")
             if bad < len(lines):
-                stream_order(columns())       # an earlier order breach wins
                 try:
                     layout.check_row(_fields(lines[bad]), epoch_ms)
                 except RowError as exc:
                     raise ParseError(path, line + bad, exc.column + 1, str(exc)) from None
                 raise AssertionError(f"{path}:{line + bad}: row flagged but passes every check")
+            last_t.update(zip(streams, t[bounds[1:] - 1].tolist()))
+            yield cols, order, bounds
             line += len(lines)
-    cols = columns()
-    return cols, names, stream_order(cols)
 
 
 def node_ranks(names: list[str]) -> np.ndarray:
@@ -574,14 +554,39 @@ def node_ranks(names: list[str]) -> np.ndarray:
     return rank
 
 
-def _per_node(cols, names, order) -> dict:
-    """Split stream-sorted columns into {node: [t_ms, values...]}, by node name."""
-    starts = np.searchsorted(cols[1][order], np.arange(len(names) + 1))
-    series = {}
-    for code in sorted(range(len(names)), key=names.__getitem__):
-        rows = order[starts[code]:starts[code + 1]]
-        series[names[code]] = [cols[0][rows]] + [c[rows] for c in cols[2:]]
-    return series
+def _read_sightings(path, epoch_ms: int) -> SightingTable:
+    """The sightings file as one table sorted by (t_ms, observer, subject)."""
+    names: list[str] = []
+    parts = [[empty] for empty in _SIGHTINGS.read_chunk([], epoch_ms, {}, names)[0]]
+    for cols, _, _ in _checked_chunks(path, _SIGHTINGS, epoch_ms, names):
+        for part, col in zip(parts, cols):
+            part.append(col)
+    t, obs, subj, rssi = map(np.concatenate, parts)
+    del parts       # frees the chunks before the sort
+    rank = node_ranks(names)
+    order = np.lexsort((rank[subj], rank[obs], t))
+    name_of = np.array(names, dtype=object)
+    return SightingTable(t[order], name_of[obs[order]], name_of[subj[order]], rssi[order])
+
+
+def _read_series(path, layout: Layout, epoch_ms: int, series) -> dict:
+    """{node: series(t_ms, values...)} of one accel or sound file, by node
+    name; each chunk is split by node as it is parsed."""
+    names: list[str] = []
+    pieces: dict[int, list[list[np.ndarray]]] = {}  # code -> per-column pieces
+    for cols, order, bounds in _checked_chunks(path, layout, epoch_ms, names):
+        nodes, values = cols[1], [cols[0]] + cols[2:]
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            rows = order[lo:hi]
+            node = pieces.setdefault(int(nodes[rows[0]]), [[] for _ in values])
+            for part, col in zip(node, values):
+                part.append(col[rows])
+    out = {}
+    for code in sorted(pieces, key=names.__getitem__):
+        parts = pieces.pop(code)
+        # each column's pieces are freed as soon as it is joined
+        out[names[code]] = series(*(np.concatenate(parts.pop(0)) for _ in range(len(parts))))
+    return out
 
 
 def read_traces(sightings_path, accel_path, sound_path, epoch_ms: int = 0) -> TraceSet:
@@ -593,77 +598,96 @@ def read_traces(sightings_path, accel_path, sound_path, epoch_ms: int = 0) -> Tr
     each node's accel and sound series by time (rows with equal keys keep
     their file order).  The first violation of the stream contract, in file
     order, aborts with the offending line and column.
+
+    Each file is parsed `_READ_CHUNK` characters at a time, and accel and
+    sound rows are split by node chunk by chunk, so besides the result only
+    one chunk's rows are held.
     """
-    (t, obs, subj, rssi), names, _ = _read_columns(sightings_path, _SIGHTINGS, epoch_ms)
-    rank = node_ranks(names)
-    order = np.lexsort((rank[subj], rank[obs], t))
-    name_of = np.array(names, dtype=object)
-    sightings = SightingTable(t[order], name_of[obs[order]], name_of[subj[order]],
-                              rssi[order])
-    accel = {node: AccelSeries(*cols) for node, cols
-             in _per_node(*_read_columns(accel_path, _ACCEL, epoch_ms)).items()}
-    sound = {node: SoundSeries(*cols) for node, cols
-             in _per_node(*_read_columns(sound_path, _SOUND, epoch_ms)).items()}
-    return TraceSet(sightings, accel, sound)
+    return TraceSet(_read_sightings(sightings_path, epoch_ms),
+                    _read_series(accel_path, _ACCEL, epoch_ms, AccelSeries),
+                    _read_series(sound_path, _SOUND, epoch_ms, SoundSeries))
 
 
 # --- writing -----------------------------------------------------------------
 
-def _write_csv(path, header: list[str], columns: list[np.ndarray],
-               order: np.ndarray | None, format_rows) -> None:
-    """Write a header and the rows of `columns`, `WRITE_CHUNK` rows at a time.
+_WRITE_BLOCK = 4096     # trace rows merged and formatted per step
 
-    Rows go out in `order` (row indices), or as stored when it is None.
-    `format_rows` maps one block of columns, as Python lists (ints and
-    floats, so ``!r`` gives the repr form), to its text lines.
+
+def _write_csv(path, header: list[str], blocks, format_rows) -> None:
+    """Write a header and the rows of each block of `blocks`.
+
+    A block is a list of columns as Python lists (ints and floats, so ``!r``
+    gives the repr form); `format_rows` maps one to its text lines.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), WRITE_CHUNK):
-            hi = lo + WRITE_CHUNK
-            rows = slice(lo, hi) if order is None else order[lo:hi]
-            handle.writelines(format_rows(*(c[rows].tolist() for c in columns)))
+        for columns in blocks:
+            handle.writelines(format_rows(*columns))
 
 
 def write_traces(traces: TraceSet, out_dir) -> tuple[str, str, str]:
     """Write the three trace CSVs into `out_dir`; returns their paths.
 
     Sightings are written in table order, accel and sound rows merged over
-    all nodes by (t_ms, node).  Reading the files back reproduces the
-    TraceSet exactly.
+    all nodes by (t_ms, node), `_WRITE_BLOCK` rows at a time: each node is
+    looked up once, and each block takes every node's rows in one time span.
+    Reading the files back reproduces the TraceSet exactly.
     """
     os.makedirs(out_dir, exist_ok=True)
     s_path = os.path.join(out_dir, SIGHTINGS_FILENAME)
     a_path = os.path.join(out_dir, ACCEL_FILENAME)
     d_path = os.path.join(out_dir, SOUND_FILENAME)
-    tab = traces.sightings
-    _write_csv(s_path, SIGHTINGS_HEADER,
-               [np.asarray(tab.t_ms, dtype=np.int64), tab.observer, tab.subject,
-                np.asarray(tab.rssi_dbm, dtype=np.float64)], None,
+    _write_csv(s_path, SIGHTINGS_HEADER, _table_blocks(traces.sightings),
                lambda t, obs, subj, rssi: [f"{a},{b},{c},{d!r}\n" for a, b, c, d
                                            in zip(t, obs, subj, rssi)])
-    _write_csv(a_path, ACCEL_HEADER, *_merged_columns(traces.accel, ("ax", "ay", "az")),
+    _write_csv(a_path, ACCEL_HEADER, _merged_blocks(traces.accel, ("ax", "ay", "az")),
                lambda t, node, ax, ay, az: [f"{a},{b},{x!r},{y!r},{z!r}\n" for a, b, x, y, z
                                             in zip(t, node, ax, ay, az)])
-    _write_csv(d_path, SOUND_HEADER, *_merged_columns(traces.sound, ("amplitude",)),
+    _write_csv(d_path, SOUND_HEADER, _merged_blocks(traces.sound, ("amplitude",)),
                lambda t, node, amp: [f"{a},{b},{x!r}\n" for a, b, x in zip(t, node, amp)])
     return (s_path, a_path, d_path)
 
 
-def _merged_columns(series_by_node: dict, values: tuple[str, ...]):
-    """Columns [t_ms, node, *values] of all nodes' series, and the row order
-    that sorts them by (t_ms, node)."""
+def _table_blocks(tab: SightingTable):
+    """The sighting rows in table order, `_WRITE_BLOCK` at a time."""
+    columns = [np.asarray(tab.t_ms, dtype=np.int64), tab.observer, tab.subject,
+               np.asarray(tab.rssi_dbm, dtype=np.float64)]
+    for lo in range(0, len(tab), _WRITE_BLOCK):
+        yield [c[lo:lo + _WRITE_BLOCK].tolist() for c in columns]
+
+
+def _merged_blocks(series_by_node: Mapping, values: tuple[str, ...]):
+    """Rows [t_ms, node, *values] of every node's time-sorted series, merged
+    by (t_ms, node) and yielded one time span at a time.
+
+    A span holds about `_WRITE_BLOCK` rows of all nodes together; all rows
+    of one timestamp share a span.  Rows of one node with equal timestamps
+    keep their order.
+    """
     nodes = sorted(series_by_node)
-    parts = [series_by_node[n] for n in nodes]
-    codes = np.repeat(np.arange(len(nodes)), [len(p.t_ms) for p in parts])
-
-    def joined(name, dtype):
-        return np.concatenate([getattr(p, name) for p in parts] or [[]]).astype(dtype, copy=False)
-
-    t = joined("t_ms", np.int64)
-    columns = [t, np.array(nodes, dtype=object)[codes]]
-    columns += [joined(v, np.float64) for v in values]
-    return columns, np.lexsort((codes, t))
+    series = [series_by_node[node] for node in nodes]   # each node looked up once
+    columns = [[np.asarray(s.t_ms, dtype=np.int64)]
+               + [np.asarray(getattr(s, v), dtype=np.float64) for v in values] for s in series]
+    times = [cols[0] for cols in columns]
+    step = max(1, _WRITE_BLOCK // max(len(nodes), 1))    # rows per node and span
+    start = [0] * len(nodes)
+    while live := [k for k in range(len(nodes)) if start[k] < len(times[k])]:
+        # the span ends with the earliest `step`-th next row of any node and
+        # every other row of its timestamp
+        hi = min((times[k][start[k] + step - 1] for k in live
+                  if start[k] + step <= len(times[k])), default=None)
+        spans = {k: slice(start[k], len(times[k]) if hi is None
+                          else int(np.searchsorted(times[k], hi, "right"))) for k in live}
+        block = [np.concatenate([columns[k][c][span] for k, span in spans.items()])
+                 for c in range(1 + len(values))]
+        # nodes are joined in name order, so a stable sort by time orders
+        # the rows by (t_ms, node) and keeps each node's order
+        order = np.argsort(block[0], kind="stable")
+        code = np.repeat(live, [span.stop - span.start for span in spans.values()])[order]
+        yield ([block[0][order].tolist(), [nodes[c] for c in code.tolist()]]
+               + [col[order].tolist() for col in block[1:]])
+        for k, span in spans.items():
+            start[k] = span.stop
 
 
 # --- minute-record codec -------------------------------------------------------

@@ -165,15 +165,17 @@ class GroundTruth:
         self._wp_t: dict[str, np.ndarray] = {}
         self._wp_x: dict[str, np.ndarray] = {}
         self._wp_y: dict[str, np.ndarray] = {}
-        self._seg_moving: dict[str, np.ndarray] = {}
+        # [start, end) ms of each waypoint segment with nonzero velocity
+        self._moving: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for agent in config.agents:
-            t = np.array([w.t_ms for w in agent.waypoints], dtype=np.float64)
+            t = np.array([w.t_ms for w in agent.waypoints], dtype=np.int64)
             x = np.array([w.x for w in agent.waypoints], dtype=np.float64)
             y = np.array([w.y for w in agent.waypoints], dtype=np.float64)
-            self._wp_t[agent.id] = t
+            self._wp_t[agent.id] = t.astype(np.float64)
             self._wp_x[agent.id] = x
             self._wp_y[agent.id] = y
-            self._seg_moving[agent.id] = (np.diff(x) != 0) | (np.diff(y) != 0)
+            seg = np.flatnonzero((np.diff(x) != 0) | (np.diff(y) != 0))
+            self._moving[agent.id] = (t[seg], t[seg + 1])
         self._sound = {a.id: a.sound for a in config.agents}
 
     def _require(self, node: str) -> None:
@@ -188,15 +190,15 @@ class GroundTruth:
                 np.interp(t, self._wp_t[node], self._wp_y[node]))
 
     def moving_mask(self, node: str, t_ms: np.ndarray) -> np.ndarray:
-        """True wherever the scripted path has nonzero velocity at t."""
+        """True wherever the scripted path has nonzero velocity at t; the
+        times `t_ms` are sorted."""
         self._require(node)
-        t = np.asarray(t_ms, dtype=np.float64)
-        wp_t = self._wp_t[node]
-        seg = np.searchsorted(wp_t, t, side="right") - 1
-        inside = (seg >= 0) & (seg < len(wp_t) - 1)
+        t = np.asarray(t_ms)
+        starts, ends = self._moving[node]
         moving = np.zeros(len(t), dtype=bool)
-        if inside.any():
-            moving[inside] = self._seg_moving[node][seg[inside]]
+        for lo, hi in zip(np.searchsorted(t, starts).tolist(),
+                          np.searchsorted(t, ends).tolist()):
+            moving[lo:hi] = True
         return moving
 
     def amplitudes(self, node: str, t_ms: np.ndarray) -> np.ndarray:

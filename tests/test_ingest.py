@@ -1,5 +1,7 @@
 import math
-from dataclasses import astuple
+import tracemalloc
+import weakref
+from dataclasses import astuple, fields
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +15,7 @@ from conftest import make_traces
 from nearness.domain import MinuteRecord, Nearness
 from nearness.ingest import (
     AccelSeries,
+    DrawnAccel,
     ParseError,
     SightingTable,
     SoundSeries,
@@ -351,3 +354,62 @@ class TestLargeRoundtrip:
         second = write_traces(again, tmp_path / "two")
         for a, b in zip(first, second):
             assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+def counting_accel(nodes, samples):
+    """A DrawnAccel of zero series, and a dict whose "peak" is the most
+    series it had alive at once."""
+    alive = {"now": 0, "peak": 0}
+
+    def release():
+        alive["now"] -= 1
+
+    def draw(node):
+        xyz = np.zeros((3, samples))
+        alive["now"] += 1
+        alive["peak"] = max(alive["peak"], alive["now"])
+        weakref.finalize(xyz, release)
+        return xyz
+    return DrawnAccel(np.arange(samples, dtype=np.int64) * 50, nodes, draw), alive
+
+
+def trace_bytes(traces) -> int:
+    """Bytes of every column of `traces` (node ids count as references)."""
+    parts = [traces.sightings, *traces.accel.values(), *traces.sound.values()]
+    return sum(getattr(part, f.name).nbytes for part in parts for f in fields(part))
+
+
+def traced_peak(operation):
+    """Peak bytes that `operation()` allocates, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        operation()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The codecs hold the series plus one block of rows, not copies of all."""
+
+    def test_traces_equal_holds_one_drawn_series_per_side(self):
+        a, alive_a = counting_accel(["n0", "n1", "n2"], 40)
+        b, alive_b = counting_accel(["n0", "n1", "n2"], 40)
+        empty = make_traces().sightings
+        assert traces_equal(TraceSet(empty, a), TraceSet(empty, b))
+        assert (alive_a["peak"], alive_b["peak"]) == (1, 1)
+        assert (alive_a["now"], alive_b["now"]) == (0, 0)
+
+    def test_writer_holds_the_drawn_series_and_one_block(self, tmp_path):
+        traces, _ = generate(two_agent_config(duration_ms=3_600_000))
+        write_traces(generate(two_agent_config())[0], tmp_path / "warm")   # first-use caches
+        drawn_bytes = len(traces.accel) * 3 * traces.accel.t_ms.nbytes   # ax, ay, az
+        peak = traced_peak(lambda: write_traces(traces, tmp_path / "traces"))
+        assert peak < drawn_bytes + 3_000_000
+
+    def test_reader_holds_the_result_and_one_chunk(self, tmp_path):
+        paths = write_traces(generate(two_agent_config(duration_ms=3_600_000))[0], tmp_path)
+        read_traces(*paths)      # first-use caches
+        result = []
+        peak = traced_peak(lambda: result.append(read_traces(*paths)))
+        assert peak < 1.6 * trace_bytes(result[0])

@@ -1,10 +1,12 @@
-"""The columnar trace reader against the row-at-a-time reference reader.
+"""The trace codecs against their reference implementations.
 
-Valid files must read to the same TraceSet (after the reference's rows are
-put in canonical order) and write back byte-stably.  Corrupted files must
-fail with the identical ParseError: same path, line, column and message.
-Each case also runs with tiny read chunks, so rules and errors that cross a
-chunk boundary are exercised on small files.
+Valid files must read to the same TraceSet as the row-at-a-time reference
+reader (after its rows are put in canonical order) and write back
+byte-stably.  Corrupted files must fail with the identical ParseError: same
+path, line, column and message.  Each case also runs with tiny read chunks,
+so rules and errors that cross a chunk boundary are exercised on small
+files.  The block-wise writer must write the same bytes as the reference
+writer, which sorts all rows of a file at once, for any block size.
 """
 
 import random
@@ -12,16 +14,27 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearness import ingest
-from nearness.ingest import ParseError, read_traces, traces_equal, write_traces
-from rowwise_traces import canonical, read_traces_rowwise
+from nearness.ingest import (
+    AccelSeries,
+    DrawnAccel,
+    ParseError,
+    SoundSeries,
+    TraceSet,
+    read_traces,
+    traces_equal,
+    write_traces,
+)
+from conftest import make_traces
+from rowwise_traces import canonical, read_traces_rowwise, write_traces_merged
 
 NODES = ["a", "b", "c", "B", "n 1", "zé"]
 HEADERS = ("t_ms,observer,subject,rssi_dbm", "t_ms,node,ax,ay,az", "t_ms,node,amplitude")
-CHUNKS = st.sampled_from([1, 40, 1 << 20])
+CHUNKS = st.sampled_from([1, 40, 200, 1 << 20])
 
 
 def awkward_text(x: float, style: int) -> str:
@@ -209,6 +222,15 @@ def test_two_bad_rows_report_the_first(tmp_path):
         assert new == old and ":3:3: amplitude 7.0 outside" in new
 
 
+def test_order_breach_across_a_chunk_edge(tmp_path):
+    # a's 7 and 3 are two rows apart, with b's row between them; 24
+    # characters split the file after b's row
+    paths = write_files(tmp_path, [[], ["7,a,0,0,1", "9,b,0,0,1", "3,a,0,0,1", "10,b,0,0,1"], []])
+    for chunk in (1, 24, 1 << 20):
+        new, old = read_both(paths, 0, chunk)
+        assert new == old and ":4:1: timestamp decreases within stream a: 3 after 7" in new
+
+
 def test_field_error_before_an_order_breach_wins(tmp_path):
     paths = write_files(tmp_path, [[], ["9,a,0,0,1", "10,a,inf,0,1", "8,a,0,0,1"], []])
     new, old = read_both(paths, 0, 1 << 20)
@@ -228,3 +250,53 @@ def test_quotes_do_not_protect_a_comma(tmp_path):
     new, old = read_both(paths, 0, 1 << 20)
     assert new == old and ":2:1: expected 4 fields, got 5" in new
 
+
+
+# --- the writer ---------------------------------------------------------------
+
+REALS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def node_series(draw, columns, times=None):
+    """{node: (t_ms, `columns` value arrays)} over a few nodes; with `times`
+    every node shares that axis, else each draws its own (possibly empty)
+    sorted axis with repeats from a small range, so timestamps collide
+    within and across nodes."""
+    nodes = draw(st.lists(st.sampled_from(NODES), max_size=4, unique=True))
+    out = {}
+    for node in nodes:
+        t = times if times is not None else sorted(draw(st.lists(st.integers(0, 30), max_size=12)))
+        values = [np.array(draw(st.lists(REALS, min_size=len(t), max_size=len(t))),
+                           dtype=np.float64) for _ in range(columns)]
+        out[node] = (np.array(t, dtype=np.int64), values)
+    return out
+
+
+@st.composite
+def trace_sets(draw):
+    sightings = draw(st.lists(st.tuples(st.integers(0, 30), st.sampled_from(NODES),
+                                        st.sampled_from(NODES), st.floats(-120.0, 0.0)),
+                              max_size=8))
+    traces = make_traces([row for row in sightings if row[1] != row[2]])
+    if draw(st.booleans()):
+        accel = {node: AccelSeries(t, *xyz)
+                 for node, (t, xyz) in draw(node_series(3)).items()}
+    else:       # drawn on lookup, over one shared axis
+        axis = sorted(draw(st.lists(st.integers(0, 30), max_size=12)))
+        drawn = {node: xyz for node, (_, xyz) in draw(node_series(3, axis)).items()}
+        accel = DrawnAccel(np.array(axis, dtype=np.int64), sorted(drawn), drawn.__getitem__)
+    sound = {node: SoundSeries(t, amp)
+             for node, (t, (amp,)) in draw(node_series(1)).items()}
+    return TraceSet(traces.sightings, accel, sound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces=trace_sets(), block=st.sampled_from([1, 2, 3, 5, 4096]))
+def test_writer_writes_the_reference_bytes(traces, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        with mock.patch.object(ingest, "_WRITE_BLOCK", block):
+            new = write_traces(traces, Path(tmp) / "new")
+        old = write_traces_merged(traces, Path(tmp) / "old")
+        for a, b in zip(new, old):
+            assert Path(a).read_bytes() == Path(b).read_bytes()

@@ -25,7 +25,7 @@ from nearness.simulator import (
     rssi_from_distance,
     validate_config,
 )
-from rowwise_simulator import eager_accel
+from rowwise_simulator import eager_accel, moving_mask_per_sample
 
 
 def fixed_agent(agent_id, x, y, sound=()):
@@ -125,6 +125,22 @@ class TestGroundTruth:
         # the last instant is past the last waypoint
         assert gt.moving_mask("m", [5_000, 15_000, 25_000, 45_000]).tolist() == [
             False, True, False, False]
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=0, max_size=6),
+           axis=st.lists(st.integers(-3, 25), max_size=40))
+    def test_moving_mask_matches_the_per_sample_lookup(self, steps, axis):
+        # waypoint times may repeat (a zero-length segment), positions may
+        # stay put, and the axis reaches outside the waypoints' span
+        waypoints, t, x = [Waypoint(0, 0.0, 0.0)], 0, 0.0
+        for dt, moves in steps:
+            t, x = t + dt, x + moves
+            waypoints.append(Waypoint(t, x, 0.0))
+        config = ScenarioConfig(agents=(AgentSpec(id="m", waypoints=tuple(waypoints)),),
+                                duration_ms=30)
+        t_ms = np.array(sorted(axis), dtype=np.int64)
+        expected = moving_mask_per_sample(config, "m", t_ms)
+        assert GroundTruth(config).moving_mask("m", t_ms).tolist() == expected.tolist()
 
     def test_scheduled_amplitude(self):
         agent = fixed_agent("a", 0.0, 0.0,
