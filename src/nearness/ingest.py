@@ -276,16 +276,21 @@ class Layout:
     def read_chunk(self, lines: list[str], epoch_ms: int, codes: dict, names: list):
         """Values of the rows of `lines` before the first that breaks the
         layout, one array per column, and that row's index (`len(lines)`
-        when none does).  Only commas split a row.  Node ids become codes
-        into `names`, and `codes` maps every id seen to its code."""
-        ncols = len(self.header)
+        when none does).  Only commas split a row."""
         commas = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.int64,
                              count=len(lines))
-        count = first_false(commas == ncols - 1, len(lines))
-        flat = ",".join(lines[:count]).split(",") if count else []
-        cols = [many(flat[k::ncols], epoch_ms, codes, names)
+        count = first_false(commas == len(self.header) - 1, len(lines))
+        return self.read_fields(",".join(lines[:count]).split(",") if count else [],
+                                epoch_ms, codes, names)
+
+    def read_fields(self, fields: list[str], epoch_ms: int, codes: dict, names: list):
+        """`read_chunk` of rows whose fields, all of the layout's count, are
+        `fields` one row after another.  Node ids become codes into `names`,
+        and `codes` maps every id seen to its code."""
+        ncols = len(self.header)
+        cols = [many(fields[k::ncols], epoch_ms, codes, names)
                 for k, many in enumerate(self._converters)]
-        bad = min(count, *map(len, cols))
+        bad = min(len(fields) // ncols, *map(len, cols))
         bad = self.breach([c[:bad] for c in cols])
         return [c[:bad] for c in cols], bad
 
@@ -364,6 +369,15 @@ def _real_prefix(text: list[str], *_) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+def _ints(text: list[str], *_) -> np.ndarray:
+    """`_int_prefix(text, 0)`, converting each distinct field once."""
+    try:
+        value = {x: int(x) for x in set(text)}
+        return np.fromiter(map(value.__getitem__, text), dtype=np.int64, count=len(text))
+    except (ValueError, OverflowError):     # the prefix scan finds the first bad field
+        return _int_prefix(text, 0)
+
+
 def _distance(text: str, _epoch_ms: int = 0) -> float:
     """A distance field: only the text ``inf`` reads as infinity; any other
     spelling of it reads as NaN, which no rule accepts."""
@@ -373,9 +387,9 @@ def _distance(text: str, _epoch_ms: int = 0) -> float:
 
 def _distances(text: list[str], *_) -> np.ndarray:
     values = _real_prefix(text)
-    if np.isinf(values).any():
-        values[np.isinf(values) & np.fromiter(map("inf".__ne__, text[:len(values)]),
-                                              dtype=bool, count=len(values))] = np.nan
+    inf = np.flatnonzero(np.isinf(values))
+    if len(inf):     # only the text ``inf`` reads as infinity
+        values[inf[[text[k] != "inf" for k in inf.tolist()]]] = np.nan
     return values
 
 
@@ -407,7 +421,7 @@ _LABEL_CODES = {label.value: code for code, label in enumerate(LABELS)}
 # int, float and node_codes all reject a field holding a lone surrogate, so
 # TEXT needs no column pass; it only puts the UTF-8 message before theirs.
 TEXT = Kind(_utf8)
-INT = Kind(lambda text, _: int(text), lambda text, *_: _int_prefix(text, 0))
+INT = Kind(lambda text, _: int(text), _ints)
 TIME = Kind(lambda text, epoch_ms: int(text) - epoch_ms,
             lambda text, epoch_ms, *_: _int_prefix(text, epoch_ms))
 REAL = Kind(lambda text, _: float(text), _real_prefix)
@@ -571,21 +585,31 @@ def _read_sightings(path, epoch_ms: int) -> SightingTable:
 
 def _read_series(path, layout: Layout, epoch_ms: int, series) -> dict:
     """{node: series(t_ms, values...)} of one accel or sound file, by node
-    name; each chunk is split by node as it is parsed."""
+    name; each chunk is split by node as it is parsed, into one buffer per
+    node and column that grows by a quarter when full and is cut to size
+    at the end, so no freed pieces are left behind."""
     names: list[str] = []
-    pieces: dict[int, list[list[np.ndarray]]] = {}  # code -> per-column pieces
+    buffers: dict[int, list[np.ndarray]] = {}   # code -> one buffer per column
+    used: dict[int, int] = {}                   # code -> rows held
     for cols, order, bounds in _checked_chunks(path, layout, epoch_ms, names):
         nodes, values = cols[1], [cols[0]] + cols[2:]
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             rows = order[lo:hi]
-            node = pieces.setdefault(int(nodes[rows[0]]), [[] for _ in values])
-            for part, col in zip(node, values):
-                part.append(col[rows])
+            code = int(nodes[rows[0]])
+            start = used.get(code, 0)
+            stop = used[code] = start + hi - lo
+            node = buffers.setdefault(code, [np.empty(0, c.dtype) for c in values])
+            if stop > len(node[0]):
+                for buffer in node:      # no view of a buffer is alive here
+                    buffer.resize(max(stop, len(buffer) + len(buffer) // 4), refcheck=False)
+            for buffer, col in zip(node, values):
+                buffer[start:stop] = col[rows]
     out = {}
-    for code in sorted(pieces, key=names.__getitem__):
-        parts = pieces.pop(code)
-        # each column's pieces are freed as soon as it is joined
-        out[names[code]] = series(*(np.concatenate(parts.pop(0)) for _ in range(len(parts))))
+    for code in sorted(buffers, key=names.__getitem__):
+        node = buffers.pop(code)
+        for buffer in node:
+            buffer.resize(used[code], refcheck=False)
+        out[names[code]] = series(*node)
     return out
 
 

@@ -12,14 +12,19 @@ of the original sequence; a torn final frame is dropped on open.
 
 The log is held as numpy columns, one per MinuteRecord field, with node ids
 as codes in first-seen order (the key-order check ranks them by id).
-`open` reads the file in one pass, `_READ_FRAMES` frames at a time: each
-chunk's payloads are decoded and read with `ingest.RECORDS`, the record
-layout's table of rules, as `ingest` reads traces.  `append` takes a
-MinuteBatch.  Both run the table's rules and the key-order check on whole
-columns, so `append` writes only what a reopen reads.  The first record
-either one rejects goes through the same table alone, in table order, via
-`parse_record_row`, which words its StoreError as a frame-at-a-time
-scanner does.  Frames and exports are formatted from the columns; reads
+`open` reads the file in one pass.  `_scan` finds the frames with numpy
+and checks that they are exactly those a frame-by-frame walk finds; where
+it cannot (a payload that ends in a NUL byte or holds two in a row, an
+empty payload, a frame of 64 KiB or more), the walk reads the rest of the
+log.  The payloads of every `_READ_FRAMES` frames are joined, decoded and
+split at once, and read with `ingest.RECORDS`, the record layout's table
+of rules, as `ingest` reads traces; a chunk that is not UTF-8 or has a
+payload without eleven fields is decoded payload by payload instead.
+`append` takes a MinuteBatch.  Both run the table's rules and the
+key-order check on whole columns, so `append` writes only what a reopen
+reads.  The first record either one rejects goes through the same table
+alone, in table order, via `parse_record_row`, which words its StoreError
+as a frame-at-a-time scanner does.  Frames and exports are formatted from the columns; reads
 build MinuteRecords only for the rows they return.
 """
 
@@ -44,7 +49,8 @@ from .ingest import (
 
 MAGIC = b"NSNS1"
 _LEN = struct.Struct(">I")
-_READ_FRAMES = 4096        # frames converted per step
+_READ_FRAMES = 2048        # frames converted per step
+_SCAN_BYTES = 1 << 17      # bytes searched for frame headers per step
 
 
 class StoreError(ValueError):
@@ -98,23 +104,107 @@ def _key_breach(last: list[np.ndarray], cols: list[np.ndarray], rank: np.ndarray
     return first_false(up, len(up)) + 1 - len(last[0])
 
 
-def _payload_chunks(data: bytes):
-    """Yield (payloads, end) for every `_READ_FRAMES` whole frames after the
-    magic; `end` is the offset just past the chunk's last frame."""
+def _walk(data: bytes, pos: int):
+    """The frame walk from the header at offset `pos`, one frame at a time:
+    yields the payload bounds (starts, stops) of the whole frames up to a
+    torn one or to fewer than four bytes, `_READ_FRAMES` at a time."""
     unpack, size = _LEN.unpack_from, len(data)
-    pos, payloads = len(MAGIC), []
+    starts: list[int] = []
+    stops: list[int] = []
     while pos + _LEN.size <= size:
-        start = pos + _LEN.size
-        stop = start + unpack(data, pos)[0]
+        stop = pos + _LEN.size + unpack(data, pos)[0]
         if stop > size:
             break           # a torn final frame
-        payloads.append(data[start:stop])
+        starts.append(pos + _LEN.size)
+        stops.append(stop)
         pos = stop
-        if len(payloads) == _READ_FRAMES:
-            yield payloads, pos
-            payloads = []
-    if payloads:
-        yield payloads, pos
+        if len(starts) == _READ_FRAMES:
+            yield np.array(starts), np.array(stops)
+            starts, stops = [], []
+    if starts:
+        yield np.array(starts), np.array(stops)
+
+
+def _scan(data: bytes):
+    """Yield the payload bounds (starts, stops) of the log's whole frames in
+    runs, as the frame walk from the magic finds them.
+
+    Headers are searched for `_SCAN_BYTES` at a time.  A candidate is the
+    first byte of a run of two or more zero bytes, as every frame shorter
+    than 64 KiB starts with two.  The window's candidates must chain from
+    the header the walk is at, each at the one before plus four plus its
+    length, with no candidate between; where they do not (a payload that
+    ends in a NUL byte or holds two in a row, an empty payload, a frame of
+    64 KiB or more, a torn frame), the walk goes on from the last header the
+    chain reached.
+    """
+    view = np.frombuffer(data, dtype=np.uint8)
+    size, pos = len(data), len(MAGIC)
+    while pos + _LEN.size <= size:
+        hi = min(pos + _SCAN_BYTES, size - 1)      # candidates p < hi have p + 1 < size
+        zero = view[pos - 1:hi + 1] == 0           # from the byte before `pos`
+        heads = np.flatnonzero(zero[1:-1] & zero[2:] & ~zero[:-2]) + pos
+        del zero
+        if not len(heads) or heads[0] != pos:
+            break
+        # candidates lie three bytes apart at least, so only the last one's
+        # length can run past the end, and then it reads as torn below
+        length = (view[np.minimum(heads + 2, size - 1)].astype(np.int64) << 8
+                  | view[np.minimum(heads + 3, size - 1)])
+        stops = heads + _LEN.size + length
+        chained = first_false(heads[1:] == stops[:-1], len(heads) - 1)
+        if chained < len(heads) - 1 or stops[-1] > size:
+            # the chain breaks after heads[chained], or the last frame is torn
+            if chained:
+                yield heads[:chained] + _LEN.size, stops[:chained]
+            pos = int(heads[chained])
+            break
+        yield heads + _LEN.size, stops
+        pos = int(stops[-1])
+    yield from _walk(data, pos)
+
+
+def _frames(data: bytes):
+    """Yield the payload bounds (starts, stops) of the log's whole frames,
+    `_READ_FRAMES` at a time; the last stop is where the frame walk stops."""
+    held = [np.empty(0, dtype=np.int64)] * 2
+    for run in _scan(data):
+        starts, stops = (np.concatenate(pair) for pair in zip(held, run))
+        cut = len(starts) - len(starts) % _READ_FRAMES
+        for k in range(0, cut, _READ_FRAMES):
+            yield starts[k:k + _READ_FRAMES], stops[k:k + _READ_FRAMES]
+        held = [starts[cut:], stops[cut:]]
+    if len(held[0]):
+        yield held
+
+
+def _read_chunk(data: bytes, starts: np.ndarray, stops: np.ndarray, codes: dict, names: list):
+    """`RECORDS.read_chunk` of the frames whose payloads span `starts` to
+    `stops` in `data`, one after another.  The payloads are joined with
+    commas, in place of the headers between them, and decoded and split
+    once; if that text is not UTF-8 or a payload does not hold eleven
+    fields, each payload is decoded alone, and `read_chunk` words it."""
+    base, ncols = int(starts[0]), len(RECORDS.header)
+    keep = np.ones(int(stops[-1]) - base, dtype=bool)
+    heads = stops[:-1] - base      # each header between two payloads
+    for k in range(1, _LEN.size):
+        keep[heads + k] = False
+    joined = np.frombuffer(data, dtype=np.uint8, count=len(keep), offset=base)[keep]
+    del keep
+    seps = heads - (_LEN.size - 1) * np.arange(len(heads))     # in `joined`
+    joined[seps] = ord(",")
+    commas = np.flatnonzero(joined == ord(","))
+    if len(commas) == ncols * len(starts) - 1 and np.array_equal(commas[ncols - 1::ncols], seps):
+        del commas
+        try:
+            text = str(memoryview(joined), "utf-8")
+        except UnicodeDecodeError:
+            pass
+        else:
+            del joined
+            return RECORDS.read_fields(text.split(","), 0, codes, names)
+    payloads = [data[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
+    return RECORDS.read_chunk(_chunk_lines(payloads), 0, codes, names)
 
 
 def _read_columns(path):
@@ -128,15 +218,16 @@ def _read_columns(path):
     names: list[str] = []
     chunks = [_EMPTY]
     count, end = 0, len(MAGIC)
-    for payloads, end in _payload_chunks(data):
-        cols, bad = RECORDS.read_chunk(_chunk_lines(payloads), 0, codes, names)
+    for starts, stops in _frames(data):
+        cols, bad = _read_chunk(data, starts, stops, codes, names)
         breach = _key_breach([c[-1:] for c in chunks[-1][:3]], cols, node_ranks(names))
         if breach < bad:
             raise StoreError(f"{path}: keys not increasing at record #{count + breach}")
-        if bad < len(payloads):
-            raise _corrupt(path, count + bad, payloads[bad])
+        if bad < len(starts):
+            raise _corrupt(path, count + bad, data[starts[bad]:stops[bad]])
         chunks.append(cols)
-        count += bad
+        count, end = count + bad, int(stops[-1])
+    del data
     return [np.concatenate(c) for c in zip(*chunks)], names, end
 
 

@@ -1,11 +1,14 @@
+import math
 import re
+import tracemalloc
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from conftest import batch_of
 from nearness import store
-from nearness.domain import MinuteRecord, Nearness
+from nearness.domain import LABELS, MinuteBatch, MinuteRecord, Nearness
 from nearness.ingest import RECORDS_HEADER, format_record_row
 from nearness.store import MAGIC, RecordLog, StoreError, export_csv
 
@@ -327,6 +330,49 @@ class TestStoreErrors:
     def test_int_field_with_a_line_break_reads(self, log_path):
         write_frames(log_path, [payload(0), b"5\n,a,b,1,1,1,2.0,60.0,1.0,0.5,Low"])
         assert RecordLog.open(log_path).records() == [record(0), record(5)]
+
+
+def open_peak(path, minutes: int) -> tuple[int, int]:
+    """(traced peak of opening a log of `minutes` full minutes of 20 nodes
+    written to `path`, bytes of the file and of its columns)."""
+    rng = np.random.default_rng(minutes)
+    ids = [f"n{k:03d}" for k in range(20)]
+    i, j = (np.array(side, dtype=object) for side in
+            zip(*[(a, b) for a in ids for b in ids if a != b]))
+    n = len(i)
+    with RecordLog.create(path) as log:
+        for minute in range(minutes):
+            far = rng.random(n) < 0.3
+            d = np.where(far, math.inf, rng.uniform(0.5, 30.0, n))
+            p, si = (np.where(far, 0.0, rng.random(n) * top) for top in (1.0, 5.0))
+            log.append(MinuteBatch(np.full(n, minute), i, j, rng.integers(0, 19, n),
+                                   rng.integers(1, 3, n), rng.integers(0, 4, n), d,
+                                   rng.random(n) * 3600, p, si, rng.integers(0, len(LABELS), n)))
+    RecordLog.open(path)      # first-use caches
+    tracemalloc.start()
+    try:
+        columns = RecordLog.open(path)._columns
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(columns[0]) == minutes * n
+    return peak, path.stat().st_size + sum(c.nbytes for c in columns)
+
+
+class TestMemory:
+    def test_open_holds_the_file_its_columns_and_one_chunk(self, tmp_path):
+        # 22 800 and 45 600 records (2 and 4 MB).  Besides the chunks'
+        # columns, open holds the file's bytes while it reads them, then the
+        # joined columns, and one chunk's fields as strings: 2 MB here (2048
+        # records of 11 fields, about 90 bytes each with their list slots).
+        # On the smaller log that bounds the peak at 6.0 MB; the reader
+        # before the frame scan peaked at 7.5 MB.
+        peak, held = open_peak(tmp_path / "hour.log", 60)
+        assert peak < held + 2_000_000
+        # Nothing else grows with the log: a reader that held the frame
+        # offsets of the whole file (16 bytes a frame) grew 0.36 MB more.
+        more_peak, more_held = open_peak(tmp_path / "two.log", 120)
+        assert more_peak - peak < (more_held - held) + 150_000
 
 
 class TestExport:

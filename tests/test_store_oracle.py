@@ -3,9 +3,13 @@
 Valid, torn and corrupted logs must open to the same records, truncate to
 the same offset when opened writable, or fail with the identical
 StoreError text.  Every case runs with several read chunk sizes, so that
-records and errors cross chunk boundaries on small logs.  Appended batches
-must read back as the scanner reads the file, and a batch with one invalid
-field must be rejected without touching the file.
+records and errors cross chunk boundaries on small logs; corruptions include
+NUL bytes and payloads of 64 KiB or more, which the frame scan hands to the
+frame walk.  The scan itself must find exactly the frames the walk finds,
+on any bytes.  Appended batches must read back as the scanner reads the
+file, and a batch with one invalid field must be rejected without touching
+the file.  Integer columns, converted once per distinct text, must end
+where the field-by-field conversion ends.
 """
 
 import math
@@ -20,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import batch_of
-from nearness import store
+from nearness import ingest, store
 from nearness.domain import MinuteRecord, Nearness
 from nearness.ingest import format_record_row
 from nearness.store import _LEN, MAGIC, RecordLog, StoreError
@@ -93,8 +97,8 @@ def corruptions(draw, payloads):
     """Apply one to three damaging edits to the payload list, in place."""
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(0, len(payloads) - 1))
-        action = draw(st.sampled_from(["token"] * 4 + ["swap", "repeat", "empty",
-                                                       "byte", "lf", "comma"]))
+        action = draw(st.sampled_from(["token"] * 4 + ["swap", "repeat", "empty", "byte",
+                                                       "lf", "comma", "nul", "long"]))
         if action == "token":
             fields = payloads[k].decode("utf-8", "surrogateescape").split(",")
             f = draw(st.integers(0, len(fields) - 1))
@@ -107,9 +111,16 @@ def corruptions(draw, payloads):
             payloads.insert(k, payloads[k])
         elif action == "empty":
             payloads[k] = b""
+        elif action == "long":
+            # leading zeros: a valid float still, too many digits for an int
+            fields = payloads[k].split(b",")
+            f = draw(st.integers(0, len(fields) - 1))
+            fields[f] = b"0" * draw(st.integers(65_536, 65_600)) + fields[f]
+            payloads[k] = b",".join(fields)
         else:
             insert = {"byte": draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])),
-                      "lf": b"\n", "comma": b","}[action]
+                      "lf": b"\n", "comma": b",",
+                      "nul": draw(st.sampled_from([b"\x00", b"\x00\x00"]))}[action]
             at = draw(st.integers(0, len(payloads[k])))
             payloads[k] = payloads[k][:at] + insert + payloads[k][at:]
     return payloads
@@ -120,6 +131,77 @@ def corruptions(draw, payloads):
 def test_corrupted_logs_fail_like_the_scanner(records, chunk, data):
     payloads = data.draw(corruptions([format_record_row(*astuple(r)).encode() for r in records]))
     check(frames_of(payloads), chunk)
+
+
+@st.composite
+def frame_bytes(draw):
+    """Bytes after the magic: frames of any payload, NULs and empty ones
+    included, with lengths past one and two length bytes, then a torn
+    header, a torn frame or any bytes."""
+    blob = b""
+    for _ in range(draw(st.integers(0, 8))):
+        payload = draw(st.binary(max_size=12) | st.sampled_from(
+            [b"", b"\x00", b"\x00\x00", b"a\x00", b"\x00a", b"a\x00\x00b"]))
+        if draw(st.integers(0, 5)) == 0:
+            size = draw(st.sampled_from([255, 256, 512, 65_535, 65_536, 65_792]))
+            payload = (payload + draw(st.sampled_from([b"x", b"\x00"])) * size)[:size]
+        blob += _LEN.pack(len(payload)) + payload
+    tail = draw(st.sampled_from(["none", "header", "frame", "bytes"]))
+    if tail == "header":
+        blob += _LEN.pack(draw(st.integers(0, 300)))[:draw(st.integers(1, 3))]
+    elif tail == "frame":
+        payload = draw(st.binary(min_size=1, max_size=12))
+        blob += _LEN.pack(len(payload) + draw(st.integers(1, 70_000))) + payload
+    elif tail == "bytes":
+        blob += draw(st.binary(max_size=12))
+    return blob
+
+
+def bounds(runs) -> list[tuple[int, int]]:
+    return [(a, b) for starts, stops in runs for a, b in zip(starts.tolist(), stops.tolist())]
+
+
+@settings(max_examples=600, deadline=None)
+@given(blob=frame_bytes() | st.binary(max_size=40), window=st.sampled_from([1, 2, 3, 7, 64, 1 << 17]),
+       chunk=CHUNKS)
+def test_the_frame_scan_finds_what_the_walk_finds(blob, window, chunk):
+    data = MAGIC + blob
+    walked = bounds(store._walk(data, len(MAGIC)))
+    handed = []         # where the scan hands the rest of the log to the walk
+    walk = store._walk
+
+    def spy(data, pos):
+        handed.append(pos)
+        return walk(data, pos)
+
+    with mock.patch.object(store, "_SCAN_BYTES", window), \
+            mock.patch.object(store, "_READ_FRAMES", chunk), \
+            mock.patch.object(store, "_walk", spy):
+        runs = list(store._frames(data))
+    assert bounds(runs) == walked
+    assert all(len(starts) == chunk for starts, _ in runs[:-1])
+    # the walk goes on from a header it reaches itself, or from where it stops
+    (pos,) = handed
+    assert pos in [a - _LEN.size for a, _ in walked] + [walked[-1][1] if walked else len(MAGIC)]
+    # frames of 1 to 65 535 bytes without a NUL are all found by the scan
+    if all(0 < b - a < 65_536 and b"\x00" not in data[a:b] for a, b in walked):
+        assert [a for a, _ in walked if a - _LEN.size >= pos] == []
+
+
+# texts int() reads: signed, spaced, non-ASCII digits, and the int64 edges
+# with the values just past them; BAD_TOKENS adds texts it does not read
+INT_TOKENS = ["0", "1", "2", "7", "-3", "+4", " 5", "٣", "1_0", "00", str(2 ** 63 - 1),
+              str(-2 ** 63), str(2 ** 63), str(-2 ** 63 - 1), "99999999999999999999"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(head=st.lists(st.sampled_from(INT_TOKENS[:10]), max_size=12),
+       tail=st.lists(st.sampled_from(INT_TOKENS + BAD_TOKENS), max_size=12))
+def test_int_columns_read_like_the_prefix_scan(head, tail):
+    text = head + tail + head       # every text repeats, before and after a bad one
+    want = ingest._int_prefix(text, 0)
+    got = ingest.INT.many(text, 0)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_bad_magic_and_short_files_fail_like_the_scanner():
