@@ -15,6 +15,7 @@ import sys
 from datetime import datetime, timedelta, timezone
 
 from . import engine as engine_mod
+from .domain import MS_PER_DAY
 from .ingest import (
     ACCEL_FILENAME,
     SIGHTINGS_FILENAME,
@@ -46,6 +47,9 @@ class CliInputError(ValueError):
 
 
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# `run` keeps arrays over every minute from the epoch to the last timestamp,
+# so traces stamped far after the epoch are refused before any is built
+MAX_SPAN_DAYS = 366
 
 
 def _parse_epoch(text: str) -> int:
@@ -55,7 +59,8 @@ def _parse_epoch(text: str) -> int:
     except ValueError:
         pass
     try:
-        stamp = datetime.fromisoformat(text)
+        # Python 3.10 reads no trailing "Z", which 3.11 takes as UTC
+        stamp = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith("Z") else text)
     except ValueError:
         raise CliInputError(f"--epoch expects integer ms or ISO-8601, got {text!r}") from None
     if stamp.tzinfo is None:
@@ -110,6 +115,12 @@ def _run_sources(args):
                          os.path.join(args.traces, ACCEL_FILENAME),
                          os.path.join(args.traces, SOUND_FILENAME),
                          epoch_ms=epoch_ms)
+    last_ms = traces.max_t_ms()
+    if last_ms > MAX_SPAN_DAYS * MS_PER_DAY:
+        raise CliInputError(
+            f"last trace timestamp {last_ms + epoch_ms} is {last_ms / MS_PER_DAY:.1f} days "
+            f"after the epoch {epoch_ms}; a run spans at most {MAX_SPAN_DAYS} days, "
+            f"so give --epoch near the first timestamp")
     engine_cfg = engine_mod.EngineConfig()
     echo = {
         "traces": str(args.traces),
@@ -219,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_run.add_argument("--epoch", default=None,
                        help="scenario epoch for wall-clock trace timestamps "
-                            "(integer ms or ISO-8601); wall-clock traces need it, "
-                            "as the run spans every minute from 0 to the last timestamp")
+                            "(integer ms or ISO-8601, a trailing Z is UTC); wall-clock "
+                            "traces need it, as the run spans every minute from the epoch "
+                            f"to the last timestamp, at most {MAX_SPAN_DAYS} days")
     p_run.set_defaults(func=cmd_run)
 
     p_ana = sub.add_parser("analyze", help="extract one metric series for a pair")

@@ -524,9 +524,7 @@ def _checked_chunks(path, layout: Layout, epoch_ms: int, names: list):
     codes: dict[str, int] = {}
     last_t: dict[int, int] = {}     # stream key -> its latest timestamp
     with _open_text(path) as handle:
-        first = handle.readline()
-        if first:
-            _check_header(path, _fields(first), layout.header)
+        _check_header(path, _fields(handle.readline()), layout.header)
         line = 2
         for lines in _line_chunks(handle):
             cols, bad = layout.read_chunk(lines, epoch_ms, codes, names)

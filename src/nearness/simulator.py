@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -249,7 +249,9 @@ def generate(config: ScenarioConfig) -> tuple[TraceSet, GroundTruth]:
     # radio sightings at every scan tick, one stream per ordered pair
     t_scan = np.arange(0, config.duration_ms, rf.scan_interval_ms, dtype=np.int64)
     pos = {n: gt.positions(n, t_scan) for n in names}
-    sig_t, sig_obs, sig_subj, sig_rssi = [], [], [], []
+    # one typed empty piece each, so a scenario without sightings concatenates too
+    sig_t, sig_obs, sig_subj, sig_rssi = ([np.empty(0, dtype)] for dtype in
+                                          (np.int64, np.int32, np.int32, np.float64))
     for oc, observer in enumerate(names):
         for sc, subject in enumerate(names):
             if observer == subject:
@@ -267,20 +269,11 @@ def generate(config: ScenarioConfig) -> tuple[TraceSet, GroundTruth]:
             sig_obs.append(np.full(mask.sum(), oc, dtype=np.int32))
             sig_subj.append(np.full(mask.sum(), sc, dtype=np.int32))
             sig_rssi.append(rssi[mask])
-    if sig_t:
-        all_t = np.concatenate(sig_t)
-        all_obs = np.concatenate(sig_obs)
-        all_subj = np.concatenate(sig_subj)
-        all_rssi = np.concatenate(sig_rssi)
-        order = np.lexsort((all_subj, all_obs, all_t))
-        name_arr = np.array(names, dtype=object)
-        table = SightingTable(all_t[order], name_arr[all_obs[order]],
-                              name_arr[all_subj[order]], all_rssi[order])
-    else:
-        table = SightingTable(np.empty(0, dtype=np.int64),
-                              np.empty(0, dtype=object),
-                              np.empty(0, dtype=object),
-                              np.empty(0, dtype=np.float64))
+    all_t, all_obs, all_subj, all_rssi = map(np.concatenate, (sig_t, sig_obs, sig_subj, sig_rssi))
+    order = np.lexsort((all_subj, all_obs, all_t))
+    name_arr = np.array(names, dtype=object)
+    table = SightingTable(all_t[order], name_arr[all_obs[order]],
+                          name_arr[all_subj[order]], all_rssi[order])
 
     # accelerometer at 20 Hz: gravity plus noise, a 2 Hz tone while moving.
     # The tone rides the gravity axis so the magnitude-std feature sees its
@@ -311,45 +304,51 @@ def generate(config: ScenarioConfig) -> tuple[TraceSet, GroundTruth]:
 
 # --- scenario file grammar -------------------------------------------------------
 #
-# Plain text, one statement per line.  `#` starts a full-line comment.
+# Plain text, one statement per line; `#` starts a full-line comment.  The
+# keys are the number fields of the dataclasses above, which hold each key's
+# type and default:
 #
-#   duration_ms = 25200000          top-level keys: duration_ms, seed,
-#   seed = 7                        accel_noise_sigma
-#
-#   [rf]                            optional; keys p_ref_dbm, pathloss_exp,
-#   p_ref_dbm = -40                 shadowing_sigma_db, scan_interval_ms,
-#   ...                             max_range_m
-#
+#   duration_ms = 25200000          top level: ScenarioConfig's duration_ms,
+#   seed = 7                        seed (integers) and accel_noise_sigma
+#   [rf]                            optional: RfParams' fields, of which
+#   p_ref_dbm = -40                 scan_interval_ms is an integer
 #   [agent A]                       one section per agent
-#   waypoint = 0 0.0 0.0            waypoint = t_ms x y   (repeated)
-#   sound = 0 3600000 0.02          sound = from_ms to_ms amplitude
+#   waypoint = 0 0.0 0.0            Waypoint's t_ms (integer), x, y; repeated
+#   sound = 0 3600000 0.02          SoundPhase's from_ms, to_ms (integers), amplitude
 
-_TOP_KEYS = {"duration_ms", "seed", "accel_noise_sigma"}
-_RF_KEYS = {"p_ref_dbm", "pathloss_exp", "shadowing_sigma_db",
-            "scan_interval_ms", "max_range_m"}
-
-
-def _scn_int(source, line, key, text) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ScenarioParseError(source, line, f"{key}: invalid integer {text!r}") from None
+def _number_fields(cls, prefix: str = "") -> dict[str, type]:
+    """{prefix + name: int or float} over a dataclass's number fields, in order."""
+    return {prefix + f.name: int if f.type == "int" else float
+            for f in fields(cls) if f.type in ("int", "float")}
 
 
-def _scn_float(source, line, key, text) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ScenarioParseError(source, line, f"{key}: invalid number {text!r}") from None
+_TOP_FIELDS = _number_fields(ScenarioConfig)
+_RF_FIELDS = _number_fields(RfParams)
+# an agent key's dataclass, and its fields' (name in errors, type) in order
+_AGENT_FIELDS = {key: (cls, list(_number_fields(cls, f"{key}.").items()))
+                 for key, cls in (("waypoint", Waypoint), ("sound", SoundPhase))}
+
+
+def _numbers(kinds, texts, source: str, line: int) -> list:
+    """Each of `texts` converted by its (name in errors, int or float) pair in
+    `kinds`; the first that does not convert fails the line."""
+    numbers = []
+    for (label, kind), text in zip(kinds, texts):
+        try:
+            numbers.append(kind(text))
+        except ValueError:
+            word = "integer" if kind is int else "number"
+            raise ScenarioParseError(source, line, f"{label}: invalid {word} {text!r}") from None
+    return numbers
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
     top: dict[str, float | int] = {}
-    rf_kv: dict[str, float | int] = {}
-    agent_order: list[str] = []
-    agent_wps: dict[str, list[Waypoint]] = {}
-    agent_sound: dict[str, list[SoundPhase]] = {}
-    section: str | None = None  # None (top), "rf", or "agent:<id>"
+    rf: dict[str, float | int] = {}
+    agents: dict[str, dict[str, list]] = {}     # id -> {"waypoint": [...], "sound": [...]}
+    # the current section: its key table, its values and the word naming it
+    # in errors, or the lists of the current agent
+    keys, values, where, agent = _TOP_FIELDS, top, "", None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if _undecodable(raw):
@@ -362,17 +361,13 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
                 raise ScenarioParseError(source, lineno, "unterminated section header")
             name = line[1:-1].strip()
             if name == "rf":
-                section = "rf"
+                keys, values, where, agent = _RF_FIELDS, rf, "rf ", None
             elif name.startswith("agent "):
+                # `name` is stripped, so the id after "agent " is never empty
                 agent_id = name[len("agent "):].strip()
-                if not agent_id:
-                    raise ScenarioParseError(source, lineno, "agent section needs an id")
-                if agent_id in agent_wps:
+                if agent_id in agents:
                     raise ScenarioParseError(source, lineno, f"agent {agent_id!r} redefined")
-                agent_order.append(agent_id)
-                agent_wps[agent_id] = []
-                agent_sound[agent_id] = []
-                section = f"agent:{agent_id}"
+                agent = agents[agent_id] = {key: [] for key in _AGENT_FIELDS}
             else:
                 raise ScenarioParseError(source, lineno, f"unknown section [{name}]")
             continue
@@ -381,56 +376,28 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if section is None:
-            if key not in _TOP_KEYS:
-                raise ScenarioParseError(source, lineno, f"unknown key {key!r}")
-            if key in top:
-                raise ScenarioParseError(source, lineno, f"duplicate key {key!r}")
-            if key == "accel_noise_sigma":
-                top[key] = _scn_float(source, lineno, key, value)
-            else:
-                top[key] = _scn_int(source, lineno, key, value)
-        elif section == "rf":
-            if key not in _RF_KEYS:
-                raise ScenarioParseError(source, lineno, f"unknown rf key {key!r}")
-            if key in rf_kv:
-                raise ScenarioParseError(source, lineno, f"duplicate rf key {key!r}")
-            if key == "scan_interval_ms":
-                rf_kv[key] = _scn_int(source, lineno, key, value)
-            else:
-                rf_kv[key] = _scn_float(source, lineno, key, value)
-        else:
-            agent_id = section[len("agent:"):]
-            parts = value.split()
-            if key == "waypoint":
-                if len(parts) != 3:
-                    raise ScenarioParseError(source, lineno, "waypoint needs: t_ms x y")
-                agent_wps[agent_id].append(Waypoint(
-                    _scn_int(source, lineno, "waypoint.t_ms", parts[0]),
-                    _scn_float(source, lineno, "waypoint.x", parts[1]),
-                    _scn_float(source, lineno, "waypoint.y", parts[2])))
-            elif key == "sound":
-                if len(parts) != 3:
-                    raise ScenarioParseError(source, lineno, "sound needs: from_ms to_ms amplitude")
-                agent_sound[agent_id].append(SoundPhase(
-                    _scn_int(source, lineno, "sound.from_ms", parts[0]),
-                    _scn_int(source, lineno, "sound.to_ms", parts[1]),
-                    _scn_float(source, lineno, "sound.amplitude", parts[2])))
-            else:
+        if agent is not None:
+            if key not in _AGENT_FIELDS:
                 raise ScenarioParseError(source, lineno, f"unknown agent key {key!r}")
+            cls, kinds = _AGENT_FIELDS[key]
+            parts = value.split()
+            if len(parts) != len(kinds):
+                raise ScenarioParseError(source, lineno,
+                                         f"{key} needs: {' '.join(f.name for f in fields(cls))}")
+            agent[key].append(cls(*_numbers(kinds, parts, source, lineno)))
+        else:
+            if key not in keys:
+                raise ScenarioParseError(source, lineno, f"unknown {where}key {key!r}")
+            if key in values:
+                raise ScenarioParseError(source, lineno, f"duplicate {where}key {key!r}")
+            values[key] = _numbers([(key, keys[key])], [value], source, lineno)[0]
 
     if "duration_ms" not in top:
         raise ScenarioParseError(source, 0, "missing required key duration_ms")
-    agents = tuple(
-        AgentSpec(id=a, waypoints=tuple(agent_wps[a]), sound=tuple(agent_sound[a]))
-        for a in agent_order)
     config = ScenarioConfig(
-        agents=agents,
-        duration_ms=int(top["duration_ms"]),
-        rf=RfParams(**rf_kv) if rf_kv else RfParams(),
-        accel_noise_sigma=float(top.get("accel_noise_sigma", 0.1)),
-        seed=int(top.get("seed", 0)),
-    )
+        agents=tuple(AgentSpec(a, tuple(lists["waypoint"]), tuple(lists["sound"]))
+                     for a, lists in agents.items()),
+        rf=RfParams(**rf), **top)
     return validate_config(config)
 
 

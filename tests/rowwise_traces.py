@@ -114,10 +114,8 @@ def read_traces_rowwise(sightings_path, accel_path, sound_path,
     handle, rows = _open_rows(sightings_path)
     with handle:
         last_t: dict = {}
-        for line, row in enumerate(rows, start=1):
-            if line == 1:
-                _check_header(sightings_path, row, SIGHTINGS_HEADER)
-                continue
+        _check_header(sightings_path, next(rows, []), SIGHTINGS_HEADER)
+        for line, row in enumerate(rows, start=2):
             if len(row) != 4:
                 raise ParseError(sightings_path, line, 1,
                                  f"expected 4 fields, got {len(row)}")
@@ -138,10 +136,8 @@ def read_traces_rowwise(sightings_path, accel_path, sound_path,
     handle, rows = _open_rows(accel_path)
     with handle:
         last_t = {}
-        for line, row in enumerate(rows, start=1):
-            if line == 1:
-                _check_header(accel_path, row, ACCEL_HEADER)
-                continue
+        _check_header(accel_path, next(rows, []), ACCEL_HEADER)
+        for line, row in enumerate(rows, start=2):
             if len(row) != 5:
                 raise ParseError(accel_path, line, 1,
                                  f"expected 5 fields, got {len(row)}")
@@ -157,10 +153,8 @@ def read_traces_rowwise(sightings_path, accel_path, sound_path,
     handle, rows = _open_rows(sound_path)
     with handle:
         last_t = {}
-        for line, row in enumerate(rows, start=1):
-            if line == 1:
-                _check_header(sound_path, row, SOUND_HEADER)
-                continue
+        _check_header(sound_path, next(rows, []), SOUND_HEADER)
+        for line, row in enumerate(rows, start=2):
             if len(row) != 3:
                 raise ParseError(sound_path, line, 1,
                                  f"expected 3 fields, got {len(row)}")

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import batch_of, make_traces
+import nearness
 from nearness.cli import main
 from nearness.domain import MinuteRecord, Nearness
 from nearness.ingest import fmt_float, read_traces, write_traces
@@ -163,12 +167,39 @@ class TestRun:
         # 546289658.555 s is not a binary fraction: timestamp() * 1000 lands
         # just below ...555 and truncates to ...554
         shifted = self._shifted_traces(tiny_scn, tmp_path, 546_289_658_555)
-        for out, epoch in (("iso", "1987-04-24T19:07:38.555+00:00"), ("ms", "546289658555")):
+        # a trailing Z is UTC on every supported Python, 3.10 included
+        for out, epoch in (("iso", "1987-04-24T19:07:38.555+00:00"), ("ms", "546289658555"),
+                           ("z", "1987-04-24T19:07:38.555Z")):
             assert main(["run", "--traces", str(shifted), "--out", str(tmp_path / out),
                          "--epoch", epoch]) == 0
-        assert read_bytes(tmp_path / "iso" / "records.log") == \
-            read_bytes(tmp_path / "ms" / "records.log")
+        for out in ("iso", "z"):
+            assert read_bytes(tmp_path / out / "records.log") == \
+                read_bytes(tmp_path / "ms" / "records.log")
 
+    def test_span_past_a_year_is_input_error(self, tmp_path):
+        # wall-clock traces read without --epoch span some 3e7 minutes; the
+        # child's address space is capped, so a run that sizes its arrays by
+        # that span fails with MemoryError instead of filling the host's memory
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "sightings.csv").write_text(
+            "t_ms,observer,subject,rssi_dbm\n1780000000000,a,b,-50.0\n")
+        (traces / "accel.csv").write_text("t_ms,node,ax,ay,az\n")
+        (traces / "sound.csv").write_text("t_ms,node,amplitude\n")
+        out = tmp_path / "out"
+        capped_run = ("import resource, sys\n"
+                      "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+                      "from nearness.cli import main\n"
+                      "sys.exit(main(['run', '--traces', sys.argv[1], '--out', sys.argv[2]]))\n")
+        src = os.path.dirname(os.path.dirname(nearness.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run([sys.executable, "-c", capped_run, str(traces), str(out)],
+                               env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 2, child.stderr
+        assert "1780000000000 is 20601.9 days" in child.stderr
+        assert "--epoch" in child.stderr
+        assert not out.exists()
 
     def test_traces_in_per_stream_order_run_in_full(self, tmp_path, capsys):
         # a->b for 10 minutes, then a->c for the first 5: each stream is in

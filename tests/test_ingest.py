@@ -28,6 +28,7 @@ from nearness.ingest import (
     write_traces,
 )
 from nearness.simulator import generate
+from rowwise_traces import read_traces_rowwise
 from test_simulator import two_agent_config
 
 
@@ -136,6 +137,17 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             read_traces(*paths)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("k, header", [
+        (0, "t_ms,observer,subject,rssi_dbm"), (1, "t_ms,node,ax,ay,az"),
+        (2, "t_ms,node,amplitude")])
+    def test_zero_byte_file_fails_at_its_header(self, tmp_path, k, header):
+        paths = trace_files(tmp_path)
+        paths[k].write_bytes(b"")
+        for reader in (read_traces, read_traces_rowwise):
+            with pytest.raises(ParseError) as err:
+                reader(*paths)
+            assert str(err.value) == f"{paths[k]}:1:1: malformed header: expected {header}"
 
     def test_rssi_out_of_range(self, tmp_path):
         paths = trace_files(tmp_path, sightings="0,a,b,7.5\n")

@@ -162,6 +162,9 @@ class TestGenerate:
                                 duration_ms=300_000)
         traces, _ = generate(config)
         assert len(traces.sightings) == 0
+        tab = traces.sightings
+        assert [c.dtype for c in (tab.t_ms, tab.observer, tab.subject, tab.rssi_dbm)] == \
+            [np.int64, object, object, np.float64]
         assert len(traces.accel["a"]) == 300_000 // 50
         assert len(traces.sound["a"]) == 300
 
@@ -388,6 +391,74 @@ waypoint = 300000 4.0 1.0
         assert [a.id for a in config.agents] == ["a", "b"]
         assert config.agents[0].sound[0].amplitude == 0.3
         assert config.agents[1].waypoints[1] == Waypoint(300_000, 4.0, 1.0)
+
+    @pytest.mark.parametrize("text, message", [
+        ("duration_ms = 1000\nbogus = 1", "2: unknown key 'bogus'"),
+        ("duration_ms = 1000\nduration_ms = 2000", "2: duplicate key 'duration_ms'"),
+        ("[rf]\nseed = 1", "2: unknown rf key 'seed'"),
+        ("[rf]\nmax_range_m = 1\nmax_range_m = 2", "3: duplicate rf key 'max_range_m'"),
+        ("duration_ms = 1.5", "1: duration_ms: invalid integer '1.5'"),
+        ("seed = x", "1: seed: invalid integer 'x'"),
+        ("accel_noise_sigma = abc", "1: accel_noise_sigma: invalid number 'abc'"),
+        ("[rf]\nscan_interval_ms = 1e3", "2: scan_interval_ms: invalid integer '1e3'"),
+        ("[rf]\npathloss_exp = two", "2: pathloss_exp: invalid number 'two'"),
+        ("[agent a]\nwaypoint = 0.5 0 0", "2: waypoint.t_ms: invalid integer '0.5'"),
+        ("[agent a]\nwaypoint = 0 x 0", "2: waypoint.x: invalid number 'x'"),
+        ("[agent a]\nwaypoint = 0 0 y", "2: waypoint.y: invalid number 'y'"),
+        ("[agent a]\nsound = a 1 0.1", "2: sound.from_ms: invalid integer 'a'"),
+        ("[agent a]\nsound = 0 1.0 0.1", "2: sound.to_ms: invalid integer '1.0'"),
+        ("[agent a]\nsound = 0 1 loud", "2: sound.amplitude: invalid number 'loud'"),
+        ("[agent a]\nwaypoint = 0 1.0", "2: waypoint needs: t_ms x y"),
+        ("[agent a]\nsound = 0 1 0.1 0.2", "2: sound needs: from_ms to_ms amplitude"),
+        ("[agent a]\nspeed = 1", "2: unknown agent key 'speed'"),
+        ("[agent a]\nseed = 1", "2: unknown agent key 'seed'"),
+        ("[agent ]", "1: unknown section [agent]"),
+        ("[agent a]\n[agent a]", "2: agent 'a' redefined"),
+        ("[world]", "1: unknown section [world]"),
+        ("[rf", "1: unterminated section header"),
+        ("duration_ms 1000", "1: expected key = value, got 'duration_ms 1000'"),
+        ("seed = 1", "0: missing required key duration_ms"),
+        ("duration_ms = 1000\n[agent rf]\nmax_range_m = 3", "3: unknown agent key 'max_range_m'"),
+        ("[agent a]\nwaypoint = 0 0 0\n[rf]\nwaypoint = 0 0 0", "4: unknown rf key 'waypoint'"),
+    ])
+    def test_every_error_names_file_line_and_cause(self, text, message):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text, source="f.scn")
+        assert str(err.value) == f"f.scn:{message}"
+        assert err.value.line == int(message.split(":")[0])
+
+    def test_every_number_field_reads_back(self):
+        text = """
+duration_ms = 120000
+accel_noise_sigma = 0.25
+seed = 77
+[rf]
+p_ref_dbm = -45.5
+pathloss_exp = 3.1
+shadowing_sigma_db = 1.5
+scan_interval_ms = 30000
+max_range_m = 12.5
+[agent a]
+waypoint = 0 1.5 -2.5
+waypoint = 60000 3.25 4
+sound = 1000 2000 0.5
+"""
+        config = parse_scenario(text)
+        assert config == ScenarioConfig(
+            agents=(AgentSpec("a", (Waypoint(0, 1.5, -2.5), Waypoint(60_000, 3.25, 4.0)),
+                              (SoundPhase(1000, 2000, 0.5),)),),
+            duration_ms=120_000, rf=RfParams(-45.5, 3.1, 1.5, 30_000, 12.5),
+            accel_noise_sigma=0.25, seed=77)
+        for obj, cls in ((config, ScenarioConfig), (config.rf, RfParams)):
+            for f in dataclasses.fields(cls):
+                if f.default is not dataclasses.MISSING:
+                    assert getattr(obj, f.name) != f.default, f.name
+        assert [type(v) for v in dataclasses.astuple(config.rf)] == [float, float, float, int, float]
+        assert [type(v) for v in (config.duration_ms, config.accel_noise_sigma, config.seed)] == \
+            [int, float, int]
+        assert [type(v) for v in dataclasses.astuple(config.agents[0].waypoints[1])] == \
+            [int, float, float]
+        assert [type(v) for v in dataclasses.astuple(config.agents[0].sound[0])] == [int, int, float]
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ScenarioParseError) as err:
