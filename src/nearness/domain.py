@@ -120,10 +120,9 @@ class MinuteBatch:
         return [getattr(self, name) for name in RECORD_FIELDS]
 
     @classmethod
-    def join(cls, batches) -> "MinuteBatch":
-        """One batch holding the rows of `batches` in order."""
-        empty = [np.empty(0, dtype=dtype) for dtype in _BATCH_DTYPES]
-        return cls(*map(np.concatenate, zip(empty, *(batch.columns() for batch in batches))))
+    def empty(cls, rows: int) -> "MinuteBatch":
+        """A batch of `rows` rows whose columns are allocated, not filled."""
+        return cls(*(np.empty(rows, dtype=dtype) for dtype in _BATCH_DTYPES))
 
     def values(self, rows=slice(None)) -> list[list]:
         """Python field values of the rows `rows` (an index array or slice)."""

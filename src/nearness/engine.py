@@ -4,13 +4,16 @@ For every minute boundary the engine gathers the four pipelines -- social
 strength, smoothed relative distance, motion code, sound class -- plus the
 node degree into columns, one row per pair direction in (i, j) order, hands
 them to the fusion step, and appends the fused MinuteBatch to the log.  The
-distance, motion, sound and degree kernels run once per direction or node
-and the social-strength kernel once per pair, each over all minute
-boundaries and all before the minute loop, which only indexes their results.
-Fusion scores and labels each minute's batch as a whole.  A pair
-enters the record stream at its first contact and stays in it from then on
-(with zeroed scores while out of range), so absence windows are visible in
-the output.  The run's records are the minute batches joined into one.
+sighting table is grouped into per-direction (t, rssi) slices by one stable
+sort of direction codes.  The distance, motion, sound and degree kernels
+run once per direction or node and the social-strength kernel once per
+pair, each over all minute boundaries and all before the minute loop, which
+only indexes their results.  Fusion scores and labels each minute's batch
+as a whole.  A pair enters the record stream at its first contact and stays
+in it from then on (with zeroed scores while out of range), so absence
+windows are visible in the output.  The run's records are held once, as
+eleven columns sized before the loop: each minute's batch is written into
+its slice, and the log is handed a view of that slice.
 
 Distance smoothing is kept per direction: the (i, j) record carries the
 estimate built from i's own sightings of j.  With noiseless sensing both
@@ -34,7 +37,7 @@ import numpy as np
 
 from .domain import MS_PER_MINUTE, MinuteBatch, canonical_pair, minute_index
 from .fusion import FusionParams, SessionStats, fuse_minute
-from .ingest import AccelSeries, SoundSeries, TraceSet
+from .ingest import AccelSeries, SightingTable, SoundSeries, TraceSet
 from .pipelines import (
     DEFAULT_ALPHA,
     DEFAULT_DEGREE_WINDOW_MS,
@@ -97,6 +100,28 @@ def _motion(accel: AccelSeries, boundaries: np.ndarray, config: EngineConfig) ->
                         config.motion_window_ms, config.motion_threshold)
 
 
+def _direction_codes(i: list[str], j: list[str], ids: list[str]) -> np.ndarray:
+    """A code per direction (i[k], j[k]) of nodes in the sorted list `ids`;
+    codes order as the directions do."""
+    code = {node: k for k, node in enumerate(ids)}
+    out = np.fromiter(map(code.__getitem__, i), dtype=np.int64, count=len(i)) * len(ids)
+    out += np.fromiter(map(code.__getitem__, j), dtype=np.int64, count=len(j))
+    return out
+
+
+def _sighting_streams(tab: SightingTable, nodes: list[str]) -> dict:
+    """Each direction's sightings (t_ms, rssi_dbm), time-sorted, keyed by
+    (observer, subject) in sorted order: slices of the table sorted stably
+    by direction code."""
+    direction = _direction_codes(tab.observer.tolist(), tab.subject.tolist(), nodes)
+    order = np.argsort(direction, kind="stable")
+    direction, t_ms, rssi = direction[order], tab.t_ms[order], tab.rssi_dbm[order]
+    starts = np.flatnonzero(np.diff(direction, prepend=-1))
+    stops = np.append(starts[1:], len(direction))
+    return {(nodes[c // len(nodes)], nodes[c % len(nodes)]): (t_ms[lo:hi], rssi[lo:hi])
+            for c, lo, hi in zip(direction[starts].tolist(), starts.tolist(), stops.tolist())}
+
+
 def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
                duration_ms: int | None = None,
                log: RecordLog | None = None) -> RunResult:
@@ -108,15 +133,8 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
     nodes = traces.nodes()
     boundaries = np.arange(1, minutes + 1, dtype=np.int64) * MS_PER_MINUTE
 
-    tab = traces.sightings
-    # directional sighting streams (t, rssi), time-sorted like the table
-    by_direction: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
-    for t, obs, subj, rssi in zip(tab.t_ms.tolist(), tab.observer.tolist(),
-                                  tab.subject.tolist(), tab.rssi_dbm.tolist()):
-        entry = by_direction.setdefault((obs, subj), ([], []))
-        entry[0].append(t)
-        entry[1].append(rssi)
-    times = {key: np.asarray(ts, dtype=np.int64) for key, (ts, _) in by_direction.items()}
+    by_direction = _sighting_streams(traces.sightings, nodes)
+    times = {key: ts for key, (ts, _) in by_direction.items()}
 
     # contact events and coverage per canonical pair
     pair_times: dict[tuple[str, str], list[np.ndarray]] = {}
@@ -158,31 +176,37 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
     # per-minute distance of each direction, from the observer's own sightings
     distance = np.empty((len(directions), minutes))
     for row, ((i, j), _) in enumerate(directions):
-        ts, rssis = by_direction.get((i, j), ([], []))
+        ts, rssis = by_direction.get((i, j), (_NO_TIMES, _NO_VALUES))
         state = DistanceState(alpha=config.alpha)
         ema = [ema_update(state, estimate_distance_raw(rssi, config.rf.p_ref_dbm,
                                                        config.rf.pathloss_exp))
-               for rssi in rssis]
-        distance[row] = smoothed_distances(np.asarray(ts, dtype=np.int64),
-                                           np.asarray(ema, dtype=np.float64),
+               for rssi in rssis.tolist()]
+        distance[row] = smoothed_distances(ts, np.asarray(ema, dtype=np.float64),
                                            boundaries, config.staleness_ms)
+    del by_direction, times     # the run's columns take their place
 
+    # the run's columns: minute m holds the rows of the directions active by m
+    per_minute = np.searchsorted(np.sort(first_minute), np.arange(minutes), side="right")
+    offsets = np.concatenate([[0], np.cumsum(per_minute)]).tolist()
+    records = MinuteBatch.empty(offsets[-1])
+    columns = records.columns()
     stats = SessionStats()
-    batches: list[MinuteBatch] = []
     for minute in range(minutes):
-        rows = np.flatnonzero(first_minute <= minute)
-        if not len(rows):
+        lo, hi = offsets[minute], offsets[minute + 1]
+        if lo == hi:
             continue
+        rows = np.flatnonzero(first_minute <= minute)
         batch = fuse_minute(minute, ids_i[rows], ids_j[rows],
                             *owner_features[rows, :, minute].T,
                             distance[rows, minute], s_s[rows, minute], stats, config.fusion)
+        for column, values in zip(columns, batch.columns()):
+            column[lo:hi] = values
         if log is not None:
-            log.append(batch)
-        batches.append(batch)
+            log.append(MinuteBatch(*(column[lo:hi] for column in columns)))
 
     contact_seconds = {pair: int(state.covered_ms(boundaries[-1:]).sum()) / 1000.0
                        for pair, state in strength.items()}
-    return RunResult(records=MinuteBatch.join(batches), minutes=minutes, nodes=nodes,
+    return RunResult(records=records, minutes=minutes, nodes=nodes,
                      contacts=contacts, contact_seconds=contact_seconds,
                      runtime_s=time.perf_counter() - started)
 
@@ -194,8 +218,8 @@ def _series_summary(values: np.ndarray) -> dict:
         return {"records": 0, "mean": None, "min": None, "max": None}
     return {"records": len(values),
             "mean": float(np.mean(values)),
-            "min": float(min(values)),
-            "max": float(max(values))}
+            "min": float(values.min()),
+            "max": float(values.max())}
 
 
 def pearson_correlation(a, b) -> float | None:
@@ -211,14 +235,19 @@ def pearson_correlation(a, b) -> float | None:
 def build_report(result: RunResult, config_echo: dict, seed: int | None) -> dict:
     """Deterministic per-pair run summary (runtime aside)."""
     batch = result.records
-    rows: dict[str, list[int]] = {}     # the rows of each direction "i,j", in minute order
-    for row, key in enumerate((batch.i + "," + batch.j).tolist()):
-        rows.setdefault(key, []).append(row)
+    # the rows of each direction, in minute order, from one stable sort
+    direction = _direction_codes(batch.i.tolist(), batch.j.tolist(), result.nodes)
+    order = np.argsort(direction, kind="stable")
+    direction = direction[order]
+    keys = [d for pair in sorted(result.contacts) for d in (pair, pair[::-1])]
+    wanted = _direction_codes([i for i, _ in keys], [j for _, j in keys], result.nodes)
+    rows = [order[lo:hi] for lo, hi in zip(np.searchsorted(direction, wanted, "left").tolist(),
+                                           np.searchsorted(direction, wanted, "right").tolist())]
 
     pairs = {}
-    for pair in sorted(result.contacts):
+    for k, pair in enumerate(sorted(result.contacts)):
         a, b = pair
-        fwd, rev = (rows.get(key, []) for key in (f"{a},{b}", f"{b},{a}"))
+        fwd, rev = rows[2 * k], rows[2 * k + 1]
         pairs[f"{a},{b}"] = {
             "contact_seconds": result.contact_seconds[pair],
             "directions": {key: {name: _series_summary(getattr(batch, name)[own])

@@ -10,11 +10,15 @@ in meters, m the motion code (1 stationary, 2 moving), and G a Gaussian
 weight centred on the target sound class.  Both are zero whenever the pair
 has no strength or no fresh distance estimate (d is ``inf``).  The
 qualitative nearness label is derived from the session's empirical terciles
-of p and si.  `fuse_minute` scores one minute's rows with the scalar
-functions below (kept scalar because `math.log10` and `np.log10` differ in
-the last bit on some inputs), merges the minute into the session's sorted
-score arrays, labels the whole batch with one `np.searchsorted` per score,
-and returns it as one MinuteBatch.
+of p and si.  `propinquity` and `social_interaction` are array kernels: they
+score whole columns (or scalars, giving a numpy float64) and mask the rows
+the scalar definitions zero with the same comparisons.  The logarithms are
+`math.log10`, one call per value, and G is the scalar expression taken once
+per distinct v, because `np.log10` and `math.log10` differ in the last bit
+on some inputs.  `fuse_minute` scores one minute's columns with them,
+merges the minute into the session's sorted score arrays, labels the whole
+batch with one `np.searchsorted` per score, and returns it as one
+MinuteBatch.
 """
 
 from __future__ import annotations
@@ -47,23 +51,38 @@ class FusionParams:
 DEFAULT_PARAMS = FusionParams()
 
 
-def propinquity(s: float, d: float, m: int) -> float:
+def propinquity(s, d, m):
     """Long-term tie score: grows with strength, shrinks with distance/motion."""
-    if d == math.inf or s <= 0.0:
-        return 0.0
-    return s / ((d + 1.0) * m)
+    s, d, m = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
+                                  np.asarray(d, dtype=np.float64), m)
+    p = np.zeros(s.shape)
+    live = ~((d == np.inf) | (s <= 0.0))
+    p[live] = s[live] / ((d[live] + 1.0) * m[live])
+    return p[()]
 
 
-def social_interaction(s: float, v: int, d: float, m: int,
-                       params: FusionParams = DEFAULT_PARAMS) -> float:
-    """Instantaneous interaction score, Gaussian-weighted by sound class."""
-    if d == math.inf or s < params.s_floor:
-        return 0.0
+def _gauss(v, params: FusionParams) -> float:
+    """Gaussian weight G(v) of one sound class."""
     sigma = math.sqrt(params.sigma2)
-    gauss = math.exp(-((v - params.mu) ** 2) / (2.0 * params.sigma2)) \
+    return math.exp(-((v - params.mu) ** 2) / (2.0 * params.sigma2)) \
         / (sigma * math.sqrt(2.0 * math.pi))
-    return (math.log10(max(s, params.s_floor)) * gauss) \
-        / (math.log10(d + 10.0) * m)
+
+
+def _log10(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log10, x.tolist()), dtype=np.float64, count=len(x))
+
+
+def social_interaction(s, v, d, m, params: FusionParams = DEFAULT_PARAMS):
+    """Instantaneous interaction score, Gaussian-weighted by sound class."""
+    s, v, d, m = np.broadcast_arrays(np.asarray(s, dtype=np.float64), v,
+                                     np.asarray(d, dtype=np.float64), m)
+    si = np.zeros(s.shape)
+    live = ~((d == np.inf) | (s < params.s_floor))     # so s >= s_floor, or NaN
+    if live.any():
+        levels, level = np.unique(v[live], return_inverse=True)
+        gauss = np.array([_gauss(x, params) for x in levels.tolist()])[level]
+        si[live] = (_log10(s[live]) * gauss) / (_log10(d[live] + 10.0) * m[live])
+    return si[()]
 
 
 class SessionStats:
@@ -122,10 +141,9 @@ def fuse_minute(minute: int, i, j, n_i, m_i, v_i, d_m, s_s, stats: SessionStats,
     assigned.  Only these records are ever persisted; raw samples never
     leave the pipelines.
     """
-    scores = [(propinquity(s, d, m), social_interaction(s, v, d, m, params)) for s, v, d, m
-              in zip(s_s.tolist(), v_i.tolist(), d_m.tolist(), m_i.tolist())]
-    p, si = np.array(scores, dtype=np.float64).reshape(-1, 2).T
+    p = propinquity(s_s, d_m, m_i)
+    si = social_interaction(s_s, v_i, d_m, m_i, params)
     stats.add(p, si)
     labels, _provisional = nearness_label(p, si, stats)
-    return MinuteBatch(np.full(len(scores), minute, dtype=np.int64), i, j, n_i, m_i, v_i,
+    return MinuteBatch(np.full(len(p), minute, dtype=np.int64), i, j, n_i, m_i, v_i,
                        d_m, s_s, p, si, labels)

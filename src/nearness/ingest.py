@@ -378,6 +378,15 @@ def _ints(text: list[str], *_) -> np.ndarray:
         return _int_prefix(text, 0)
 
 
+def _reals(text: list[str], *_) -> np.ndarray:
+    """`_real_prefix(text)`, converting each distinct field once."""
+    try:
+        value = {x: float(x) for x in set(text)}
+        return np.fromiter(map(value.__getitem__, text), dtype=np.float64, count=len(text))
+    except ValueError:      # the prefix scan finds the first bad field
+        return _real_prefix(text)
+
+
 def _distance(text: str, _epoch_ms: int = 0) -> float:
     """A distance field: only the text ``inf`` reads as infinity; any other
     spelling of it reads as NaN, which no rule accepts."""
@@ -425,6 +434,7 @@ INT = Kind(lambda text, _: int(text), _ints)
 TIME = Kind(lambda text, epoch_ms: int(text) - epoch_ms,
             lambda text, epoch_ms, *_: _int_prefix(text, epoch_ms))
 REAL = Kind(lambda text, _: float(text), _real_prefix)
+REPEATED_REAL = Kind(REAL.one, _reals)      # for a column of few distinct texts
 DISTANCE = Kind(_distance, _distances)
 NODE = Kind(_node_id,
             lambda text, _, codes, names: node_codes(text, codes, names),
@@ -740,7 +750,7 @@ RECORDS = Layout(
     Rule("v_i", _within(0, 3), "sound class {v_i} not in 0..3"),
     Convert("d_m", DISTANCE),
     Rule("d_m", _not_negative, "bad distance {text!r}"),    # NaN and -inf fail, inf passes
-    Convert("s_s", REAL), Convert("p", REAL), Convert("si", REAL),
+    Convert("s_s", REPEATED_REAL), Convert("p", REAL), Convert("si", REAL),
     Rule("s_s", _finite_not_negative, "bad s_s value {s_s!r}"),
     Rule("p", _finite_not_negative, "bad p value {p!r}"),
     Rule("si", _finite_not_negative, "bad si value {si!r}"),

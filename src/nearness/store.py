@@ -290,7 +290,9 @@ class RecordLog:
         and a key above the last stored key (minutes only move forward, and
         within a minute only new pairs may arrive).  A rejected batch leaves
         the file, the node ids and the columns as they were.  The log keeps
-        the batch's arrays as its own.
+        the batch's arrays as its own, so they must not change afterwards:
+        the engine hands it views of the run's columns, each slice written
+        once before it is appended.
         """
         if not len(batch):
             return

@@ -39,7 +39,7 @@ def batch_of(records) -> MinuteBatch:
     columns = [[getattr(r, name) for r in records] for name in RECORD_FIELDS]
     columns[-1] = [LABELS.index(label) for label in columns[-1]]
     return MinuteBatch(*(np.array(c, dtype=empty.dtype) for c, empty
-                         in zip(columns, MinuteBatch.join([]).columns())))
+                         in zip(columns, MinuteBatch.empty(0).columns())))
 
 
 @dataclass

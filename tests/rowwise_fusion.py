@@ -1,17 +1,38 @@
-"""Reference social strength and tercile labels, one minute or one record at a time.
+"""Reference scores, social strength and tercile labels, one record or one
+minute at a time.
 
-These are the incremental strength accumulator and the bisect-based session
-distribution that the array kernels `SocialStrengthState.accrue` and
-`SessionStats`/`nearness_label` replaced.  Tests use them as oracles: the
-kernels must give the same strengths, contact seconds and labels.
+These are the scalar utility functions, the incremental strength
+accumulator and the bisect-based session distribution that the array
+kernels `propinquity`/`social_interaction`, `SocialStrengthState.accrue`
+and `SessionStats`/`nearness_label` replaced.  Tests use them as oracles:
+the kernels must give the same scores bit for bit, and the same strengths,
+contact seconds and labels.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 
 from nearness.domain import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE
-from nearness.fusion import MIN_RECORDS_FOR_RANKING
+from nearness.fusion import DEFAULT_PARAMS, MIN_RECORDS_FOR_RANKING, FusionParams
+
+
+def propinquity_rowwise(s: float, d: float, m: int) -> float:
+    if d == math.inf or s <= 0.0:
+        return 0.0
+    return s / ((d + 1.0) * m)
+
+
+def social_interaction_rowwise(s: float, v: int, d: float, m: int,
+                               params: FusionParams = DEFAULT_PARAMS) -> float:
+    if d == math.inf or s < params.s_floor:
+        return 0.0
+    sigma = math.sqrt(params.sigma2)
+    gauss = math.exp(-((v - params.mu) ** 2) / (2.0 * params.sigma2)) \
+        / (sigma * math.sqrt(2.0 * math.pi))
+    return (math.log10(max(s, params.s_floor)) * gauss) \
+        / (math.log10(d + 10.0) * m)
 
 
 class StrengthAccumulator:

@@ -1,17 +1,32 @@
-"""The strength and label kernels against the minute-by-minute and
-record-by-record reference code in `rowwise_fusion.py`."""
+"""The score, strength and label kernels against the record-by-record and
+minute-by-minute reference code in `rowwise_fusion.py`."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearness.domain import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE, minute_index
-from nearness.fusion import SessionStats, nearness_label
+from nearness.fusion import (
+    DEFAULT_PARAMS,
+    FusionParams,
+    SessionStats,
+    nearness_label,
+    propinquity,
+    social_interaction,
+)
 from nearness.pipelines import DEFAULT_GAP_MS, SocialStrengthState, contacts_from_times
 
-from rowwise_fusion import BisectSessionStats, strengths_minutewise
+from rowwise_fusion import (
+    BisectSessionStats,
+    propinquity_rowwise,
+    social_interaction_rowwise,
+    strengths_minutewise,
+)
 
 PAIR = ("a", "b")
+PARAMS = st.sampled_from([DEFAULT_PARAMS, FusionParams(sigma2=0.3, mu=2.0, s_floor=0.5)])
 GAP_S = DEFAULT_GAP_MS // 1000
 
 # a sighting gap: inside a contact, right at the merge limit, between
@@ -89,3 +104,33 @@ def test_batch_labels_match_record_by_record_bisect(minutes):
         assert labels.tolist() == [code for code, _ in expected]
         assert [provisional] * len(rows) == [flag for _, flag in expected]
     assert stats.p.tolist() == oracle.p and stats.si.tolist() == oracle.si
+
+
+@st.composite
+def score_rows(draw, s_floor):
+    """(s, v, d, m) rows rich in the values where the scores' cases meet."""
+    s = st.one_of(st.sampled_from([0.0, -0.0, s_floor, math.nan, 3600.0]),
+                  st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                  st.floats(0.0, 1e6))
+    d = st.one_of(st.sampled_from([math.inf, 0.0, math.nan]), st.floats(0.0, 1e4))
+    return draw(st.lists(st.tuples(s, st.integers(0, 3), d, st.sampled_from([1, 2])),
+                         max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(PARAMS.flatmap(lambda params: st.tuples(st.just(params), score_rows(params.s_floor))))
+def test_score_kernels_equal_the_scalar_definitions(case):
+    params, rows = case
+    s, v, d, m = (np.array([row[k] for row in rows], dtype=dtype)
+                  for k, dtype in enumerate((np.float64, np.int64, np.float64, np.int64)))
+    p_want = [propinquity_rowwise(s_, d_, m_) for s_, _, d_, m_ in rows]
+    si_want = [social_interaction_rowwise(*row, params) for row in rows]
+    for got, want in ((propinquity(s, d, m), p_want),
+                      (social_interaction(s, v, d, m, params), si_want)):
+        want = np.array(want, dtype=np.float64)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    for row in rows[:1]:      # one row as scalars: a numpy float64 back
+        got = social_interaction(*row, params)
+        assert type(got) is np.float64
+        assert got.tobytes() == np.float64(social_interaction_rowwise(*row, params)).tobytes()

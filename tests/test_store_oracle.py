@@ -8,8 +8,8 @@ NUL bytes and payloads of 64 KiB or more, which the frame scan hands to the
 frame walk.  The scan itself must find exactly the frames the walk finds,
 on any bytes.  Appended batches must read back as the scanner reads the
 file, and a batch with one invalid field must be rejected without touching
-the file.  Integer columns, converted once per distinct text, must end
-where the field-by-field conversion ends.
+the file.  Integer and `s_s` columns, converted once per distinct text,
+must end where the field-by-field conversion ends, bit for bit.
 """
 
 import math
@@ -202,6 +202,23 @@ def test_int_columns_read_like_the_prefix_scan(head, tail):
     want = ingest._int_prefix(text, 0)
     got = ingest.INT.many(text, 0)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+# texts float() reads, signed zero, NaN of either sign and overflow included
+REAL_TOKENS = ["0", "0.0", "-0.0", "60.0", "1.5", "-2.5", "1e400", "-1e400", "nan", "-nan",
+               "inf", " 3", "1_0.5", "٣"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(head=st.lists(st.sampled_from(REAL_TOKENS), max_size=12),
+       bad=st.sampled_from([t for t in BAD_TOKENS if not ingest._real_prefix([t]).size]),
+       tail=st.lists(st.sampled_from(REAL_TOKENS), max_size=12))
+def test_repeated_real_columns_read_like_the_prefix_scan(head, bad, tail):
+    text = head + tail + head + [bad] + tail + head     # repeats on both sides of one bad text
+    for column in (text, head + tail + head):
+        want = ingest._real_prefix(column)
+        got = ingest.REPEATED_REAL.many(column, 0)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_bad_magic_and_short_files_fail_like_the_scanner():
