@@ -18,8 +18,8 @@ observer/subject pair, one per node for accel and sound); reading sorts the
 sightings by (t_ms, observer, subject) and each node's series by time.
 Both codecs work a block at a time: the writer merges the nodes' accel and
 sound rows into time-major order one time span of rows at a time, and the
-reader parses each file a chunk of text at a time and splits each chunk's
-accel and sound rows by node as it goes.
+reader parses each file a chunk of whole lines of bytes at a time and
+splits each chunk's accel and sound rows by node as it goes.
 Readers split text exactly as the writers join it: only LF ends a line, and
 a field is the text between two commas, verbatim and unquoted (CR and NUL
 are data).  Parsing is strict: the first malformed header, byte that is not
@@ -40,6 +40,7 @@ import numpy as np
 
 from .domain import (
     LABELS,
+    RECORD_FIELDS,
     RSSI_MAX_DBM,
     RSSI_MIN_DBM,
     MinuteRecord,
@@ -50,8 +51,7 @@ from .domain import (
 SIGHTINGS_HEADER = ["t_ms", "observer", "subject", "rssi_dbm"]
 ACCEL_HEADER = ["t_ms", "node", "ax", "ay", "az"]
 SOUND_HEADER = ["t_ms", "node", "amplitude"]
-RECORDS_HEADER = ["minute", "i", "j", "n_i", "m_i", "v_i",
-                  "d_m", "s_s", "p", "si", "nearness"]
+RECORDS_HEADER = list(RECORD_FIELDS)
 
 SIGHTINGS_FILENAME = "sightings.csv"
 ACCEL_FILENAME = "accel.csv"
@@ -206,15 +206,18 @@ def _columns_equal(a, b) -> bool:
 #
 # Each layout (three trace files, minute records) is one ordered table of
 # steps: `Convert` turns a column's text into values, `Rule` tests values
-# with a plain expression.  `Layout.read_chunk` runs every step over a
-# chunk's whole columns to find its first bad row; `Layout.check_row` runs
-# the steps on that one row's Python values, in table order, and the first
-# that fails words the error.  Trace tables go column by column; a trace
-# file's stream order is checked chunk by chunk against each stream's last
-# timestamp so far, and an order breach before a bad row wins.
+# with a plain expression.  `Layout.read_rows`, the one way rows become
+# fields, splits a chunk of rows (the lines of a trace file, the payloads of
+# the record log) and runs every step over its whole columns to find its
+# first bad row; `Layout.check_row` runs the steps on that one row's Python
+# values, in table order, and the first that fails words the error.  Trace
+# tables go column by column; a trace file's stream order is checked chunk
+# by chunk against each stream's last timestamp so far, and an order breach
+# before a bad row wins.
 
-_READ_CHUNK = 1 << 17      # characters of CSV text converted per step
+_READ_CHUNK = 1 << 17      # bytes of CSV text converted per step
 _T_MAX = int(np.iinfo(np.int64).max)
+NO_ROWS = (np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64))   # `read_rows` of none
 
 
 class RowError(ValueError):
@@ -273,24 +276,30 @@ class Layout:
                         else (step.kind.valid, self._index[step.column], [])
                         for step in steps if isinstance(step, Rule) or step.kind.valid]
 
-    def read_chunk(self, lines: list[str], epoch_ms: int, codes: dict, names: list):
-        """Values of the rows of `lines` before the first that breaks the
-        layout, one array per column, and that row's index (`len(lines)`
-        when none does).  Only commas split a row."""
-        commas = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.int64,
-                             count=len(lines))
-        count = first_false(commas == len(self.header) - 1, len(lines))
-        return self.read_fields(",".join(lines[:count]).split(",") if count else [],
-                                epoch_ms, codes, names)
+    def read_rows(self, view: np.ndarray, ends: np.ndarray, epoch_ms: int, codes: dict,
+                  names: list):
+        """Values of the rows of `view` before the first that breaks the
+        layout, one array per column, and that row's index (`len(ends)` when
+        none does).
 
-    def read_fields(self, fields: list[str], epoch_ms: int, codes: dict, names: list):
-        """`read_chunk` of rows whose fields, all of the layout's count, are
-        `fields` one row after another.  Node ids become codes into `names`,
-        and `codes` maps every id seen to its code."""
+        `view` is a writable uint8 array; row k ends at offset `ends[k]`,
+        and the next starts after the one-byte separator there, which must
+        not be a comma (the last row needs none).  Only commas split a row.
+        The separators of the rows kept become commas, so the rows are
+        decoded (bytes that are not UTF-8 as lone surrogates) and split at
+        once.  Node ids become codes into `names`, and `codes` maps every id
+        seen to its code.
+        """
         ncols = len(self.header)
+        per_row = np.diff(np.searchsorted(np.flatnonzero(view == ord(",")), ends), prepend=0)
+        count = first_false(per_row == ncols - 1, len(ends))
+        fields = []
+        if count:
+            view[ends[:count - 1]] = ord(",")
+            fields = str(memoryview(view[:ends[count - 1]]), "utf-8", "surrogateescape").split(",")
         cols = [many(fields[k::ncols], epoch_ms, codes, names)
                 for k, many in enumerate(self._converters)]
-        bad = min(len(fields) // ncols, *map(len, cols))
+        bad = min(count, *map(len, cols))
         bad = self.breach([c[:bad] for c in cols])
         return [c[:bad] for c in cols], bad
 
@@ -491,27 +500,27 @@ _SOUND = Layout(SOUND_HEADER, *_TIMESTAMP, *_node("node"), *_real("amplitude"),
                 Rule("amplitude", _within(0.0, 1.0), "amplitude {text} outside [0, 1]"))
 
 
-def _open_text(path):
-    """Open a CSV file whose lines end at LF only; bad bytes become surrogates."""
-    return open(path, "r", newline="\n", encoding="utf-8", errors="surrogateescape")
-
-
-def _fields(line: str) -> list[str]:
-    """One line's fields, verbatim; a blank line has none."""
-    line = line.removesuffix("\n")
+def _fields(line: bytes) -> list[str]:
+    """One line's fields, verbatim, bytes that are not UTF-8 as lone
+    surrogates; a blank line has none."""
+    line = line.removesuffix(b"\n").decode("utf-8", "surrogateescape")
     return line.split(",") if line else []
 
 
-def _line_chunks(handle):
-    """Yield the rest of `handle` as lists of lines without their LF, about
-    `_READ_CHUNK` characters at a time."""
-    rest = ""
+def _row_chunks(handle):
+    """Yield the rest of the binary `handle` about `_READ_CHUNK` bytes of
+    whole lines at a time, as a writable uint8 array of the lines and the
+    offset of each line's LF in it (a last line without one gets one)."""
+    rest = bytearray()
     while chunk := handle.read(_READ_CHUNK):
-        *lines, rest = (rest + chunk).split("\n")
-        if lines:
-            yield lines
+        rows = rest + chunk
+        cut = rows.rfind(b"\n") + 1
+        rest = rows[cut:]
+        if cut:
+            view = np.frombuffer(rows, dtype=np.uint8, count=cut)
+            yield view, np.flatnonzero(view == ord("\n"))
     if rest:
-        yield [rest]
+        yield np.frombuffer(rest + b"\n", dtype=np.uint8), np.array([len(rest)])
 
 
 def _check_header(path, row, expected):
@@ -533,11 +542,11 @@ def _checked_chunks(path, layout: Layout, epoch_ms: int, names: list):
                     if isinstance(step, Convert) and step.kind is NODE]
     codes: dict[str, int] = {}
     last_t: dict[int, int] = {}     # stream key -> its latest timestamp
-    with _open_text(path) as handle:
+    with open(path, "rb") as handle:
         _check_header(path, _fields(handle.readline()), layout.header)
         line = 2
-        for lines in _line_chunks(handle):
-            cols, bad = layout.read_chunk(lines, epoch_ms, codes, names)
+        for view, ends in _row_chunks(handle):
+            cols, bad = layout.read_rows(view, ends, epoch_ms, codes, names)
             key = cols[node_columns[0]]
             for k in node_columns[1:]:
                 key = (key << 32) | cols[k]
@@ -558,15 +567,16 @@ def _checked_chunks(path, layout: Layout, epoch_ms: int, names: list):
                                  f"timestamp decreases within stream "
                                  f"{stream if len(stream) > 1 else stream[0]}: "
                                  f"{int(t[k])} after {int(prev[k])}")
-            if bad < len(lines):
+            if bad < len(ends):
                 try:
-                    layout.check_row(_fields(lines[bad]), epoch_ms)
+                    start = ends[bad - 1] + 1 if bad else 0
+                    layout.check_row(_fields(view[start:ends[bad]].tobytes()), epoch_ms)
                 except RowError as exc:
                     raise ParseError(path, line + bad, exc.column + 1, str(exc)) from None
                 raise AssertionError(f"{path}:{line + bad}: row flagged but passes every check")
             last_t.update(zip(streams, t[bounds[1:] - 1].tolist()))
             yield cols, order, bounds
-            line += len(lines)
+            line += len(ends)
 
 
 def node_ranks(names: list[str]) -> np.ndarray:
@@ -579,7 +589,7 @@ def node_ranks(names: list[str]) -> np.ndarray:
 def _read_sightings(path, epoch_ms: int) -> SightingTable:
     """The sightings file as one table sorted by (t_ms, observer, subject)."""
     names: list[str] = []
-    parts = [[empty] for empty in _SIGHTINGS.read_chunk([], epoch_ms, {}, names)[0]]
+    parts = [[empty] for empty in _SIGHTINGS.read_rows(*NO_ROWS, epoch_ms, {}, names)[0]]
     for cols, _, _ in _checked_chunks(path, _SIGHTINGS, epoch_ms, names):
         for part, col in zip(parts, cols):
             part.append(col)
@@ -631,7 +641,7 @@ def read_traces(sightings_path, accel_path, sound_path, epoch_ms: int = 0) -> Tr
     their file order).  The first violation of the stream contract, in file
     order, aborts with the offending line and column.
 
-    Each file is parsed `_READ_CHUNK` characters at a time, and accel and
+    Each file is parsed `_READ_CHUNK` bytes at a time, and accel and
     sound rows are split by node chunk by chunk, so besides the result only
     one chunk's rows are held.
     """

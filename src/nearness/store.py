@@ -16,16 +16,17 @@ as codes in first-seen order (the key-order check ranks them by id).
 and checks that they are exactly those a frame-by-frame walk finds; where
 it cannot (a payload that ends in a NUL byte or holds two in a row, an
 empty payload, a frame of 64 KiB or more), the walk reads the rest of the
-log.  The payloads of every `_READ_FRAMES` frames are joined, decoded and
-split at once, and read with `ingest.RECORDS`, the record layout's table
-of rules, as `ingest` reads traces; a chunk that is not UTF-8 or has a
-payload without eleven fields is decoded payload by payload instead.
-`append` takes a MinuteBatch.  Both run the table's rules and the
-key-order check on whole columns, so `append` writes only what a reopen
-reads.  The first record either one rejects goes through the same table
-alone, in table order, via `parse_record_row`, which words its StoreError
-as a frame-at-a-time scanner does.  Frames and exports are formatted from the columns; reads
-build MinuteRecords only for the rows they return.
+log.  Each run of frames the scan or the walk yields is read as it comes:
+its payloads are joined with an LF in place of each header and handed to
+`ingest.RECORDS.read_rows`, the one row splitter, which reads trace files
+too.  A payload that is not UTF-8 reaches the record layout's rules as lone
+surrogates, which every field's conversion rejects.  `append` takes a
+MinuteBatch.  Both run the table's rules and the key-order check on whole
+columns, so `append` writes only what a reopen reads.  The first record
+either one rejects goes through the same table alone, in table order, via
+`parse_record_row`, which words its StoreError as a frame-at-a-time scanner
+does.  Frames and exports are formatted from the columns; reads build
+MinuteRecords only for the rows they return.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 
 from .domain import LABELS, MinuteBatch, MinuteRecord
 from .ingest import (
+    NO_ROWS,
     RECORDS,
     WRITE_CHUNK,
     first_false,
@@ -49,8 +51,8 @@ from .ingest import (
 
 MAGIC = b"NSNS1"
 _LEN = struct.Struct(">I")
-_READ_FRAMES = 2048        # frames converted per step
-_SCAN_BYTES = 1 << 17      # bytes searched for frame headers per step
+_SCAN_BYTES = 1 << 17      # bytes searched for frame headers, and converted, per step
+_READ_FRAMES = 2048        # frames converted per step of the frame walk
 
 
 class StoreError(ValueError):
@@ -61,18 +63,8 @@ class StoreError(ValueError):
 
 # one empty column per MinuteRecord field, typed as `open` reads them (node
 # ids and labels are codes); shared, as nothing can write into them
-_EMPTY = tuple(RECORDS.read_chunk([], 0, {}, [])[0])
+_EMPTY = tuple(RECORDS.read_rows(*NO_ROWS, 0, {}, [])[0])
 _KINDS = "".join(c.dtype.kind for c in _EMPTY)
-
-
-def _chunk_lines(payloads: list[bytes]) -> list[str]:
-    """The payloads as text, up to the first one that is not UTF-8."""
-    lines: list[str] = []
-    try:
-        lines.extend(map(bytes.decode, payloads))
-    except UnicodeDecodeError:
-        pass      # `lines` ends before it
-    return lines
 
 
 def _corrupt(path, k: int, payload: bytes) -> StoreError:
@@ -164,47 +156,23 @@ def _scan(data: bytes):
     yield from _walk(data, pos)
 
 
-def _frames(data: bytes):
-    """Yield the payload bounds (starts, stops) of the log's whole frames,
-    `_READ_FRAMES` at a time; the last stop is where the frame walk stops."""
-    held = [np.empty(0, dtype=np.int64)] * 2
-    for run in _scan(data):
-        starts, stops = (np.concatenate(pair) for pair in zip(held, run))
-        cut = len(starts) - len(starts) % _READ_FRAMES
-        for k in range(0, cut, _READ_FRAMES):
-            yield starts[k:k + _READ_FRAMES], stops[k:k + _READ_FRAMES]
-        held = [starts[cut:], stops[cut:]]
-    if len(held[0]):
-        yield held
-
-
-def _read_chunk(data: bytes, starts: np.ndarray, stops: np.ndarray, codes: dict, names: list):
-    """`RECORDS.read_chunk` of the frames whose payloads span `starts` to
-    `stops` in `data`, one after another.  The payloads are joined with
-    commas, in place of the headers between them, and decoded and split
-    once; if that text is not UTF-8 or a payload does not hold eleven
-    fields, each payload is decoded alone, and `read_chunk` words it."""
-    base, ncols = int(starts[0]), len(RECORDS.header)
+def _read_chunk(view: np.ndarray, starts: np.ndarray, stops: np.ndarray, codes: dict,
+                names: list):
+    """`RECORDS.read_rows` of the frames whose payloads span `starts` to
+    `stops` in `view`, the log's bytes, one after another.  The payloads are
+    joined with an LF in place of each header between two: a header byte
+    may be a comma, and a payload may hold an LF, so the rows end where the
+    frames say."""
+    base = int(starts[0])
     keep = np.ones(int(stops[-1]) - base, dtype=bool)
     heads = stops[:-1] - base      # each header between two payloads
     for k in range(1, _LEN.size):
         keep[heads + k] = False
-    joined = np.frombuffer(data, dtype=np.uint8, count=len(keep), offset=base)[keep]
+    rows = view[base:stops[-1]][keep]
     del keep
-    seps = heads - (_LEN.size - 1) * np.arange(len(heads))     # in `joined`
-    joined[seps] = ord(",")
-    commas = np.flatnonzero(joined == ord(","))
-    if len(commas) == ncols * len(starts) - 1 and np.array_equal(commas[ncols - 1::ncols], seps):
-        del commas
-        try:
-            text = str(memoryview(joined), "utf-8")
-        except UnicodeDecodeError:
-            pass
-        else:
-            del joined
-            return RECORDS.read_fields(text.split(","), 0, codes, names)
-    payloads = [data[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
-    return RECORDS.read_chunk(_chunk_lines(payloads), 0, codes, names)
+    ends = stops - base - (_LEN.size - 1) * np.arange(len(stops))     # in `rows`
+    rows[ends[:-1]] = ord("\n")
+    return RECORDS.read_rows(rows, ends, 0, codes, names)
 
 
 def _read_columns(path):
@@ -214,12 +182,13 @@ def _read_columns(path):
         data = handle.read()
     if data[:len(MAGIC)] != MAGIC:
         raise StoreError(f"{path}: not a record log (bad magic)")
+    view = np.frombuffer(data, dtype=np.uint8)
     codes: dict[str, int] = {}
     names: list[str] = []
     chunks = [_EMPTY]
     count, end = 0, len(MAGIC)
-    for starts, stops in _frames(data):
-        cols, bad = _read_chunk(data, starts, stops, codes, names)
+    for starts, stops in _scan(data):
+        cols, bad = _read_chunk(view, starts, stops, codes, names)
         breach = _key_breach([c[-1:] for c in chunks[-1][:3]], cols, node_ranks(names))
         if breach < bad:
             raise StoreError(f"{path}: keys not increasing at record #{count + breach}")
@@ -227,7 +196,7 @@ def _read_columns(path):
             raise _corrupt(path, count + bad, data[starts[bad]:stops[bad]])
         chunks.append(cols)
         count, end = count + bad, int(stops[-1])
-    del data
+    del data, view
     return [np.concatenate(c) for c in zip(*chunks)], names, end
 
 

@@ -223,7 +223,10 @@ class TestUndecodableBytes:
         (b"0\xff,a,b,-40.0\n", 2, 1, "invalid UTF-8"),
         (b"0,a,b,7.5\n60000,a\xff,b,-40.0\n", 2, 4, "rssi 7.5 outside"),
         (b'0,a,b,-40.0\n60000,"\xffb",a,-40.0\n', 3, 2, "invalid UTF-8"),
-    ], ids=["node-id", "number", "timestamp", "earlier-row-first", "quoted"])
+        (b"0,a\xff,b,-40.0\n60000,a,b\n", 2, 2, "invalid UTF-8"),
+        (b"0,a,b\n60000,a\xff,b,-40.0\n", 2, 1, "expected 4 fields, got 3"),
+    ], ids=["node-id", "number", "timestamp", "earlier-row-first", "quoted",
+            "bad-byte-before-field-count", "field-count-before-bad-byte"])
     def test_names_line_and_column(self, tmp_path, chunk, rows, line, column, message):
         paths = trace_files(tmp_path)
         paths[0].write_bytes(b"t_ms,observer,subject,rssi_dbm\n" + rows)
@@ -265,6 +268,21 @@ class TestDialect:
             read_traces(*paths)
         assert (err.value.line, err.value.column) == (3, column)
         assert "line break" in str(err.value)
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 17])
+    def test_last_line_needs_no_lf(self, tmp_path, chunk):
+        paths = trace_files(tmp_path, sightings="0,a,b,-40.0\n60000,a,zé,-41.5",
+                            sound="0,a,0.5\n5,a,1.5")
+        with mock.patch.object(ingest, "_READ_CHUNK", chunk), pytest.raises(ParseError) as err:
+            read_traces(*paths)
+        assert (err.value.line, err.value.column) == (3, 3)
+        assert "amplitude 1.5 outside" in str(err.value)
+        paths[2].write_text("t_ms,node,amplitude\n0,a,0.5")
+        with mock.patch.object(ingest, "_READ_CHUNK", chunk):
+            traces = read_traces(*paths)
+        assert traces.sightings.subject.tolist() == ["b", "zé"]
+        assert traces.sightings.rssi_dbm.tolist() == [-40.0, -41.5]
+        assert traces.sound["a"].amplitude.tolist() == [0.5]
 
     def test_nul_is_data(self, tmp_path):
         paths = trace_files(tmp_path, sightings="0,a\0,b,-40.0\n")

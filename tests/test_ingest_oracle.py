@@ -34,7 +34,7 @@ from rowwise_traces import canonical, read_traces_rowwise, write_traces_merged
 
 NODES = ["a", "b", "c", "B", "n 1", "zé"]
 HEADERS = ("t_ms,observer,subject,rssi_dbm", "t_ms,node,ax,ay,az", "t_ms,node,amplitude")
-CHUNKS = st.sampled_from([1, 40, 200, 1 << 20])
+CHUNKS = st.sampled_from([1, 2, 3, 40, 200, 1 << 20])
 
 
 def awkward_text(x: float, style: int) -> str:

@@ -305,17 +305,32 @@ class TestStoreErrors:
         write_frames(log_path, [payload(5), payload(4, label="None")])
         self.expect(log_path, "corrupt record #1: unknown nearness label 'None'")
 
+    UTF8_AT_3 = ("corrupt record #3: 'utf-8' codec can't decode byte 0xff in position 3: "
+                 "invalid start byte")
+
+    @pytest.mark.parametrize("early, late, message", [
+        (payload(1), b"8,a,b", "keys not increasing at record #3"),
+        (b"3,a,b", payload(1), "corrupt record #3: expected 11 fields, got 3"),
+        (payload(3).replace(b"a", b"a\xff"), payload(8).rpartition(b",")[0],
+         UTF8_AT_3),
+        (payload(3).rpartition(b",")[0], payload(8).replace(b"a", b"a\xff"),
+         "corrupt record #3: expected 11 fields, got 10"),
+        (payload(3).replace(b"a", b"a\xff"), payload(8) + b",x",
+         UTF8_AT_3),
+        (payload(3) + b",x", payload(8).replace(b"a", b"a\xff"),
+         "corrupt record #3: expected 11 fields, got 12"),
+    ], ids=["keys-first", "fields-first", "utf8-before-10-fields", "10-fields-before-utf8",
+            "utf8-before-12-fields", "12-fields-before-utf8"])
     @pytest.mark.parametrize("frames", [2, 3, 1000])
-    def test_first_error_in_file_order_wins(self, log_path, monkeypatch, frames):
+    def test_first_error_in_file_order_wins(self, log_path, monkeypatch, frames, early, late,
+                                            message):
+        # about `frames` frames per run of the frame walk and of the scan
         monkeypatch.setattr(store, "_READ_FRAMES", frames, raising=False)
+        monkeypatch.setattr(store, "_SCAN_BYTES", 40 * frames)
         payloads = [payload(m) for m in range(10)]
-        payloads[3] = payload(1)
-        payloads[8] = b"8,a,b"
+        payloads[3], payloads[8] = early, late
         write_frames(log_path, payloads)
-        self.expect(log_path, "keys not increasing at record #3")
-        payloads[3], payloads[8] = b"3,a,b", payload(1)
-        write_frames(log_path, payloads)
-        self.expect(log_path, "corrupt record #3: expected 11 fields, got 3")
+        self.expect(log_path, message)
 
     @pytest.mark.parametrize("bad, reason", [
         (b"9223372036854775808,a,b,1,1,1,2.0,60.0,1.0,0.5,Low",
@@ -363,10 +378,11 @@ class TestMemory:
     def test_open_holds_the_file_its_columns_and_one_chunk(self, tmp_path):
         # 22 800 and 45 600 records (2 and 4 MB).  Besides the chunks'
         # columns, open holds the file's bytes while it reads them, then the
-        # joined columns, and one chunk's fields as strings: 2 MB here (2048
-        # records of 11 fields, about 90 bytes each with their list slots).
-        # On the smaller log that bounds the peak at 6.0 MB; the reader
-        # before the frame scan peaked at 7.5 MB.
+        # joined columns, and one chunk's fields as strings: under 2 MB here
+        # (a 128 KiB scan window holds about 1500 records of 11 fields, about
+        # 90 bytes each with their list slots).  On the smaller log that
+        # bounds the peak at 6.0 MB; the reader before the frame scan peaked
+        # at 7.5 MB.
         peak, held = open_peak(tmp_path / "hour.log", 60)
         assert peak < held + 2_000_000
         # Nothing else grows with the log: a reader that held the frame

@@ -2,10 +2,10 @@
 
 Valid, torn and corrupted logs must open to the same records, truncate to
 the same offset when opened writable, or fail with the identical
-StoreError text.  Every case runs with several read chunk sizes, so that
-records and errors cross chunk boundaries on small logs; corruptions include
-NUL bytes and payloads of 64 KiB or more, which the frame scan hands to the
-frame walk.  The scan itself must find exactly the frames the walk finds,
+StoreError text.  Every case runs with several frame walk chunks and frame
+scan windows, so that records and errors cross chunk boundaries on small
+logs; corruptions include NUL bytes and payloads of 64 KiB or more, which
+the frame scan hands to the frame walk.  The scan itself must find exactly the frames the walk finds,
 on any bytes.  Appended batches must read back as the scanner reads the
 file, and a batch with one invalid field must be rejected without touching
 the file.  Integer and `s_s` columns, converted once per distinct text,
@@ -32,6 +32,7 @@ from rowwise_store import scan_rowwise
 
 NODES = ["a", "b", "c", "B", "n 1", "zé", "ä"]
 CHUNKS = st.sampled_from([1, 2, 3, 5, 4096])
+WINDOWS = st.sampled_from([1, 64, 160, 1 << 17])
 # field texts: some are read as valid values (padded, signed, odd spellings),
 # some break a rule, some break the frame's layout
 BAD_TOKENS = ["x", "", " 5", "5 ", "\t1", "5\n", "\n1", "+1", "-1", "1_0", "٣", "-0.0",
@@ -60,9 +61,10 @@ def frames_of(payloads) -> bytes:
     return MAGIC + b"".join(_LEN.pack(len(p)) + p for p in payloads)
 
 
-def check(data: bytes, chunk: int) -> None:
+def check(data: bytes, chunk: int, window: int = 1 << 17) -> None:
     """Open `data` as a writable log as the scanner reads it: same records
-    and truncation, or the same StoreError."""
+    and truncation, or the same StoreError.  `chunk` is the frame walk's
+    run of frames, and `window` the frame scan's, in bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.log"
         path.write_bytes(data)
@@ -70,7 +72,8 @@ def check(data: bytes, chunk: int) -> None:
             want = ("ok",) + scan_rowwise(path)
         except StoreError as exc:
             want = ("error", str(exc))
-        with mock.patch.object(store, "_READ_FRAMES", chunk):
+        with mock.patch.object(store, "_READ_FRAMES", chunk), \
+                mock.patch.object(store, "_SCAN_BYTES", window):
             try:
                 log = RecordLog.open(path, writable=True)
             except StoreError as exc:
@@ -84,12 +87,12 @@ def check(data: bytes, chunk: int) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(records=minute_records(), chunk=CHUNKS, data=st.data())
-def test_valid_and_torn_logs_read_like_the_scanner(records, chunk, data):
+@given(records=minute_records(), chunk=CHUNKS, window=WINDOWS, data=st.data())
+def test_valid_and_torn_logs_read_like_the_scanner(records, chunk, window, data):
     blob = frames_of(format_record_row(*astuple(r)).encode() for r in records)
     tear = data.draw(st.integers(len(MAGIC), len(blob)))
-    check(blob[:tear], chunk)
-    check(blob, chunk)
+    check(blob[:tear], chunk, window)
+    check(blob, chunk, window)
 
 
 @st.composite
@@ -127,10 +130,10 @@ def corruptions(draw, payloads):
 
 
 @settings(max_examples=400, deadline=None)
-@given(records=minute_records(min_size=1), chunk=CHUNKS, data=st.data())
-def test_corrupted_logs_fail_like_the_scanner(records, chunk, data):
+@given(records=minute_records(min_size=1), chunk=CHUNKS, window=WINDOWS, data=st.data())
+def test_corrupted_logs_fail_like_the_scanner(records, chunk, window, data):
     payloads = data.draw(corruptions([format_record_row(*astuple(r)).encode() for r in records]))
-    check(frames_of(payloads), chunk)
+    check(frames_of(payloads), chunk, window)
 
 
 @st.composite
@@ -177,9 +180,8 @@ def test_the_frame_scan_finds_what_the_walk_finds(blob, window, chunk):
     with mock.patch.object(store, "_SCAN_BYTES", window), \
             mock.patch.object(store, "_READ_FRAMES", chunk), \
             mock.patch.object(store, "_walk", spy):
-        runs = list(store._frames(data))
+        runs = list(store._scan(data))
     assert bounds(runs) == walked
-    assert all(len(starts) == chunk for starts, _ in runs[:-1])
     # the walk goes on from a header it reaches itself, or from where it stops
     (pos,) = handed
     assert pos in [a - _LEN.size for a, _ in walked] + [walked[-1][1] if walked else len(MAGIC)]
