@@ -568,8 +568,8 @@ def _checked_chunks(path, layout: Layout, epoch_ms: int, names: list):
                                  f"{stream if len(stream) > 1 else stream[0]}: "
                                  f"{int(t[k])} after {int(prev[k])}")
             if bad < len(ends):
+                start = ends[bad - 1] + 1 if bad else 0
                 try:
-                    start = ends[bad - 1] + 1 if bad else 0
                     layout.check_row(_fields(view[start:ends[bad]].tobytes()), epoch_ms)
                 except RowError as exc:
                     raise ParseError(path, line + bad, exc.column + 1, str(exc)) from None
