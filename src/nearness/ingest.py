@@ -510,7 +510,7 @@ def _fields(line: bytes) -> list[str]:
 def _row_chunks(handle):
     """Yield the rest of the binary `handle` about `_READ_CHUNK` bytes of
     whole lines at a time, as a writable uint8 array of the lines and the
-    offset of each line's LF in it (a last line without one gets one)."""
+    offset of each line's LF in it (or its end, for a last line without one)."""
     rest = bytearray()
     while chunk := handle.read(_READ_CHUNK):
         rows = rest + chunk
@@ -520,7 +520,7 @@ def _row_chunks(handle):
             view = np.frombuffer(rows, dtype=np.uint8, count=cut)
             yield view, np.flatnonzero(view == ord("\n"))
     if rest:
-        yield np.frombuffer(rest + b"\n", dtype=np.uint8), np.array([len(rest)])
+        yield np.frombuffer(rest, dtype=np.uint8), np.array([len(rest)])
 
 
 def _check_header(path, row, expected):
