@@ -16,10 +16,10 @@ file, when the pair had no fresh distance estimate.
 Trace files need only be time-ordered within each stream (one per ordered
 observer/subject pair, one per node for accel and sound); reading sorts the
 sightings by (t_ms, observer, subject) and each node's series by time.
-Both codecs work a block at a time: the writer merges the nodes' accel and
-sound rows into time-major order one time span of rows at a time, and the
-reader parses each file a chunk of whole lines of bytes at a time and
-splits each chunk's accel and sound rows by node as it goes.
+Both codecs work a block at a time: the writer writes accel and sound
+node by node, nodes in name order, a block of one node's rows at a time,
+and the reader parses each file a chunk of whole lines of bytes at a time
+and splits each chunk's accel and sound rows by node as it goes.
 Readers split text exactly as the writers join it: only LF ends a line, and
 a field is the text between two commas, verbatim and unquoted (CR and NUL
 are data).  Parsing is strict: the first malformed header, byte that is not
@@ -56,8 +56,6 @@ RECORDS_HEADER = list(RECORD_FIELDS)
 SIGHTINGS_FILENAME = "sightings.csv"
 ACCEL_FILENAME = "accel.csv"
 SOUND_FILENAME = "sound.csv"
-
-WRITE_CHUNK = 16384     # records formatted per step of an export
 
 
 class ParseError(ValueError):
@@ -652,7 +650,7 @@ def read_traces(sightings_path, accel_path, sound_path, epoch_ms: int = 0) -> Tr
 
 # --- writing -----------------------------------------------------------------
 
-_WRITE_BLOCK = 4096     # trace rows merged and formatted per step
+_WRITE_BLOCK = 4096     # rows formatted per write
 
 
 def _write_csv(path, header: list[str], blocks, format_rows) -> None:
@@ -670,66 +668,50 @@ def _write_csv(path, header: list[str], blocks, format_rows) -> None:
 def write_traces(traces: TraceSet, out_dir) -> tuple[str, str, str]:
     """Write the three trace CSVs into `out_dir`; returns their paths.
 
-    Sightings are written in table order, accel and sound rows merged over
-    all nodes by (t_ms, node), `_WRITE_BLOCK` rows at a time: each node is
-    looked up once, and each block takes every node's rows in one time span.
-    Reading the files back reproduces the TraceSet exactly.
+    Sightings are written in table order.  Accel and sound rows are written
+    node by node, nodes in name order and each node's series in time order,
+    `_WRITE_BLOCK` rows at a time.  A node is looked up only when its turn
+    comes, so a series drawn on lookup is drawn, written and dropped before
+    the next one is drawn.  Reading the files back reproduces the TraceSet
+    exactly.
     """
     os.makedirs(out_dir, exist_ok=True)
     s_path = os.path.join(out_dir, SIGHTINGS_FILENAME)
     a_path = os.path.join(out_dir, ACCEL_FILENAME)
     d_path = os.path.join(out_dir, SOUND_FILENAME)
-    _write_csv(s_path, SIGHTINGS_HEADER, _table_blocks(traces.sightings),
+    tab = traces.sightings
+    _write_csv(s_path, SIGHTINGS_HEADER,
+               _blocks([np.asarray(tab.t_ms, dtype=np.int64), tab.observer, tab.subject,
+                        np.asarray(tab.rssi_dbm, dtype=np.float64)]),
                lambda t, obs, subj, rssi: [f"{a},{b},{c},{d!r}\n" for a, b, c, d
                                            in zip(t, obs, subj, rssi)])
-    _write_csv(a_path, ACCEL_HEADER, _merged_blocks(traces.accel, ("ax", "ay", "az")),
+    _write_csv(a_path, ACCEL_HEADER, _node_blocks(traces.accel, ("ax", "ay", "az")),
                lambda t, node, ax, ay, az: [f"{a},{b},{x!r},{y!r},{z!r}\n" for a, b, x, y, z
                                             in zip(t, node, ax, ay, az)])
-    _write_csv(d_path, SOUND_HEADER, _merged_blocks(traces.sound, ("amplitude",)),
+    _write_csv(d_path, SOUND_HEADER, _node_blocks(traces.sound, ("amplitude",)),
                lambda t, node, amp: [f"{a},{b},{x!r}\n" for a, b, x in zip(t, node, amp)])
     return (s_path, a_path, d_path)
 
 
-def _table_blocks(tab: SightingTable):
-    """The sighting rows in table order, `_WRITE_BLOCK` at a time."""
-    columns = [np.asarray(tab.t_ms, dtype=np.int64), tab.observer, tab.subject,
-               np.asarray(tab.rssi_dbm, dtype=np.float64)]
-    for lo in range(0, len(tab), _WRITE_BLOCK):
+def _blocks(columns: list[np.ndarray]):
+    """The rows of `columns`, `_WRITE_BLOCK` at a time, as Python lists."""
+    for lo in range(0, len(columns[0]), _WRITE_BLOCK):
         yield [c[lo:lo + _WRITE_BLOCK].tolist() for c in columns]
 
 
-def _merged_blocks(series_by_node: Mapping, values: tuple[str, ...]):
-    """Rows [t_ms, node, *values] of every node's time-sorted series, merged
-    by (t_ms, node) and yielded one time span at a time.
+def _node_blocks(series_by_node: Mapping, values: tuple[str, ...]):
+    """Rows [t_ms, node, *values] of each node's series in turn, nodes in
+    name order, `_WRITE_BLOCK` at a time."""
+    for node in sorted(series_by_node):
+        yield from _series_blocks(node, series_by_node[node], values)
 
-    A span holds about `_WRITE_BLOCK` rows of all nodes together; all rows
-    of one timestamp share a span.  Rows of one node with equal timestamps
-    keep their order.
-    """
-    nodes = sorted(series_by_node)
-    series = [series_by_node[node] for node in nodes]   # each node looked up once
-    columns = [[np.asarray(s.t_ms, dtype=np.int64)]
-               + [np.asarray(getattr(s, v), dtype=np.float64) for v in values] for s in series]
-    times = [cols[0] for cols in columns]
-    step = max(1, _WRITE_BLOCK // max(len(nodes), 1))    # rows per node and span
-    start = [0] * len(nodes)
-    while live := [k for k in range(len(nodes)) if start[k] < len(times[k])]:
-        # the span ends with the earliest `step`-th next row of any node and
-        # every other row of its timestamp
-        hi = min((times[k][start[k] + step - 1] for k in live
-                  if start[k] + step <= len(times[k])), default=None)
-        spans = {k: slice(start[k], len(times[k]) if hi is None
-                          else int(np.searchsorted(times[k], hi, "right"))) for k in live}
-        block = [np.concatenate([columns[k][c][span] for k, span in spans.items()])
-                 for c in range(1 + len(values))]
-        # nodes are joined in name order, so a stable sort by time orders
-        # the rows by (t_ms, node) and keeps each node's order
-        order = np.argsort(block[0], kind="stable")
-        code = np.repeat(live, [span.stop - span.start for span in spans.values()])[order]
-        yield ([block[0][order].tolist(), [nodes[c] for c in code.tolist()]]
-               + [col[order].tolist() for col in block[1:]])
-        for k, span in spans.items():
-            start[k] = span.stop
+
+def _series_blocks(node: str, series, values: tuple[str, ...]):
+    """The blocks of one node's series; the series is dropped when they end."""
+    columns = [np.asarray(series.t_ms, dtype=np.int64)]
+    columns += [np.asarray(getattr(series, v), dtype=np.float64) for v in values]
+    for t, *rest in _blocks(columns):
+        yield [t, [node] * len(t), *rest]
 
 
 # --- minute-record codec -------------------------------------------------------

@@ -40,7 +40,7 @@ from .domain import LABELS, MinuteBatch, MinuteRecord
 from .ingest import (
     NO_ROWS,
     RECORDS,
-    WRITE_CHUNK,
+    _WRITE_BLOCK,
     first_false,
     format_record_row,
     node_codes,
@@ -51,8 +51,7 @@ from .ingest import (
 
 MAGIC = b"NSNS1"
 _LEN = struct.Struct(">I")
-_SCAN_BYTES = 1 << 17      # bytes searched for frame headers, and converted, per step
-_READ_FRAMES = 2048        # frames converted per step of the frame walk
+_SCAN_BYTES = 1 << 17      # bytes of frames searched for headers, and converted, per step
 
 
 class StoreError(ValueError):
@@ -99,10 +98,12 @@ def _key_breach(last: list[np.ndarray], cols: list[np.ndarray], rank: np.ndarray
 def _walk(data: bytes, pos: int):
     """The frame walk from the header at offset `pos`, one frame at a time:
     yields the payload bounds (starts, stops) of the whole frames up to a
-    torn one or to fewer than four bytes, `_READ_FRAMES` at a time."""
+    torn one or to fewer than four bytes, in runs that end once they span
+    `_SCAN_BYTES` bytes, as the scan's windows do."""
     unpack, size = _LEN.unpack_from, len(data)
     starts: list[int] = []
     stops: list[int] = []
+    run = pos       # where the current run starts
     while pos + _LEN.size <= size:
         stop = pos + _LEN.size + unpack(data, pos)[0]
         if stop > size:
@@ -110,9 +111,9 @@ def _walk(data: bytes, pos: int):
         starts.append(pos + _LEN.size)
         stops.append(stop)
         pos = stop
-        if len(starts) == _READ_FRAMES:
+        if pos - run >= _SCAN_BYTES:
             yield np.array(starts), np.array(stops)
-            starts, stops = [], []
+            starts, stops, run = [], [], pos
     if starts:
         yield np.array(starts), np.array(stops)
 
@@ -345,10 +346,11 @@ def export_csv(log: RecordLog, path, pair: tuple[str, str] | None = None,
                from_minute: int = 0, to_minute: int | None = None) -> int:
     """Export (a filtered view of) a log to minute-record CSV; returns rows.
 
-    Rows go from the columns to the CSV one write chunk at a time.
+    Rows go from the columns to the CSV `_WRITE_BLOCK` records at a time,
+    as trace rows do.
     """
     rows = log._rows(pair, from_minute, to_minute)
-    chunks = (zip(*log._batch(rows[k:k + WRITE_CHUNK]).values())
-              for k in range(0, len(rows), WRITE_CHUNK))
+    chunks = (zip(*log._batch(rows[k:k + _WRITE_BLOCK]).values())
+              for k in range(0, len(rows), _WRITE_BLOCK))
     write_minute_records(chain.from_iterable(chunks), path)
     return len(rows)

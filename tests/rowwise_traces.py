@@ -8,9 +8,10 @@ order the columnar reader promises before the two are compared.  Tests use
 it as an oracle for the accepted values and for the exact ParseError of a
 rejected file.
 
-The writer is the one `nearness.ingest.write_traces` replaced: it joins
-every node's columns and sorts all rows by (t_ms, node) at once.  Tests use
-it as an oracle for the bytes of each file.
+The writer writes each file's rows in the order `nearness.ingest.write_traces`
+promises, node-major for accel and sound, but all of a node's rows in one
+write where `write_traces` writes them a block at a time.  Tests use it as
+an oracle for the bytes of each file.
 """
 
 from __future__ import annotations
@@ -200,47 +201,41 @@ def canonical(traces: TraceSet) -> TraceSet:
     return TraceSet(table, traces.accel, traces.sound)
 
 
-def _write_csv(path, header, columns, order, format_rows, chunk=16384) -> None:
-    """Write a header and the rows of `columns` in `order` (row indices), or
-    as stored when it is None, `chunk` rows at a time."""
+def _write_csv(path, header, parts, format_rows) -> None:
+    """Write a header and the rows of each part of `parts`, a list of
+    columns as Python lists, in one write per part."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), chunk):
-            rows = slice(lo, lo + chunk) if order is None else order[lo:lo + chunk]
-            handle.writelines(format_rows(*(c[rows].tolist() for c in columns)))
+        for columns in parts:
+            handle.writelines(format_rows(*columns))
 
 
-def _merged_columns(series_by_node, values):
-    """Columns [t_ms, node, *values] of all nodes' series, and the row order
-    that sorts them by (t_ms, node)."""
-    nodes = sorted(series_by_node)
-    parts = [series_by_node[n] for n in nodes]
-    codes = np.repeat(np.arange(len(nodes)), [len(p.t_ms) for p in parts])
-
-    def joined(name, dtype):
-        return np.concatenate([getattr(p, name) for p in parts] or [[]]).astype(dtype, copy=False)
-
-    t = joined("t_ms", np.int64)
-    columns = [t, np.array(nodes, dtype=object)[codes]]
-    columns += [joined(v, np.float64) for v in values]
-    return columns, np.lexsort((codes, t))
+def _node_parts(series_by_node, values):
+    """Columns [t_ms, node, *values] of each node's whole series, nodes in
+    name order."""
+    for node in sorted(series_by_node):
+        series = series_by_node[node]
+        t = np.asarray(series.t_ms, dtype=np.int64).tolist()
+        yield [t, [node] * len(t)] + [np.asarray(getattr(series, v), dtype=np.float64).tolist()
+                                      for v in values]
 
 
-def write_traces_merged(traces: TraceSet, out_dir) -> tuple[str, str, str]:
-    """Write the three trace CSVs into `out_dir`, all rows of a file at once."""
+def write_traces_node_major(traces: TraceSet, out_dir) -> tuple[str, str, str]:
+    """Write the three trace CSVs into `out_dir`: all sightings at once, then
+    all of one node's accel or sound rows at once, nodes in name order."""
     os.makedirs(out_dir, exist_ok=True)
     s_path = os.path.join(out_dir, SIGHTINGS_FILENAME)
     a_path = os.path.join(out_dir, ACCEL_FILENAME)
     d_path = os.path.join(out_dir, SOUND_FILENAME)
     tab = traces.sightings
     _write_csv(s_path, SIGHTINGS_HEADER,
-               [np.asarray(tab.t_ms, dtype=np.int64), tab.observer, tab.subject,
-                np.asarray(tab.rssi_dbm, dtype=np.float64)], None,
+               [[np.asarray(tab.t_ms, dtype=np.int64).tolist(), tab.observer.tolist(),
+                 tab.subject.tolist(), np.asarray(tab.rssi_dbm, dtype=np.float64).tolist()]],
                lambda t, obs, subj, rssi: [f"{a},{b},{c},{d!r}\n" for a, b, c, d
                                            in zip(t, obs, subj, rssi)])
-    _write_csv(a_path, ACCEL_HEADER, *_merged_columns(traces.accel, ("ax", "ay", "az")),
+    _write_csv(a_path, ACCEL_HEADER, _node_parts(traces.accel, ("ax", "ay", "az")),
                lambda t, node, ax, ay, az: [f"{a},{b},{x!r},{y!r},{z!r}\n" for a, b, x, y, z
                                             in zip(t, node, ax, ay, az)])
-    _write_csv(d_path, SOUND_HEADER, *_merged_columns(traces.sound, ("amplitude",)),
+    _write_csv(d_path, SOUND_HEADER, _node_parts(traces.sound, ("amplitude",)),
                lambda t, node, amp: [f"{a},{b},{x!r}\n" for a, b, x in zip(t, node, amp)])
     return (s_path, a_path, d_path)

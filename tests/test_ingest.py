@@ -437,6 +437,18 @@ class TestMemory:
         peak = traced_peak(lambda: write_traces(traces, tmp_path / "traces"))
         assert peak < drawn_bytes + 3_000_000
 
+    def test_writer_holds_one_drawn_series_at_a_time(self, tmp_path):
+        samples = 20_000
+        accel, alive = counting_accel([f"n{k}" for k in range(4)], samples)
+        traces = TraceSet(make_traces().sightings, accel)
+        write_traces(TraceSet(traces.sightings, counting_accel(["a"], 10)[0]),
+                     tmp_path / "warm")     # first-use caches
+        # blocks of 256 rows weigh a few percent of one series
+        with mock.patch.object(ingest, "_WRITE_BLOCK", 256):
+            peak = traced_peak(lambda: write_traces(traces, tmp_path / "traces"))
+        assert (alive["peak"], alive["now"]) == (1, 0)
+        assert peak < 1.5 * 3 * 8 * samples      # one (3, samples) float64 series
+
     def test_reader_holds_the_result_and_one_chunk(self, tmp_path):
         paths = write_traces(generate(two_agent_config(duration_ms=3_600_000))[0], tmp_path)
         read_traces(*paths)      # first-use caches

@@ -6,7 +6,7 @@ byte-stably.  Corrupted files must fail with the identical ParseError: same
 path, line, column and message.  Each case also runs with tiny read chunks,
 so rules and errors that cross a chunk boundary are exercised on small
 files.  The block-wise writer must write the same bytes as the reference
-writer, which sorts all rows of a file at once, for any block size.
+writer, which writes all of a node's rows at once, for any block size.
 """
 
 import random
@@ -30,7 +30,7 @@ from nearness.ingest import (
     write_traces,
 )
 from conftest import make_traces
-from rowwise_traces import canonical, read_traces_rowwise, write_traces_merged
+from rowwise_traces import canonical, read_traces_rowwise, write_traces_node_major
 
 NODES = ["a", "b", "c", "B", "n 1", "zé"]
 HEADERS = ("t_ms,observer,subject,rssi_dbm", "t_ms,node,ax,ay,az", "t_ms,node,amplitude")
@@ -296,7 +296,7 @@ def trace_sets(draw):
 def test_writer_writes_the_reference_bytes(traces, block):
     with tempfile.TemporaryDirectory() as tmp:
         with mock.patch.object(ingest, "_WRITE_BLOCK", block):
-            new = write_traces(traces, Path(tmp) / "new")
-        old = write_traces_merged(traces, Path(tmp) / "old")
-        for a, b in zip(new, old):
+            got = write_traces(traces, Path(tmp) / "got")
+        want = write_traces_node_major(traces, Path(tmp) / "want")
+        for a, b in zip(got, want):
             assert Path(a).read_bytes() == Path(b).read_bytes()

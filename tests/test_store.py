@@ -324,8 +324,7 @@ class TestStoreErrors:
     @pytest.mark.parametrize("frames", [2, 3, 1000])
     def test_first_error_in_file_order_wins(self, log_path, monkeypatch, frames, early, late,
                                             message):
-        # about `frames` frames per run of the frame walk and of the scan
-        monkeypatch.setattr(store, "_READ_FRAMES", frames, raising=False)
+        # about `frames` frames per run of the frame scan and of the walk
         monkeypatch.setattr(store, "_SCAN_BYTES", 40 * frames)
         payloads = [payload(m) for m in range(10)]
         payloads[3], payloads[8] = early, late

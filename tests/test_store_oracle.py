@@ -2,13 +2,14 @@
 
 Valid, torn and corrupted logs must open to the same records, truncate to
 the same offset when opened writable, or fail with the identical
-StoreError text.  Every case runs with several frame walk chunks and frame
-scan windows, so that records and errors cross chunk boundaries on small
-logs; corruptions include NUL bytes and payloads of 64 KiB or more, which
-the frame scan hands to the frame walk.  The scan itself must find exactly the frames the walk finds,
-on any bytes.  Appended batches must read back as the scanner reads the
-file, and a batch with one invalid field must be rejected without touching
-the file.  Integer and `s_s` columns, converted once per distinct text,
+StoreError text.  Every case runs with several run sizes, in bytes, of
+the frame scan and the frame walk, so that records and errors cross run
+boundaries on small logs; corruptions include NUL bytes and payloads of
+64 KiB or more, which the frame scan hands to the frame walk.  The scan
+itself must find exactly the frames the walk finds, on any bytes.
+Appended batches must read back as the scanner reads the file, and a
+batch with one invalid field must be rejected without touching the file.
+Integer and `s_s` columns, converted once per distinct text,
 must end where the field-by-field conversion ends, bit for bit.
 """
 
@@ -31,8 +32,8 @@ from nearness.store import _LEN, MAGIC, RecordLog, StoreError
 from rowwise_store import scan_rowwise
 
 NODES = ["a", "b", "c", "B", "n 1", "zé", "ä"]
-CHUNKS = st.sampled_from([1, 2, 3, 5, 4096])
-WINDOWS = st.sampled_from([1, 64, 160, 1 << 17])
+# run sizes in bytes: one frame per run, one to five frames, or the whole log
+WINDOWS = st.sampled_from([1, 64, 160, 300, 1 << 17])
 # field texts: some are read as valid values (padded, signed, odd spellings),
 # some break a rule, some break the frame's layout
 BAD_TOKENS = ["x", "", " 5", "5 ", "\t1", "5\n", "\n1", "+1", "-1", "1_0", "٣", "-0.0",
@@ -61,10 +62,10 @@ def frames_of(payloads) -> bytes:
     return MAGIC + b"".join(_LEN.pack(len(p)) + p for p in payloads)
 
 
-def check(data: bytes, chunk: int, window: int = 1 << 17) -> None:
+def check(data: bytes, window: int = 1 << 17) -> None:
     """Open `data` as a writable log as the scanner reads it: same records
-    and truncation, or the same StoreError.  `chunk` is the frame walk's
-    run of frames, and `window` the frame scan's, in bytes."""
+    and truncation, or the same StoreError.  `window` is the bytes of one
+    run of the frame scan and of the frame walk."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.log"
         path.write_bytes(data)
@@ -72,8 +73,7 @@ def check(data: bytes, chunk: int, window: int = 1 << 17) -> None:
             want = ("ok",) + scan_rowwise(path)
         except StoreError as exc:
             want = ("error", str(exc))
-        with mock.patch.object(store, "_READ_FRAMES", chunk), \
-                mock.patch.object(store, "_SCAN_BYTES", window):
+        with mock.patch.object(store, "_SCAN_BYTES", window):
             try:
                 log = RecordLog.open(path, writable=True)
             except StoreError as exc:
@@ -87,12 +87,12 @@ def check(data: bytes, chunk: int, window: int = 1 << 17) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(records=minute_records(), chunk=CHUNKS, window=WINDOWS, data=st.data())
-def test_valid_and_torn_logs_read_like_the_scanner(records, chunk, window, data):
+@given(records=minute_records(), window=WINDOWS, data=st.data())
+def test_valid_and_torn_logs_read_like_the_scanner(records, window, data):
     blob = frames_of(format_record_row(*astuple(r)).encode() for r in records)
     tear = data.draw(st.integers(len(MAGIC), len(blob)))
-    check(blob[:tear], chunk, window)
-    check(blob, chunk, window)
+    check(blob[:tear], window)
+    check(blob, window)
 
 
 @st.composite
@@ -130,10 +130,10 @@ def corruptions(draw, payloads):
 
 
 @settings(max_examples=400, deadline=None)
-@given(records=minute_records(min_size=1), chunk=CHUNKS, window=WINDOWS, data=st.data())
-def test_corrupted_logs_fail_like_the_scanner(records, chunk, window, data):
+@given(records=minute_records(min_size=1), window=WINDOWS, data=st.data())
+def test_corrupted_logs_fail_like_the_scanner(records, window, data):
     payloads = data.draw(corruptions([format_record_row(*astuple(r)).encode() for r in records]))
-    check(frames_of(payloads), chunk, window)
+    check(frames_of(payloads), window)
 
 
 @st.composite
@@ -165,9 +165,8 @@ def bounds(runs) -> list[tuple[int, int]]:
 
 
 @settings(max_examples=600, deadline=None)
-@given(blob=frame_bytes() | st.binary(max_size=40), window=st.sampled_from([1, 2, 3, 7, 64, 1 << 17]),
-       chunk=CHUNKS)
-def test_the_frame_scan_finds_what_the_walk_finds(blob, window, chunk):
+@given(blob=frame_bytes() | st.binary(max_size=40), window=st.sampled_from([1, 2, 3, 7, 64, 1 << 17]))
+def test_the_frame_scan_finds_what_the_walk_finds(blob, window):
     data = MAGIC + blob
     walked = bounds(store._walk(data, len(MAGIC)))
     handed = []         # where the scan hands the rest of the log to the walk
@@ -178,7 +177,6 @@ def test_the_frame_scan_finds_what_the_walk_finds(blob, window, chunk):
         return walk(data, pos)
 
     with mock.patch.object(store, "_SCAN_BYTES", window), \
-            mock.patch.object(store, "_READ_FRAMES", chunk), \
             mock.patch.object(store, "_walk", spy):
         runs = list(store._scan(data))
     assert bounds(runs) == walked
@@ -225,8 +223,8 @@ def test_repeated_real_columns_read_like_the_prefix_scan(head, bad, tail):
 
 def test_bad_magic_and_short_files_fail_like_the_scanner():
     for data in (b"", b"NSNS", b"NSNS2", b"nsns1" + _LEN.pack(0)):
-        check(data, 4096)
-    check(MAGIC + b"\x00\x00", 4096)       # a torn length prefix
+        check(data)
+    check(MAGIC + b"\x00\x00")       # a torn length prefix
 
 
 def test_appended_records_are_read_like_reopened_ones(tmp_path):
