@@ -7,7 +7,7 @@ by a deterministic multi-agent encounter simulator that doubles as the
 ground-truth oracle.
 """
 
-from .domain import DomainError, MinuteBatch, MinuteRecord, Nearness
+from .domain import DomainError, MinuteBatch
 from .engine import EngineConfig, RunResult, build_report, run_engine
 from .fusion import FusionParams
 from .ingest import ParseError, TraceSet, read_traces, write_traces

@@ -28,7 +28,7 @@ from .ingest import (
 from .simulator import ConfigError, generate, load_scenario
 from .store import RecordLog, StoreError, export_csv
 
-# analyze --metric -> the MinuteRecord field it reads
+# analyze --metric -> the MinuteBatch column it reads
 METRIC_FIELDS = {"p": "p", "si": "si", "s": "s_s", "d": "d_m", "m": "m_i", "v": "v_i",
                  "n": "n_i"}
 
@@ -153,10 +153,14 @@ def _metric_text(value) -> str:
     return str(value) if isinstance(value, int) else fmt_float(value)
 
 
-def _finite_by_minute(records, field: str) -> dict[int, float]:
-    """{minute: value of `field`} over the records whose value is finite."""
-    values = {r.minute: float(getattr(r, field)) for r in records}
-    return {m: v for m, v in values.items() if v != float("inf")}
+def _series(batch, field: str) -> list[tuple]:
+    """(minute, value of `field`) of each row of `batch`, as Python values."""
+    return list(zip(batch.minute.tolist(), getattr(batch, field).tolist()))
+
+
+def _finite_by_minute(series) -> dict[int, float]:
+    """{minute: value} over the (minute, value) rows whose value is finite."""
+    return {m: float(v) for m, v in series if v != float("inf")}
 
 
 def _require_known(log: RecordLog, pair: tuple[str, str]) -> None:
@@ -170,14 +174,14 @@ def cmd_analyze(args) -> int:
     pair = _parse_pair(args.pair)
     log = RecordLog.open(args.log)
     _require_known(log, pair)
-    records = log.query(pair, args.from_min, args.to_min)
     field = METRIC_FIELDS[args.metric]
+    series = _series(log.query(pair, args.from_min, args.to_min), field)
     lines = ["minute,metric_value"]
-    lines += [f"{r.minute},{_metric_text(getattr(r, field))}" for r in records]
+    lines += [f"{minute},{_metric_text(value)}" for minute, value in series]
 
-    forward = _finite_by_minute(records, field)
-    reverse = _finite_by_minute(log.query(pair[::-1], args.from_min, args.to_min),
-                                field)
+    forward = _finite_by_minute(series)
+    reverse = _finite_by_minute(_series(log.query(pair[::-1], args.from_min, args.to_min),
+                                        field))
     both = sorted(forward.keys() & reverse.keys())
     corr = engine_mod.pearson_correlation([forward[m] for m in both],
                                           [reverse[m] for m in both])
@@ -188,12 +192,12 @@ def cmd_analyze(args) -> int:
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
-        print(f"wrote {len(records)} rows to {args.out}")
+        print(f"wrote {len(series)} rows to {args.out}")
     else:
         for line in lines:
             print(line)
     print(f"# pair {pair[0]},{pair[1]}  metric {args.metric}  "
-          f"records {len(records)}  mean {mean_text}")
+          f"records {len(series)}  mean {mean_text}")
     print(f"# symmetry correlation vs {pair[1]},{pair[0]}: {corr_text}")
     return EXIT_OK
 

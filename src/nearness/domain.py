@@ -1,4 +1,4 @@
-"""Core identities, time arithmetic, and the minute record.
+"""Core identities, time arithmetic, and the minute records.
 
 Everything downstream (simulator, codecs, pipelines, fusion, store) shares
 these value types.  All of them are immutable and safe to pass between
@@ -11,7 +11,6 @@ wall-clock inputs onto the scenario epoch is a file-ingest concern.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from enum import Enum
 
 import numpy as np
 
@@ -62,45 +61,23 @@ def minute_index(t_ms: int) -> int:
     return t_ms // MS_PER_MINUTE
 
 
-class Nearness(Enum):
-    LOW = "Low"
-    AVG = "Avg"
-    HIGH = "High"
+LABELS = ("Low", "Avg", "High")      # the nearness labels, lowest first
+_BATCH_DTYPES = (np.int64, object, object) + (np.int64,) * 3 + (np.float64,) * 4 + (np.int64,)
 
 
-@dataclass(frozen=True, slots=True)
-class MinuteRecord:
-    """The one persisted artifact: per-minute fused values for a node pair.
+@dataclass(frozen=True, slots=True, eq=False)
+class MinuteBatch:
+    """The one persisted artifact, as columns: per-minute fused values for
+    node pairs, one numpy array per field and one row per (minute, i, j).
 
     `i` is the record owner: n_i, m_i and v_i are its node degree, motion
     code and sound class for that minute.  d_m is the smoothed distance
     estimate in meters, or ``inf`` when no fresh estimate exists (the
     records file writes it the same way); s_s is the social strength in
     seconds; p and si are the fused propinquity and social-interaction
-    scores, both zero when d_m is ``inf``.
+    scores, both zero when d_m is ``inf``.  Node ids are str objects and
+    `nearness` holds codes into LABELS.
     """
-    minute: int
-    i: str
-    j: str
-    n_i: int
-    m_i: int
-    v_i: int
-    d_m: float
-    s_s: float
-    p: float
-    si: float
-    nearness: Nearness
-
-
-LABELS = tuple(Nearness)
-RECORD_FIELDS = tuple(f.name for f in fields(MinuteRecord))
-_BATCH_DTYPES = (np.int64, object, object) + (np.int64,) * 3 + (np.float64,) * 4 + (np.int64,)
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class MinuteBatch:
-    """MinuteRecords as columns, one numpy array per MinuteRecord field: node
-    ids are str objects and `nearness` holds codes into LABELS."""
     minute: np.ndarray
     i: np.ndarray
     j: np.ndarray
@@ -125,10 +102,10 @@ class MinuteBatch:
         return cls(*(np.empty(rows, dtype=dtype) for dtype in _BATCH_DTYPES))
 
     def values(self, rows=slice(None)) -> list[list]:
-        """Python field values of the rows `rows` (an index array or slice)."""
+        """Python field values of the rows `rows` (an index array or slice),
+        one list per field, with labels as their texts."""
         *values, label = (c[rows].tolist() for c in self.columns())
         return [*values, [LABELS[c] for c in label]]
 
-    def records(self, rows=slice(None)) -> list[MinuteRecord]:
-        """MinuteRecords of the rows `rows` (an index array or slice)."""
-        return list(map(MinuteRecord, *self.values(rows)))
+
+RECORD_FIELDS = tuple(f.name for f in fields(MinuteBatch))

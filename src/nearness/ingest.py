@@ -43,8 +43,6 @@ from .domain import (
     RECORD_FIELDS,
     RSSI_MAX_DBM,
     RSSI_MIN_DBM,
-    MinuteRecord,
-    Nearness,
     validate_node_id,
 )
 
@@ -432,7 +430,13 @@ def node_codes(text: list[str], codes: dict, names: list) -> np.ndarray:
     return np.fromiter(map(codes.__getitem__, text), dtype=np.int64, count=len(text))
 
 
-_LABEL_CODES = {label.value: code for code, label in enumerate(LABELS)}
+_LABEL_CODES = {label: code for code, label in enumerate(LABELS)}
+
+
+def _label(text: str, _epoch_ms: int) -> str:
+    if text not in _LABEL_CODES:
+        raise ValueError(text)      # RECORDS words the error
+    return text
 
 # int, float and node_codes all reject a field holding a lone surrogate, so
 # TEXT needs no column pass; it only puts the UTF-8 message before theirs.
@@ -446,7 +450,7 @@ DISTANCE = Kind(_distance, _distances)
 NODE = Kind(_node_id,
             lambda text, _, codes, names: node_codes(text, codes, names),
             lambda codes: codes >= 0)
-LABEL = Kind(lambda text, _: Nearness(text),
+LABEL = Kind(_label,
              lambda text, *_: np.fromiter(map(_LABEL_CODES.get, text, repeat(-1)),
                                           dtype=np.int64, count=len(text)),
              lambda codes: (codes >= 0) & (codes < len(LABELS)))
@@ -717,10 +721,10 @@ def _series_blocks(node: str, series, values: tuple[str, ...]):
 # --- minute-record codec -------------------------------------------------------
 
 def format_record_row(minute: int, i: str, j: str, n_i: int, m_i: int, v_i: int,
-                      d_m: float, s_s: float, p: float, si: float, nearness: Nearness) -> str:
+                      d_m: float, s_s: float, p: float, si: float, nearness: str) -> str:
     """One CSV row (no newline) of a minute record's eleven field values."""
     return (f"{minute},{i},{j},{n_i},{m_i},{v_i},{fmt_float(d_m)},{fmt_float(s_s)},"
-            f"{fmt_float(p)},{fmt_float(si)},{nearness.value}")
+            f"{fmt_float(p)},{fmt_float(si)},{nearness}")
 
 
 # A record's error is its first failing step in this order, which the log's
@@ -751,10 +755,12 @@ RECORDS = Layout(
     Convert("nearness", LABEL, "unknown nearness label {text!r}"))
 
 
-def parse_record_row(row: str) -> MinuteRecord:
-    """Parse one minute-record CSV row with the RECORDS table; raises
-    ValueError (a RowError) at the first step the row fails."""
-    return MinuteRecord(**RECORDS.check_row(row.split(",")))
+def parse_record_row(row: str) -> dict:
+    """One minute-record CSV row's field values by name, in field order;
+    raises ValueError (a RowError) at the first step of the RECORDS table
+    the row fails.  A row `format_record_row` wrote reads back as the values
+    it was given: ``format_record_row(**parse_record_row(row)) == row``."""
+    return RECORDS.check_row(row.split(","))
 
 
 def write_minute_records(rows, path) -> None:

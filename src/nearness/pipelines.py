@@ -154,7 +154,7 @@ def smoothed_distances(t_ms: np.ndarray, ema_m: np.ndarray, boundaries: np.ndarr
     `ema_m[k]` is the running average after the sighting at `t_ms[k]`.  A
     boundary reads the average after the last sighting before it; with no
     such sighting, or one more than `staleness_ms` old, it reads `inf`,
-    which is how a MinuteRecord marks a pair out of range.
+    which is how a minute record marks a pair out of range.
     """
     last = np.searchsorted(t_ms, boundaries, side="left") - 1
     seen = np.flatnonzero(last >= 0)

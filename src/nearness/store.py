@@ -10,7 +10,7 @@ Keys (minute, i, j) are strictly increasing, so the file is a time-ordered
 journal.  A log truncated at any frame boundary reopens cleanly as a prefix
 of the original sequence; a torn final frame is dropped on open.
 
-The log is held as numpy columns, one per MinuteRecord field, with node ids
+The log is held as numpy columns, one per MinuteBatch field, with node ids
 as codes in first-seen order (the key-order check ranks them by id).
 `open` reads the file in one pass.  `_scan` finds the frames with numpy
 and checks that they are exactly those a frame-by-frame walk finds; where
@@ -21,12 +21,13 @@ its payloads are joined with an LF in place of each header and handed to
 `ingest.RECORDS.read_rows`, the one row splitter, which reads trace files
 too.  A payload that is not UTF-8 reaches the record layout's rules as lone
 surrogates, which every field's conversion rejects.  `append` takes a
-MinuteBatch.  Both run the table's rules and the key-order check on whole
+MinuteBatch and writes its frames unbuffered; a write that fails (a full
+disk, the file size limit) cuts the file back to its last whole frame.  Both run the table's rules and the key-order check on whole
 columns, so `append` writes only what a reopen reads.  The first record
 either one rejects goes through the same table alone, in table order, via
 `parse_record_row`, which words its StoreError as a frame-at-a-time scanner
-does.  Frames and exports are formatted from the columns; reads build
-MinuteRecords only for the rows they return.
+does.  Frames and exports are formatted from the columns, and `query`
+returns a MinuteBatch of the rows it selects.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .domain import LABELS, MinuteBatch, MinuteRecord
+from .domain import LABELS, MinuteBatch
 from .ingest import (
     NO_ROWS,
     RECORDS,
@@ -60,7 +61,7 @@ class StoreError(ValueError):
 
 # --- columnar read ---------------------------------------------------------------
 
-# one empty column per MinuteRecord field, typed as `open` reads them (node
+# one empty column per MinuteBatch field, typed as `open` reads them (node
 # ids and labels are codes); shared, as nothing can write into them
 _EMPTY = tuple(RECORDS.read_rows(*NO_ROWS, 0, {}, [])[0])
 _KINDS = "".join(c.dtype.kind for c in _EMPTY)
@@ -80,9 +81,8 @@ def _payload(batch: MinuteBatch, k: int) -> bytes:
     label code outside LABELS is written as its number, which reads as no
     label, and a lone surrogate in an id as bytes that are not UTF-8."""
     *values, code = (c[k:k + 1].tolist()[0] for c in batch.columns())
-    row = format_record_row(*values, LABELS[0]).rpartition(",")[0]
-    label = LABELS[code].value if 0 <= code < len(LABELS) else code
-    return f"{row},{label}".encode("utf-8", "surrogatepass")
+    label = LABELS[code] if 0 <= code < len(LABELS) else str(code)
+    return format_record_row(*values, label).encode("utf-8", "surrogatepass")
 
 
 def _key_breach(last: list[np.ndarray], cols: list[np.ndarray], rank: np.ndarray) -> int:
@@ -201,6 +201,20 @@ def _read_columns(path):
     return [np.concatenate(c) for c in zip(*chunks)], names, end
 
 
+def _write_whole(handle, data: bytes) -> None:
+    """Write `data` at the position of `handle`, an unbuffered file; if a
+    write fails, cut the file back to where `data` started and re-raise."""
+    start = handle.tell()
+    view = memoryview(data)
+    try:
+        while view:
+            view = view[handle.write(view):]      # a raw write may be short
+    except BaseException:
+        handle.truncate(start)
+        handle.seek(start)
+        raise
+
+
 class RecordLog:
     """File-backed, append-only sequence of minute records.
 
@@ -224,16 +238,15 @@ class RecordLog:
 
     @classmethod
     def create(cls, path) -> "RecordLog":
-        handle = open(path, "wb")
-        handle.write(MAGIC)
-        handle.flush()
+        handle = open(path, "wb", buffering=0)
+        _write_whole(handle, MAGIC)
         return cls(path, handle, list(_EMPTY), [])
 
     @classmethod
     def open(cls, path, writable: bool = False) -> "RecordLog":
         columns, names, good_end = _read_columns(path)
         if writable:
-            handle = open(path, "r+b")
+            handle = open(path, "r+b", buffering=0)
             handle.truncate(good_end)   # drop any torn tail before appending
             handle.seek(good_end)
         else:
@@ -288,8 +301,7 @@ class RecordLog:
             payload = format_record_row(*row).encode("utf-8")
             frames += _LEN.pack(len(payload))
             frames += payload
-        self._handle.write(frames)
-        self._handle.flush()
+        _write_whole(self._handle, frames)
         self._pending.append(cols)
         self._codes, self._names, self._rank = codes, names, rank
 
@@ -327,19 +339,17 @@ class RecordLog:
     def __len__(self) -> int:
         return len(self._columns[0]) + sum(len(cols[0]) for cols in self._pending)
 
-    def records(self) -> list[MinuteRecord]:
-        return self._batch(slice(None)).records()
-
     def node_ids(self) -> set[str]:
         return set(self._names)
 
-    def query(self, pair: tuple[str, str], from_minute: int = 0,
-              to_minute: int | None = None) -> list[MinuteRecord]:
-        """Stored records for the ordered pair with minute in the range.
+    def query(self, pair: tuple[str, str] | None = None, from_minute: int = 0,
+              to_minute: int | None = None) -> MinuteBatch:
+        """The stored records of the ordered pair (of every pair if None)
+        with minute in the range, in key order.
 
         Bounds are inclusive; `to_minute=None` means no upper bound.
         """
-        return self._batch(self._rows(pair, from_minute, to_minute)).records()
+        return self._batch(self._rows(pair, from_minute, to_minute))
 
 
 def export_csv(log: RecordLog, path, pair: tuple[str, str] | None = None,

@@ -34,12 +34,23 @@ def make_traces(sightings=(), accel=(), sound=()) -> TraceSet:
     return TraceSet(table, per_node(accel, AccelSeries), per_node(sound, SoundSeries))
 
 
+def rows(batch: MinuteBatch) -> list[tuple]:
+    """The rows of `batch` as tuples of Python values in RECORD_FIELDS
+    order, labels as their texts."""
+    return list(zip(*batch.values()))
+
+
 def batch_of(records) -> MinuteBatch:
-    """The MinuteRecords `records` as one MinuteBatch, in order."""
-    columns = [[getattr(r, name) for r in records] for name in RECORD_FIELDS]
+    """The rows `records`, tuples as `rows` gives them, as one MinuteBatch."""
+    columns = [list(c) for c in zip(*records)] or [[]] * len(RECORD_FIELDS)
     columns[-1] = [LABELS.index(label) for label in columns[-1]]
     return MinuteBatch(*(np.array(c, dtype=empty.dtype) for c, empty
                          in zip(columns, MinuteBatch.empty(0).columns())))
+
+
+def by_key(batch: MinuteBatch) -> dict[tuple, dict]:
+    """{(minute, i, j): {field: value}} of the rows of `batch`."""
+    return {row[:3]: dict(zip(RECORD_FIELDS, row)) for row in rows(batch)}
 
 
 @dataclass
@@ -52,7 +63,7 @@ class RunBundle:
     elapsed_s: float
 
     def by_key(self):
-        return {(r.minute, r.i, r.j): r for r in self.result.records.records()}
+        return by_key(self.result.records)
 
 
 def run_scenario_bundle(path, **config_overrides) -> RunBundle:

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 
-from nearness.domain import MinuteRecord, Nearness, validate_node_id
+from nearness.domain import validate_node_id
 from nearness.store import _LEN, MAGIC, StoreError
 
 _T_MAX = 2 ** 63 - 1
-_NEARNESS_BY_NAME = {n.value: n for n in Nearness}
+_LABELS = ("Low", "Avg", "High")
 
 
-def parse_record_row(row: str) -> MinuteRecord:
-    """Parse one minute-record CSV row; raises ValueError on any violation."""
+def parse_record_row(row: str) -> tuple:
+    """Parse one minute-record CSV row into its eleven field values; raises
+    ValueError on any violation."""
     fields = row.split(",")
     if len(fields) != 11:
         raise ValueError(f"expected 11 fields, got {len(fields)}")
@@ -57,15 +58,15 @@ def parse_record_row(row: str) -> MinuteRecord:
             raise ValueError(f"bad {name} value {value!r}")
     if d_m == math.inf and (p != 0.0 or si != 0.0):
         raise ValueError("scores must be zero without a distance estimate")
-    if fields[10] not in _NEARNESS_BY_NAME:
+    if fields[10] not in _LABELS:
         raise ValueError(f"unknown nearness label {fields[10]!r}")
-    return MinuteRecord(minute, i, j, n_i, m_i, v_i, d_m, s_s, p, si,
-                        _NEARNESS_BY_NAME[fields[10]])
+    return (minute, i, j, n_i, m_i, v_i, d_m, s_s, p, si, fields[10])
 
 
-def scan_rowwise(path) -> tuple[list[MinuteRecord], int]:
-    """(records, end of the last whole frame) of the log at `path`."""
-    records: list[MinuteRecord] = []
+def scan_rowwise(path) -> tuple[list[tuple], int]:
+    """(records as tuples of field values, end of the last whole frame) of
+    the log at `path`."""
+    records: list[tuple] = []
     with open(path, "rb") as handle:
         magic = handle.read(len(MAGIC))
         if magic != MAGIC:
@@ -84,7 +85,7 @@ def scan_rowwise(path) -> tuple[list[MinuteRecord], int]:
             except (ValueError, UnicodeDecodeError) as exc:
                 raise StoreError(
                     f"{path}: corrupt record #{len(records)}: {exc}") from None
-            key = (record.minute, record.i, record.j)
+            key = record[:3]
             if records and key <= last_key:
                 raise StoreError(
                     f"{path}: keys not increasing at record #{len(records)}")

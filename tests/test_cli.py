@@ -10,7 +10,6 @@ import pytest
 from conftest import batch_of, make_traces
 import nearness
 from nearness.cli import main
-from nearness.domain import MinuteRecord, Nearness
 from nearness.ingest import fmt_float, read_traces, write_traces
 from nearness.store import RecordLog
 
@@ -216,7 +215,8 @@ class TestRun:
         assert main(["run", "--traces", str(traces), "--out", str(out)]) == 0
         assert "minutes: 10 " in capsys.readouterr().out
         log = RecordLog.open(out / "records.log")
-        degree = {r.minute: r.n_i for r in log.query(("a", "b"))}
+        records = log.query(("a", "b"))
+        degree = dict(zip(records.minute.tolist(), records.n_i.tolist()))
         # a sights c within the trailing two minutes up to minute 5's end
         assert degree == {m: 2 if m <= 5 else 1 for m in range(10)}
 
@@ -288,9 +288,8 @@ class TestAnalyze:
         with RecordLog.create(log_path) as log:
             for minute, (d_ab, d_ba) in enumerate(zip(forward, reverse)):
                 log.append(batch_of([
-                    MinuteRecord(minute, i, j, 1, 1, 0, d, 60.0,
-                                 0.0 if d == math.inf else 1.0,
-                                 0.0 if d == math.inf else 0.5, Nearness.LOW)
+                    (minute, i, j, 1, 1, 0, d, 60.0, 0.0 if d == math.inf else 1.0,
+                     0.0 if d == math.inf else 0.5, "Low")
                     for i, j, d in (("a", "b", d_ab), ("b", "a", d_ba))]))
         assert main(["analyze", "--log", str(log_path), "--pair", "a,b",
                      "--metric", "d"]) == 0

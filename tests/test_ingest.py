@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import weakref
-from dataclasses import astuple, fields
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nearness import ingest
 from conftest import make_traces
-from nearness.domain import MinuteRecord, Nearness
+from nearness.domain import RECORD_FIELDS
 from nearness.ingest import (
     AccelSeries,
     DrawnAccel,
@@ -311,15 +311,12 @@ class TestEpochMapping:
             read_traces(*paths, epoch_ms=1_000)
 
 
-RECORDS = [
-    MinuteRecord(0, "a", "b", 1, 1, 1, 2.5, 60.0, 17.142857142857142,
-                 0.7590209165607603, Nearness.LOW),
-    MinuteRecord(0, "b", "a", 2, 2, 0, 2.5, 60.0, 8.571428571428571,
-                 0.2, Nearness.LOW),
-    MinuteRecord(1, "a", "b", 1, 1, 1, math.inf, 120.0, 0.0, 0.0, Nearness.AVG),
-    MinuteRecord(5, "a", "b", 0, 1, 3, 0.0, 1.0, 1.0, 0.0, Nearness.HIGH),
+ROWS = [    # the eleven field values of each record
+    (0, "a", "b", 1, 1, 1, 2.5, 60.0, 17.142857142857142, 0.7590209165607603, "Low"),
+    (0, "b", "a", 2, 2, 0, 2.5, 60.0, 8.571428571428571, 0.2, "Low"),
+    (1, "a", "b", 1, 1, 1, math.inf, 120.0, 0.0, 0.0, "Avg"),
+    (5, "a", "b", 0, 1, 3, 0.0, 1.0, 1.0, 0.0, "High"),
 ]
-ROWS = [astuple(r) for r in RECORDS]    # the eleven field values of each record
 
 
 class TestMinuteRecordCodec:
@@ -329,12 +326,14 @@ class TestMinuteRecordCodec:
         header, *rows = path.read_text().splitlines()
         assert header == "minute,i,j,n_i,m_i,v_i,d_m,s_s,p,si,nearness"
         assert rows == [format_record_row(*row) for row in ROWS]
-        assert [parse_record_row(row) for row in rows] == RECORDS
+        parsed = [parse_record_row(row) for row in rows]
+        assert [list(values) for values in parsed] == [list(RECORD_FIELDS)] * len(ROWS)
+        assert [tuple(values.values()) for values in parsed] == ROWS
 
     def test_out_of_range_serializes_as_inf(self):
         row = format_record_row(*ROWS[2])
         assert row.split(",")[6] == "inf"
-        assert parse_record_row(row).d_m == math.inf
+        assert parse_record_row(row)["d_m"] == math.inf
 
     def test_empty_log_writes_header_only(self, tmp_path):
         path = tmp_path / "records.csv"

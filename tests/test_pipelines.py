@@ -318,7 +318,7 @@ class TestNodeDegree:
     def test_only_own_observations_count(self):
         # only b saw a: a's degree counts a's own sightings, of which there are none
         result = run_engine(make_traces([(1000, "b", "a", -50.0)]), duration_ms=60_000)
-        by_owner = {r.i: r.n_i for r in result.records.records()}
+        by_owner = dict(zip(result.records.i.tolist(), result.records.n_i.tolist()))
         assert by_owner == {"a": 0, "b": 1}
 
     def test_no_streams(self):

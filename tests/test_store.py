@@ -1,20 +1,25 @@
+import errno
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from conftest import batch_of
+from conftest import batch_of, rows
+import nearness
 from nearness import store
-from nearness.domain import LABELS, MinuteBatch, MinuteRecord, Nearness
+from nearness.domain import LABELS, MinuteBatch
 from nearness.ingest import RECORDS_HEADER, format_record_row
 from nearness.store import MAGIC, RecordLog, StoreError, export_csv
 
 
 def record(minute, i="a", j="b", p=1.0):
-    return MinuteRecord(minute, i, j, 1, 1, 1, 2.0, 60.0, p, 0.5, Nearness.LOW)
+    return (minute, i, j, 1, 1, 1, 2.0, 60.0, p, 0.5, "Low")
 
 
 def payload(minute, i="a", j="b", label="Low") -> bytes:
@@ -25,11 +30,54 @@ def csv_text(records) -> str:
     """What an export of exactly these records must write."""
     return "".join(f"{line}\n" for line in
                    [",".join(RECORDS_HEADER),
-                    *(format_record_row(*astuple(r)) for r in records)])
+                    *(format_record_row(*r) for r in records)])
 
 
 def write_frames(path, payloads) -> None:
     path.write_bytes(MAGIC + b"".join(len(p).to_bytes(4, "big") + p for p in payloads))
+
+
+# appends minute 0, then two records of minute 1 with the file size capped
+# 20 bytes past the end, then minute 2 with the cap lifted; prints what the
+# handle and a reopen hold, by minute, as JSON
+CAPPED_APPEND = """\
+import json, os, resource, sys
+import numpy as np
+from nearness.domain import MinuteBatch
+from nearness.store import RecordLog, export_csv
+
+def batch(minute, js):
+    n = len(js)
+    ints = [np.ones(n, dtype=np.int64)] * 3
+    reals = [np.full(n, x) for x in (2.0, 60.0, 1.0, 0.5)]
+    return MinuteBatch(np.full(n, minute), np.array(["a"] * n, dtype=object),
+                       np.array(js, dtype=object), *ints, *reals, np.zeros(n, dtype=np.int64))
+
+def minutes(log, name):
+    out = os.path.join(sys.argv[2], name)
+    export_csv(log, out)
+    with open(out, encoding="utf-8") as handle:
+        return [int(line.split(",")[0]) for line in handle.readlines()[1:]]
+
+path = sys.argv[1]
+seen = {}
+log = RecordLog.create(path)
+log.append(batch(0, ["b"]))
+seen["size_before"] = os.path.getsize(path)
+soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (seen["size_before"] + 20, hard))
+try:
+    log.append(batch(1, ["b", "c"]))
+except OSError as exc:
+    seen["errno"] = exc.errno
+resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+seen["size_after_failure"] = os.path.getsize(path)
+log.append(batch(2, ["b"]))
+log.close()
+seen["handle"] = minutes(log, "handle.csv")
+seen["reopened"] = minutes(RecordLog.open(path), "reopened.csv")
+print(json.dumps(seen))
+"""
 
 
 @pytest.fixture
@@ -42,8 +90,8 @@ class TestAppendAndQuery:
         with RecordLog.create(log_path) as log:
             batch = [record(5), record(5, "b", "a")]
             log.append(batch_of(batch))
-            assert log.query(("a", "b"), 5, 5) == [batch[0]]
-            assert log.query(("b", "a"), 5, 5) == [batch[1]]
+            assert rows(log.query(("a", "b"), 5, 5)) == [batch[0]]
+            assert rows(log.query(("b", "a"), 5, 5)) == [batch[1]]
 
     def test_minute_going_backwards_rejected(self, log_path):
         with RecordLog.create(log_path) as log:
@@ -69,9 +117,9 @@ class TestAppendAndQuery:
             with pytest.raises(StoreError):
                 log.append(batch_of([record(1), record(0)]))
             log.append(batch_of([record(1)]))
-            assert [r.minute for r in log.records()] == [0, 1]
-            assert log.records()[-1].minute == 1
-        assert RecordLog.open(log_path).records() == [record(0), record(1)]
+            assert log.query().minute.tolist() == [0, 1]
+            assert log.query().minute[-1] == 1
+        assert rows(RecordLog.open(log_path).query()) == [record(0), record(1)]
 
     def test_reads_after_append_see_what_a_reopen_sees(self, log_path):
         with RecordLog.create(log_path) as log:
@@ -79,8 +127,8 @@ class TestAppendAndQuery:
                 log.append(batch_of([record(0), record(0, "b", "b")]))
             assert str(caught.value) == \
                 f"{log_path}: corrupt record #1: record pairs 'b' with itself"
-            assert log.records() == [] and len(log) == 0
-        assert RecordLog.open(log_path).records() == []
+            assert rows(log.query()) == [] and len(log) == 0
+        assert rows(RecordLog.open(log_path).query()) == []
 
     def test_invalid_record_is_rejected_before_writing(self, log_path):
         with RecordLog.create(log_path) as log:
@@ -90,9 +138,9 @@ class TestAppendAndQuery:
                 log.append(batch_of([record(1), record(1, "c", "c")]))
             assert log_path.read_bytes() == blob
             assert log.node_ids() == {"a", "b"}
-            assert log.records() == [record(0)]
+            assert rows(log.query()) == [record(0)]
             log.append(batch_of([record(1, "a", "c")]))
-        assert RecordLog.open(log_path).records() == [record(0), record(1, "a", "c")]
+        assert rows(RecordLog.open(log_path).query()) == [record(0), record(1, "a", "c")]
 
     @pytest.mark.parametrize("code", [3, -1], ids=["above", "negative"])
     def test_label_code_outside_labels_is_corrupt(self, log_path, code):
@@ -106,7 +154,7 @@ class TestAppendAndQuery:
             assert str(caught.value) == \
                 f"{log_path}: corrupt record #2: unknown nearness label '{code}'"
             assert log_path.read_bytes() == blob
-            assert log.node_ids() == {"a", "b"} and log.records() == [record(0)]
+            assert log.node_ids() == {"a", "b"} and rows(log.query()) == [record(0)]
 
     @pytest.mark.parametrize("side", [0, 1], ids=["i", "j"])
     def test_node_id_with_a_lone_surrogate_is_corrupt(self, log_path, side):
@@ -120,30 +168,38 @@ class TestAppendAndQuery:
             assert str(caught.value).startswith(
                 f"{log_path}: corrupt record #2: 'utf-8' codec can't decode byte 0xed")
             assert log_path.read_bytes() == blob
-            assert log.node_ids() == {"a", "b"} and log.records() == [record(0)]
-        assert RecordLog.open(log_path).records() == [record(0)]
+            assert log.node_ids() == {"a", "b"} and rows(log.query()) == [record(0)]
+        assert rows(RecordLog.open(log_path).query()) == [record(0)]
 
     def test_empty_append_is_noop(self, log_path):
         with RecordLog.create(log_path) as log:
             log.append(batch_of([]))
             assert len(log) == 0
-        assert RecordLog.open(log_path).records() == []
+        assert rows(RecordLog.open(log_path).query()) == []
 
     def test_query_empty_log(self, log_path):
         with RecordLog.create(log_path) as log:
-            assert log.query(("a", "b")) == []
+            assert rows(log.query(("a", "b"))) == []
 
     def test_query_full_history(self, log_path):
         batches = [[record(m)] for m in range(10)]
         with RecordLog.create(log_path) as log:
             for batch in batches:
                 log.append(batch_of(batch))
-            assert log.query(("a", "b")) == [b[0] for b in batches]
+            assert rows(log.query(("a", "b"))) == [b[0] for b in batches]
+
+    def test_query_without_a_pair_reads_every_pair(self, log_path):
+        batches = [[record(0), record(0, "b", "a")], [record(1, "a", "c")]]
+        with RecordLog.create(log_path) as log:
+            for batch in batches:
+                log.append(batch_of(batch))
+            assert rows(log.query()) == [*batches[0], *batches[1]]
+            assert rows(log.query(None, 1, 1)) == batches[1]
 
     def test_query_disjoint_range(self, log_path):
         with RecordLog.create(log_path) as log:
             log.append(batch_of([record(5)]))
-            assert log.query(("a", "b"), 10, 20) == []
+            assert rows(log.query(("a", "b"), 10, 20)) == []
 
     def test_query_bad_range_rejected(self, log_path):
         with RecordLog.create(log_path) as log:
@@ -157,14 +213,14 @@ class TestPersistence:
         with RecordLog.create(log_path) as log:
             for r in records:
                 log.append(batch_of([r]))
-        assert RecordLog.open(log_path).records() == records
+        assert rows(RecordLog.open(log_path).query()) == records
 
     def test_reopen_writable_continues(self, log_path):
         with RecordLog.create(log_path) as log:
             log.append(batch_of([record(1)]))
         with RecordLog.open(log_path, writable=True) as log:
             log.append(batch_of([record(2)]))
-        assert [r.minute for r in RecordLog.open(log_path).records()] == [1, 2]
+        assert RecordLog.open(log_path).query().minute.tolist() == [1, 2]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.log"
@@ -184,7 +240,7 @@ class TestPersistence:
         log.close()
         with pytest.raises(StoreError, match=f"^{re.escape(str(log_path))}: log is closed$"):
             log.append(batch_of([record(1)]))
-        assert RecordLog.open(log_path).records() == [record(0)]
+        assert rows(RecordLog.open(log_path).query()) == [record(0)]
 
     def test_truncation_at_any_boundary_reopens_cleanly(self, log_path):
         records = [record(m) for m in range(8)]
@@ -204,7 +260,7 @@ class TestPersistence:
 
         for count, boundary in enumerate(boundaries):
             log_path.write_bytes(blob[:boundary])
-            assert RecordLog.open(log_path).records() == records[:count]
+            assert rows(RecordLog.open(log_path).query()) == records[:count]
 
     def test_torn_tail_is_dropped(self, log_path):
         records = [record(m) for m in range(4)]
@@ -213,7 +269,7 @@ class TestPersistence:
                 log.append(batch_of([r]))
         blob = log_path.read_bytes()
         log_path.write_bytes(blob[:-3])  # tear the last frame
-        assert RecordLog.open(log_path).records() == records[:3]
+        assert rows(RecordLog.open(log_path).query()) == records[:3]
 
     def test_torn_tail_truncated_before_append(self, log_path):
         with RecordLog.create(log_path) as log:
@@ -223,7 +279,24 @@ class TestPersistence:
         log_path.write_bytes(blob[:-2])
         with RecordLog.open(log_path, writable=True) as log:
             log.append(batch_of([record(7)]))
-        assert [r.minute for r in RecordLog.open(log_path).records()] == [0, 7]
+        assert RecordLog.open(log_path).query().minute.tolist() == [0, 7]
+
+    def test_append_past_the_file_size_limit_leaves_whole_frames(self, log_path, tmp_path):
+        # the child caps its own file size so that a two-record append fails
+        # part way through its frames (CPython ignores SIGXFSZ, so the write
+        # raises EFBIG); once the cap is lifted, the next append must follow
+        # the last whole frame, in the file as in the handle
+        child = subprocess.run(
+            [sys.executable, "-c", CAPPED_APPEND, str(log_path), str(tmp_path)],
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+                [os.path.dirname(os.path.dirname(nearness.__file__)),
+                 os.environ.get("PYTHONPATH", "")])),
+            capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        seen = json.loads(child.stdout)
+        assert seen["errno"] == errno.EFBIG
+        assert seen["size_after_failure"] == seen["size_before"]
+        assert seen["handle"] == seen["reopened"] == [0, 2]
 
     def test_corrupt_payload_rejected(self, log_path):
         with RecordLog.create(log_path) as log:
@@ -343,7 +416,7 @@ class TestStoreErrors:
 
     def test_int_field_with_a_line_break_reads(self, log_path):
         write_frames(log_path, [payload(0), b"5\n,a,b,1,1,1,2.0,60.0,1.0,0.5,Low"])
-        assert RecordLog.open(log_path).records() == [record(0), record(5)]
+        assert rows(RecordLog.open(log_path).query()) == [record(0), record(5)]
 
 
 def open_peak(path, minutes: int) -> tuple[int, int]:
@@ -414,9 +487,9 @@ class TestExport:
             log.append(exp2_run.result.records)
         out = tmp_path / "full.csv"
         started = time.perf_counter()
-        rows = export_csv(RecordLog.open(log_path), out)
+        count = export_csv(RecordLog.open(log_path), out)
         elapsed = time.perf_counter() - started
-        assert rows == len(exp2_run.result.records)
+        assert count == len(exp2_run.result.records)
         assert elapsed < 1.0
 
     def test_filters(self, log_path, tmp_path):
@@ -425,7 +498,7 @@ class TestExport:
             log.append(batch_of([record(1), record(1, "b", "a")]))
             log.append(batch_of([record(2)]))
         out = tmp_path / "out.csv"
-        rows = export_csv(RecordLog.open(log_path), out,
-                          pair=("b", "a"), from_minute=1, to_minute=2)
-        assert rows == 1
+        count = export_csv(RecordLog.open(log_path), out,
+                           pair=("b", "a"), from_minute=1, to_minute=2)
+        assert count == 1
         assert out.read_text() == csv_text([record(1, "b", "a")])

@@ -15,7 +15,6 @@ must end where the field-by-field conversion ends, bit for bit.
 
 import math
 import tempfile
-from dataclasses import astuple, replace
 from itertools import groupby
 from pathlib import Path
 from unittest import mock
@@ -24,11 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_of
+from conftest import batch_of, rows
 from nearness import ingest, store
-from nearness.domain import MinuteRecord, Nearness
-from nearness.ingest import format_record_row
+from nearness.domain import LABELS, RECORD_FIELDS
+from nearness.ingest import format_record_row, parse_record_row
 from nearness.store import _LEN, MAGIC, RecordLog, StoreError
+from rowwise_store import parse_record_row as parse_rowwise
 from rowwise_store import scan_rowwise
 
 NODES = ["a", "b", "c", "B", "n 1", "zé", "ä"]
@@ -51,10 +51,10 @@ def minute_records(draw, min_size=0):
     for minute, i, j in sorted(keys):
         d = draw(st.just(math.inf) | st.floats(0.0, 50.0))
         scores = st.just(0.0) if d == math.inf else st.floats(0.0, 1e6)
-        records.append(MinuteRecord(
+        records.append((
             minute, i, j, draw(st.integers(0, 30)), draw(st.sampled_from([1, 2])),
             draw(st.integers(0, 3)), d, draw(st.floats(0.0, 1e6)), draw(scores),
-            draw(scores), draw(st.sampled_from(list(Nearness)))))
+            draw(scores), draw(st.sampled_from(LABELS))))
     return records
 
 
@@ -80,7 +80,7 @@ def check(data: bytes, window: int = 1 << 17) -> None:
                 got = ("error", str(exc))
             else:
                 log.close()
-                got = ("ok", log.records(), path.stat().st_size)
+                got = ("ok", rows(log.query()), path.stat().st_size)
         assert got == want
         if want[0] == "ok":
             assert path.read_bytes() == data[:want[2]]
@@ -89,7 +89,12 @@ def check(data: bytes, window: int = 1 << 17) -> None:
 @settings(max_examples=150, deadline=None)
 @given(records=minute_records(), window=WINDOWS, data=st.data())
 def test_valid_and_torn_logs_read_like_the_scanner(records, window, data):
-    blob = frames_of(format_record_row(*astuple(r)).encode() for r in records)
+    texts = [format_record_row(*r) for r in records]
+    # a written row parses back to its values, and then formats as itself
+    assert [tuple(parse_record_row(row).values()) for row in texts] == \
+        [parse_rowwise(row) for row in texts] == records
+    assert [format_record_row(**parse_record_row(row)) for row in texts] == texts
+    blob = frames_of(row.encode() for row in texts)
     tear = data.draw(st.integers(len(MAGIC), len(blob)))
     check(blob[:tear], window)
     check(blob, window)
@@ -132,7 +137,7 @@ def corruptions(draw, payloads):
 @settings(max_examples=400, deadline=None)
 @given(records=minute_records(min_size=1), window=WINDOWS, data=st.data())
 def test_corrupted_logs_fail_like_the_scanner(records, window, data):
-    payloads = data.draw(corruptions([format_record_row(*astuple(r)).encode() for r in records]))
+    payloads = data.draw(corruptions([format_record_row(*r).encode() for r in records]))
     check(frames_of(payloads), window)
 
 
@@ -229,29 +234,34 @@ def test_bad_magic_and_short_files_fail_like_the_scanner():
 
 def test_appended_records_are_read_like_reopened_ones(tmp_path):
     path = tmp_path / "records.log"
-    first = [MinuteRecord(0, "b", "c", 1, 1, 0, 1.0, 60.0, 0.5, 0.2, Nearness.LOW)]
-    later = [MinuteRecord(1, "a", "c", 2, 2, 3, math.inf, 0.0, 0.0, 0.0, Nearness.HIGH),
-             MinuteRecord(1, "zé", "b", 0, 1, 1, 0.0, 1.5, 0.0, 0.0, Nearness.AVG)]
+    first = [(0, "b", "c", 1, 1, 0, 1.0, 60.0, 0.5, 0.2, "Low")]
+    later = [(1, "a", "c", 2, 2, 3, math.inf, 0.0, 0.0, 0.0, "High"),
+             (1, "zé", "b", 0, 1, 1, 0.0, 1.5, 0.0, 0.0, "Avg")]
     with RecordLog.create(path) as log:
         log.append(batch_of(first))
         assert log.node_ids() == {"b", "c"}
         log.append(batch_of(later))
-        assert log.records() == first + later
-        assert log.query(("a", "c")) == later[:1]
+        assert rows(log.query()) == first + later
+        assert rows(log.query(("a", "c"))) == later[:1]
         assert log.node_ids() == {"a", "b", "c", "zé"}
     reopened = RecordLog.open(path)
-    assert reopened.records() == scan_rowwise(path)[0] == first + later
-    assert reopened.query(("zé", "b"), 1, 1) == later[1:]
+    assert rows(reopened.query()) == scan_rowwise(path)[0] == first + later
+    assert rows(reopened.query(("zé", "b"), 1, 1)) == later[1:]
+
+
+def replace(record: tuple, **values) -> tuple:
+    """`record` with the fields named in `values` replaced."""
+    return tuple((dict(zip(RECORD_FIELDS, record)) | values).values())
 
 
 # one invalid field per kind of rule `append` must check
 INVALID = {
-    "self-pair": lambda r: replace(r, j=r.i),
+    "self-pair": lambda r: replace(r, j=r[1]),
     "motion": lambda r: replace(r, m_i=3),
     "nan": lambda r: replace(r, s_s=math.nan),
     "negative-inf": lambda r: replace(r, d_m=-math.inf),
     "score-without-distance": lambda r: replace(r, d_m=math.inf, p=1.0),
-    "comma-in-id": lambda r: replace(r, i=r.i + ",x"),
+    "comma-in-id": lambda r: replace(r, i=r[1] + ",x"),
 }
 
 
@@ -261,7 +271,7 @@ def test_appended_batches_read_like_the_scanner(records, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.log"
         with RecordLog.create(path) as log:
-            for _, group in groupby(records, key=lambda r: r.minute):
+            for _, group in groupby(records, key=lambda r: r[0]):
                 batch = list(group)
                 if data.draw(st.booleans()):
                     k = data.draw(st.integers(0, len(batch) - 1))
@@ -273,5 +283,5 @@ def test_appended_batches_read_like_the_scanner(records, data):
                     assert path.read_bytes() == blob
                     assert log.node_ids() == ids
                 log.append(batch_of(batch))
-            assert log.records() == records
-        assert RecordLog.open(path).records() == scan_rowwise(path)[0] == records
+            assert rows(log.query()) == records
+        assert rows(RecordLog.open(path).query()) == scan_rowwise(path)[0] == records
