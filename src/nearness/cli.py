@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -22,6 +23,7 @@ from .ingest import (
     SOUND_FILENAME,
     ParseError,
     fmt_float,
+    naming_write_errors,
     read_traces,
     write_traces,
 )
@@ -139,7 +141,7 @@ def cmd_run(args) -> int:
         result = engine_mod.run_engine(traces, engine_cfg,
                                        duration_ms=duration_ms, log=log)
     report = engine_mod.build_report(result, echo, seed)
-    with open(report_path, "w", encoding="utf-8") as handle:
+    with naming_write_errors(report_path), open(report_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"minutes: {result.minutes}  records: {len(result.records)}  "
@@ -190,7 +192,8 @@ def cmd_analyze(args) -> int:
                  else fmt_float(sum(forward.values()) / len(forward)))
 
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
+        with (naming_write_errors(args.out),
+              open(args.out, "w", newline="", encoding="utf-8") as handle):
             handle.write("\n".join(lines) + "\n")
         print(f"wrote {len(series)} rows to {args.out}")
     else:
@@ -213,7 +216,11 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `nearness` argument parser, built once per process and shared by
+    every `main` call: `parse_args` builds a fresh Namespace each time and
+    leaves the parser as it was, so it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="nearness",
         description="Simulate encounter scenarios and fuse sensor traces "

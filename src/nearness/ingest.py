@@ -33,6 +33,7 @@ import math
 import operator
 import os
 from collections.abc import Callable, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 
@@ -657,13 +658,26 @@ def read_traces(sightings_path, accel_path, sound_path, epoch_ms: int = 0) -> Tr
 _WRITE_BLOCK = 4096     # rows formatted per write
 
 
+@contextmanager
+def naming_write_errors(path):
+    """Re-raise an OSError from inside the block that names no file as one
+    that names `path`.  A failed write (a full disk, the file size limit)
+    says only ``[Errno 27] File too large``, not which output failed."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
 def _write_csv(path, header: list[str], blocks, format_rows) -> None:
     """Write a header and the rows of each block of `blocks`.
 
     A block is a list of columns as Python lists (ints and floats, so ``!r``
     gives the repr form); `format_rows` maps one to its text lines.
     """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with naming_write_errors(path), open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         for columns in blocks:
             handle.writelines(format_rows(*columns))
@@ -765,6 +779,6 @@ def parse_record_row(row: str) -> dict:
 
 def write_minute_records(rows, path) -> None:
     """Write a minute-record CSV; each row is a record's eleven field values."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with naming_write_errors(path), open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(RECORDS_HEADER) + "\n")
         handle.writelines(format_record_row(*row) + "\n" for row in rows)

@@ -44,6 +44,7 @@ from .ingest import (
     _WRITE_BLOCK,
     first_false,
     format_record_row,
+    naming_write_errors,
     node_codes,
     node_ranks,
     parse_record_row,
@@ -203,16 +204,18 @@ def _read_columns(path):
 
 def _write_whole(handle, data: bytes) -> None:
     """Write `data` at the position of `handle`, an unbuffered file; if a
-    write fails, cut the file back to where `data` started and re-raise."""
+    write fails, cut the file back to where `data` started and re-raise,
+    naming the file."""
     start = handle.tell()
     view = memoryview(data)
-    try:
-        while view:
-            view = view[handle.write(view):]      # a raw write may be short
-    except BaseException:
-        handle.truncate(start)
-        handle.seek(start)
-        raise
+    with naming_write_errors(handle.name):
+        try:
+            while view:
+                view = view[handle.write(view):]      # a raw write may be short
+        except BaseException:
+            handle.truncate(start)
+            handle.seek(start)
+            raise
 
 
 class RecordLog:

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import batch_of, make_traces
 import nearness
-from nearness.cli import main
+from nearness.cli import build_parser, main
 from nearness.ingest import fmt_float, read_traces, write_traces
 from nearness.store import RecordLog
 
@@ -40,6 +41,16 @@ def tiny_scn(tmp_path):
 def read_bytes(path):
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run Python `code` with `args` in a child process that imports this
+    checkout's nearness; returns its exit code and text output."""
+    src = os.path.dirname(os.path.dirname(nearness.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=300)
 
 
 class TestSimulate:
@@ -190,11 +201,7 @@ class TestRun:
                       "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
                       "from nearness.cli import main\n"
                       "sys.exit(main(['run', '--traces', sys.argv[1], '--out', sys.argv[2]]))\n")
-        src = os.path.dirname(os.path.dirname(nearness.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        child = subprocess.run([sys.executable, "-c", capped_run, str(traces), str(out)],
-                               env=env, capture_output=True, text=True, timeout=300)
+        child = run_child(capped_run, str(traces), str(out))
         assert child.returncode == 2, child.stderr
         assert "1780000000000 is 20601.9 days" in child.stderr
         assert "--epoch" in child.stderr
@@ -347,3 +354,79 @@ class TestExport:
         assert main(["export", "--log", str(run_dir / "records.log"),
                      "--out", str(tmp_path / "pair.csv"), "--pair", "zz,a"]) == 3
         assert "node 'zz' never appears" in capsys.readouterr().err
+
+
+# main(argv) with the file size limit set to `cap` bytes, after the import
+CAPPED_MAIN = """\
+import resource, sys
+from nearness.cli import main
+cap = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (cap, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("command, cap, failed", [
+        ("run", 512, "out/records.log"),
+        ("simulate", 4096, "out/accel.csv"),        # sightings.csv fits under the cap
+        ("export", 512, "out.csv"),
+        ("analyze", 64, "out.csv"),
+    ])
+    def test_write_past_the_size_limit_names_its_file(self, command, cap, failed, tiny_scn,
+                                                     run_dir, tmp_path):
+        log = str(run_dir / "records.log")
+        out = str(tmp_path / "out")
+        argv = {"run": ["run", "--scenario", str(tiny_scn), "--out", out],
+                "simulate": ["simulate", "--scenario", str(tiny_scn), "--out", out],
+                "export": ["export", "--log", log, "--out", out + ".csv"],
+                "analyze": ["analyze", "--log", log, "--pair", "a,b", "--out", out + ".csv"],
+                }[command]
+        child = run_child(CAPPED_MAIN, str(cap), *argv)
+        path = str(tmp_path / failed)
+        assert child.returncode == 2, child.stderr
+        assert (f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {path!r}"
+                in child.stderr)
+        if command == "run":
+            # the log holds whole frames only: a writable open cuts nothing
+            size = os.path.getsize(path)
+            RecordLog.open(path, writable=True).close()
+            assert os.path.getsize(path) == size
+
+
+class TestRepeatedMain:
+    def test_calls_in_one_process_match_lone_runs(self, run_dir, tmp_path, capsys):
+        # each command prints and writes what it does as a process's only
+        # command, whatever ran before it on the shared parser
+        log, out = str(run_dir / "records.log"), str(tmp_path / "out.csv")
+        calls = [
+            ["analyze", "--log", log, "--pair", "a,b", "--from-min", "3", "--to-min", "10",
+             "--metric", "si"],
+            ["analyze", "--log", log, "--pair", "b,a"],
+            ["export", "--log", log, "--out", out, "--pair", "a,b"],
+            ["export", "--log", log, "--out", out],
+            ["analyze", "--log", log, "--pair", "a,b", "--metric", "zz"],
+            ["analyze", "--log", log, "--pair", "a,b", "--metric", "d", "--out", out],
+        ]
+        lone_main = "import sys\nfrom nearness.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+        def written(argv):
+            """The bytes the command wrote to `out`, which is then removed."""
+            if "--out" not in argv:
+                return None
+            data = read_bytes(out)
+            os.remove(out)
+            return data
+
+        codes = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:       # argparse rejects the flag
+                code = exc.code
+            here = (code, *capsys.readouterr(), written(argv))
+            child = run_child(lone_main, *argv)
+            assert here == (child.returncode, child.stdout, child.stderr, written(argv)), argv
+            codes.append(code)
+        assert codes == [0, 0, 0, 0, 2, 0]
+        assert build_parser() is build_parser()
