@@ -2,10 +2,11 @@
 
 For every minute boundary the engine gathers the four pipelines -- social
 strength, smoothed relative distance, motion code, sound class -- plus the
-node degree into columns, one row per pair direction in (i, j) order, hands
-them to the fusion step, and appends the fused MinuteBatch to the log.  The
-sighting table is grouped into per-direction (t, rssi) slices by one stable
-sort of direction codes.  The distance, motion, sound and degree kernels
+node degree into columns, one row per pair direction in (i, j) order, and
+hands them to the fusion step.  The engine is a pure function of its traces
+and config: it writes nothing and reads no clock.  The sighting table is
+grouped into per-direction (t, rssi) slices by one stable sort of direction
+codes.  The distance, motion, sound and degree kernels
 run once per direction or node and the social-strength kernel once per
 pair, each over all minute boundaries and all before the minute loop, which
 only indexes their results.  Fusion scores and labels each minute's batch
@@ -13,7 +14,7 @@ as a whole.  A pair enters the record stream at its first contact and stays
 in it from then on (with zeroed scores while out of range), so absence
 windows are visible in the output.  The run's records are held once, as
 eleven columns sized before the loop: each minute's batch is written into
-its slice, and the log is handed a view of that slice.
+its slice.
 
 Distance smoothing is kept per direction: the (i, j) record carries the
 estimate built from i's own sightings of j.  With noiseless sensing both
@@ -30,7 +31,6 @@ engine holds one node's samples at a time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +58,6 @@ from .pipelines import (
     sound_classes,
 )
 from .simulator import RfParams
-from .store import RecordLog
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,6 @@ class RunResult:
     nodes: list[str]
     contacts: dict[tuple[str, str], list[ContactEvent]]
     contact_seconds: dict[tuple[str, str], float]
-    runtime_s: float
 
 
 def _motion(accel: AccelSeries, boundaries: np.ndarray, config: EngineConfig) -> np.ndarray:
@@ -123,10 +121,8 @@ def _sighting_streams(tab: SightingTable, nodes: list[str]) -> dict:
 
 
 def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
-               duration_ms: int | None = None,
-               log: RecordLog | None = None) -> RunResult:
-    """Process a trace set at one-minute ticks; optionally append to a log."""
-    started = time.perf_counter()
+               duration_ms: int | None = None) -> RunResult:
+    """Process a trace set at one-minute ticks into the run's records."""
     if duration_ms is None:
         duration_ms = traces.max_t_ms() + 1
     minutes = max(0, minute_index(duration_ms - 1) + 1) if duration_ms > 0 else 0
@@ -201,14 +197,11 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
                             distance[rows, minute], s_s[rows, minute], stats, config.fusion)
         for column, values in zip(columns, batch.columns()):
             column[lo:hi] = values
-        if log is not None:
-            log.append(MinuteBatch(*(column[lo:hi] for column in columns)))
 
     contact_seconds = {pair: int(state.covered_ms(boundaries[-1:]).sum()) / 1000.0
                        for pair, state in strength.items()}
     return RunResult(records=records, minutes=minutes, nodes=nodes,
-                     contacts=contacts, contact_seconds=contact_seconds,
-                     runtime_s=time.perf_counter() - started)
+                     contacts=contacts, contact_seconds=contact_seconds)
 
 
 # --- run report ------------------------------------------------------------------
@@ -233,7 +226,7 @@ def pearson_correlation(a, b) -> float | None:
 
 
 def build_report(result: RunResult, config_echo: dict, seed: int | None) -> dict:
-    """Deterministic per-pair run summary (runtime aside)."""
+    """Deterministic per-pair run summary: a function of the run alone."""
     batch = result.records
     # the rows of each direction, in minute order, from one stable sort
     direction = _direction_codes(batch.i.tolist(), batch.j.tolist(), result.nodes)
@@ -264,5 +257,4 @@ def build_report(result: RunResult, config_echo: dict, seed: int | None) -> dict
         "nodes": result.nodes,
         "record_count": len(result.records),
         "pairs": pairs,
-        "runtime_s": result.runtime_s,
     }

@@ -655,7 +655,7 @@ def read_traces(sightings_path, accel_path, sound_path, epoch_ms: int = 0) -> Tr
 
 # --- writing -----------------------------------------------------------------
 
-_WRITE_BLOCK = 4096     # rows formatted per write
+_WRITE_BLOCK = 1024     # rows formatted per write, and records per log append
 
 
 @contextmanager

@@ -22,7 +22,9 @@ its payloads are joined with an LF in place of each header and handed to
 too.  A payload that is not UTF-8 reaches the record layout's rules as lone
 surrogates, which every field's conversion rejects.  `append` takes a
 MinuteBatch and writes its frames unbuffered; a write that fails (a full
-disk, the file size limit) cuts the file back to its last whole frame.  Both run the table's rules and the key-order check on whole
+disk, the file size limit) cuts the file back to its last whole frame.  The
+log keeps views of the finished run's blocks, which `run` hands it.  Both
+`open` and `append` run the table's rules and the key-order check on whole
 columns, so `append` writes only what a reopen reads.  The first record
 either one rejects goes through the same table alone, in table order, via
 `parse_record_row`, which words its StoreError as a frame-at-a-time scanner
@@ -270,15 +272,15 @@ class RecordLog:
     # -- writes ---------------------------------------------------------------
 
     def append(self, batch: MinuteBatch) -> None:
-        """Append one minute's batch; empty batches are a no-op.
+        """Append a batch of records; empty batches are a no-op.
 
         Every record must pass the checks a reopen makes: the record rules,
         and a key above the last stored key (minutes only move forward, and
         within a minute only new pairs may arrive).  A rejected batch leaves
         the file, the node ids and the columns as they were.  The log keeps
         the batch's arrays as its own, so they must not change afterwards:
-        the engine hands it views of the run's columns, each slice written
-        once before it is appended.
+        `run` hands it views of the finished run's columns, one block of
+        `_WRITE_BLOCK` records at a time.
         """
         if not len(batch):
             return

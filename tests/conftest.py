@@ -8,7 +8,7 @@ import pytest
 
 from nearness.domain import LABELS, RECORD_FIELDS, MinuteBatch
 from nearness.engine import EngineConfig, RunResult, run_engine
-from nearness.ingest import AccelSeries, SightingTable, SoundSeries, TraceSet
+from nearness.ingest import _WRITE_BLOCK, AccelSeries, SightingTable, SoundSeries, TraceSet
 from nearness.simulator import GroundTruth, ScenarioConfig, generate, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -46,6 +46,13 @@ def batch_of(records) -> MinuteBatch:
     columns[-1] = [LABELS.index(label) for label in columns[-1]]
     return MinuteBatch(*(np.array(c, dtype=empty.dtype) for c, empty
                          in zip(columns, MinuteBatch.empty(0).columns())))
+
+
+def append_in_blocks(log, records: MinuteBatch) -> None:
+    """Append a finished run's records to `log` as `run` does: views of
+    `_WRITE_BLOCK` rows at a time."""
+    for lo in range(0, len(records), _WRITE_BLOCK):
+        log.append(MinuteBatch(*(c[lo:lo + _WRITE_BLOCK] for c in records.columns())))
 
 
 def by_key(batch: MinuteBatch) -> dict[tuple, dict]:

@@ -11,7 +11,7 @@ import pytest
 from conftest import batch_of, make_traces
 import nearness
 from nearness.cli import build_parser, main
-from nearness.ingest import fmt_float, read_traces, write_traces
+from nearness.ingest import _WRITE_BLOCK, fmt_float, read_traces, write_traces
 from nearness.store import RecordLog
 
 TINY_SCENARIO = """
@@ -115,6 +115,26 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 5
         assert report["pairs"]["a,b"]["contact_seconds"] == 600.0
+        assert isinstance(report["runtime_s"], float)     # stamped by `run`
+
+    def test_scenario_run_appends_its_records_in_blocks(self, scenarios_dir, tmp_path,
+                                                        monkeypatch):
+        # experiment2 (4 agents, 50 h) once made one append per minute: 3000
+        # calls of at most 12 records, each paying the append's fixed checks
+        sizes = []
+        append = RecordLog.append
+
+        def counted(log, batch):
+            sizes.append(len(batch))
+            append(log, batch)
+
+        monkeypatch.setattr(RecordLog, "append", counted)
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", str(scenarios_dir / "experiment2.scn"),
+                     "--out", str(out)]) == 0
+        records = len(RecordLog.open(out / "records.log"))
+        assert len(sizes) == -(-records // _WRITE_BLOCK) == 25
+        assert sizes[:-1] == [_WRITE_BLOCK] * 24 and sum(sizes) == records
 
     @pytest.mark.parametrize("agent", ["a", '"x'], ids=["a", "quote"])
     def test_run_from_traces_matches_scenario_run(self, tmp_path, agent):
@@ -392,6 +412,28 @@ class TestOutputErrors:
             size = os.path.getsize(path)
             RecordLog.open(path, writable=True).close()
             assert os.path.getsize(path) == size
+
+    def test_capped_run_keeps_the_blocks_before_the_limit(self, tmp_path):
+        # 600 minutes of the tiny scenario give 1200 records, two blocks; a
+        # limit one byte short of the whole log fails the second block only
+        scn = tmp_path / "long.scn"
+        scn.write_text(TINY_SCENARIO.replace("600000", "36000000"))
+        full, capped = tmp_path / "full", tmp_path / "capped"
+        assert main(["run", "--scenario", str(scn), "--out", str(full)]) == 0
+        size = os.path.getsize(full / "records.log")
+        child = run_child(CAPPED_MAIN, str(size - 1),
+                          "run", "--scenario", str(scn), "--out", str(capped))
+        assert child.returncode == 2, child.stderr
+        assert f"File too large: {str(capped / 'records.log')!r}" in child.stderr
+        size = os.path.getsize(capped / "records.log")
+        RecordLog.open(capped / "records.log", writable=True).close()
+        assert os.path.getsize(capped / "records.log") == size
+        for out in (full, capped):
+            assert main(["export", "--log", str(out / "records.log"),
+                         "--out", str(out / "all.csv")]) == 0
+        kept = read_bytes(capped / "all.csv").splitlines()
+        assert len(kept) == 1 + _WRITE_BLOCK
+        assert kept == read_bytes(full / "all.csv").splitlines()[:len(kept)]
 
 
 class TestRepeatedMain:

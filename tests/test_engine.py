@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 
-from conftest import by_key, make_traces, rows
+from conftest import append_in_blocks, by_key, make_traces, rows
 from nearness.engine import EngineConfig, build_report, run_engine
 from nearness.simulator import AgentSpec, ScenarioConfig, Waypoint, generate, load_scenario
 from nearness.store import RecordLog
@@ -95,9 +95,9 @@ class TestLog:
         config = load_scenario(scenarios_dir / "experiment3.scn")
         traces, _ = generate(config)
         path = tmp_path / "records.log"
+        result = run_engine(traces, EngineConfig(rf=config.rf), duration_ms=config.duration_ms)
         with RecordLog.create(path) as log:
-            result = run_engine(traces, EngineConfig(rf=config.rf),
-                                duration_ms=config.duration_ms, log=log)
+            append_in_blocks(log, result.records)
             assert rows(log.query()) == rows(result.records)
         assert len(result.records) > 0
         assert rows(RecordLog.open(path).query()) == rows(result.records)
@@ -124,7 +124,8 @@ class TestMemory:
         # 16 agents pair up in minute 0: 4800 records of 240 directions, and
         # only 20 minutes of accelerometer samples per node.  The run's
         # columns take 0.42 MB; the peak was 4.6 times that while the run
-        # was also kept as minute batches and joined.
+        # was also kept as minute batches and joined.  The finished run is
+        # appended as `run` appends it, a block of rows at a time.
         config = walking_crowd(16, 1_200_000)
         traces, _ = generate(config)
         run_engine(generate(walking_crowd(2, 60_000))[0])    # first-use imports and caches
@@ -132,7 +133,8 @@ class TestMemory:
             tracemalloc.start()
             try:
                 result = run_engine(traces, EngineConfig(rf=config.rf),
-                                    duration_ms=config.duration_ms, log=log)
+                                    duration_ms=config.duration_ms)
+                append_in_blocks(log, result.records)
                 build_report(result, {}, seed=None)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -185,12 +187,13 @@ class TestWindowRules:
 
 class TestReport:
     def test_report_shape_and_determinism(self):
+        # the report is a function of the run alone: two runs of one trace
+        # set report alike, with no field to set aside
         traces = sightings_traces([0, 60, 120, 180])
-        result = run_engine(traces, duration_ms=240_000)
-        report_a = build_report(result, {"traces": "x"}, seed=None)
-        report_b = build_report(result, {"traces": "x"}, seed=None)
-        report_a.pop("runtime_s"); report_b.pop("runtime_s")
+        report_a, report_b = (build_report(run_engine(traces, duration_ms=240_000),
+                                           {"traces": "x"}, seed=None) for _ in range(2))
         assert report_a == report_b
+        assert "runtime_s" not in report_a and "runtime_s" not in report_b
         pair = report_a["pairs"]["a,b"]
         assert pair["contact_seconds"] == 240.0
         assert pair["directions"]["a,b"]["p"]["records"] == 4
