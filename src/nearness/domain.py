@@ -62,7 +62,6 @@ def minute_index(t_ms: int) -> int:
 
 
 LABELS = ("Low", "Avg", "High")      # the nearness labels, lowest first
-_BATCH_DTYPES = (np.int64, object, object) + (np.int64,) * 3 + (np.float64,) * 4 + (np.int64,)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -95,11 +94,6 @@ class MinuteBatch:
 
     def columns(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in RECORD_FIELDS]
-
-    @classmethod
-    def empty(cls, rows: int) -> "MinuteBatch":
-        """A batch of `rows` rows whose columns are allocated, not filled."""
-        return cls(*(np.empty(rows, dtype=dtype) for dtype in _BATCH_DTYPES))
 
     def values(self, rows=slice(None)) -> list[list]:
         """Python field values of the rows `rows` (an index array or slice),

@@ -2,19 +2,20 @@
 
 For every minute boundary the engine gathers the four pipelines -- social
 strength, smoothed relative distance, motion code, sound class -- plus the
-node degree into columns, one row per pair direction in (i, j) order, and
-hands them to the fusion step.  The engine is a pure function of its traces
-and config: it writes nothing and reads no clock.  The sighting table is
+node degree, one row per pair direction in (i, j) order, and fuses them
+into scores and labels.  The engine is a pure function of its traces and
+config: it writes nothing and reads no clock.  The sighting table is
 grouped into per-direction (t, rssi) slices by one stable sort of direction
-codes.  The distance, motion, sound and degree kernels
-run once per direction or node and the social-strength kernel once per
-pair, each over all minute boundaries and all before the minute loop, which
-only indexes their results.  Fusion scores and labels each minute's batch
-as a whole.  A pair enters the record stream at its first contact and stays
-in it from then on (with zeroed scores while out of range), so absence
-windows are visible in the output.  The run's records are held once, as
-eleven columns sized before the loop: each minute's batch is written into
-its slice.
+codes.  The distance, motion, sound and degree kernels run once per
+direction or node and the social-strength kernel once per pair, each over
+all minute boundaries.  A pair enters the record stream at its first
+contact and stays in it from then on (with zeroed scores while out of
+range), so absence windows are visible in the output.  The run's record
+columns are gathered from those per-minute arrays in one index each, in
+minute order and direction order within a minute, and both scores are
+computed once over the whole run; the minute loop only labels, passing
+each minute's scores to `fuse_minute`.  The run's records are held once,
+as those eleven columns.
 
 Distance smoothing is kept per direction: the (i, j) record carries the
 estimate built from i's own sightings of j.  With noiseless sensing both
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import MS_PER_MINUTE, MinuteBatch, canonical_pair, minute_index
-from .fusion import FusionParams, SessionStats, fuse_minute
+from .fusion import FusionParams, SessionStats, fuse_minute, propinquity, social_interaction
 from .ingest import AccelSeries, SightingTable, SoundSeries, TraceSet
 from .pipelines import (
     DEFAULT_ALPHA,
@@ -161,14 +162,15 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
     strengths = np.array([strength[pair].accrue(boundaries) for pair in active_pairs],
                          dtype=np.float64).reshape(len(active_pairs), minutes)
 
-    # every direction (i, j) of every active pair, sorted: the row order of each
-    # minute's batch; per direction, its first minute and per-minute inputs
+    # every direction (i, j) of every active pair, sorted: the row order within
+    # each minute; per direction, its first minute and per-minute inputs
     directions = sorted((d, k) for k, pair in enumerate(active_pairs)
                         for d in (pair, pair[::-1]))
     ids_i, ids_j = (np.array([d[side] for d, _ in directions], dtype=object) for side in (0, 1))
+    pair_of = np.array([k for _, k in directions], dtype=np.int64)
     first_minute = np.array([activation[active_pairs[k]] for _, k in directions], dtype=np.int64)
-    owner_features = np.array([features[i] for i in ids_i.tolist()], dtype=np.int64)
-    s_s = strengths[[k for _, k in directions]]
+    owner_features = np.array([features[i] for i in ids_i.tolist()],
+                              dtype=np.int64).reshape(len(directions), 3, minutes)
     # per-minute distance of each direction, from the observer's own sightings
     distance = np.empty((len(directions), minutes))
     for row, ((i, j), _) in enumerate(directions):
@@ -181,22 +183,20 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
                                            boundaries, config.staleness_ms)
     del by_direction, times     # the run's columns take their place
 
-    # the run's columns: minute m holds the rows of the directions active by m
-    per_minute = np.searchsorted(np.sort(first_minute), np.arange(minutes), side="right")
-    offsets = np.concatenate([[0], np.cumsum(per_minute)]).tolist()
-    records = MinuteBatch.empty(offsets[-1])
-    columns = records.columns()
+    # the run's rows: minute m holds the directions active by m, in direction order
+    minute, direction = np.nonzero(first_minute <= np.arange(minutes)[:, None])
+    n_i, m_i, v_i = owner_features.transpose(1, 0, 2)[:, direction, minute]
+    d_m, s_s = distance[direction, minute], strengths[pair_of[direction], minute]
+    p = propinquity(s_s, d_m, m_i)
+    si = social_interaction(s_s, v_i, d_m, m_i, config.fusion)
+    labels = np.empty(len(minute), dtype=np.int64)
     stats = SessionStats()
-    for minute in range(minutes):
-        lo, hi = offsets[minute], offsets[minute + 1]
-        if lo == hi:
-            continue
-        rows = np.flatnonzero(first_minute <= minute)
-        batch = fuse_minute(minute, ids_i[rows], ids_j[rows],
-                            *owner_features[rows, :, minute].T,
-                            distance[rows, minute], s_s[rows, minute], stats, config.fusion)
-        for column, values in zip(columns, batch.columns()):
-            column[lo:hi] = values
+    bounds = np.searchsorted(minute, np.arange(minutes + 1)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo < hi:
+            labels[lo:hi] = fuse_minute(p[lo:hi], si[lo:hi], stats)
+    records = MinuteBatch(minute, ids_i[direction], ids_j[direction], n_i, m_i, v_i,
+                          d_m, s_s, p, si, labels)
 
     contact_seconds = {pair: int(state.covered_ms(boundaries[-1:]).sum()) / 1000.0
                        for pair, state in strength.items()}

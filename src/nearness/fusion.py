@@ -1,4 +1,4 @@
-"""Per-minute fusion of the pipeline outputs into nearness scores.
+"""Fusion of the pipeline outputs into nearness scores and labels.
 
 Two utility functions are evaluated for every pair each minute:
 
@@ -15,10 +15,10 @@ score whole columns (or scalars, giving a numpy float64) and mask the rows
 the scalar definitions zero with the same comparisons.  The logarithms are
 `math.log10`, one call per value, and G is the scalar expression taken once
 per distinct v, because `np.log10` and `math.log10` differ in the last bit
-on some inputs.  `fuse_minute` scores one minute's columns with them,
-merges the minute into the session's sorted score arrays, labels the whole
-batch with one `np.searchsorted` per score, and returns it as one
-MinuteBatch.
+on some inputs.  The engine scores the whole run's rows with one call to
+each kernel; `fuse_minute` then takes one minute's scores at a time, merges
+them into the session's sorted score arrays and labels the minute with one
+`np.searchsorted` per score.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .domain import MinuteBatch
 
 #: Below 10 records the tercile ranks are meaningless; labels are provisional.
 MIN_RECORDS_FOR_RANKING = 10
@@ -131,19 +129,12 @@ def nearness_label(p: np.ndarray, si: np.ndarray,
     return ((tercile_ranks(stats.p, p) + tercile_ranks(stats.si, si)) // 2, False)
 
 
-def fuse_minute(minute: int, i, j, n_i, m_i, v_i, d_m, s_s, stats: SessionStats,
-                params: FusionParams = DEFAULT_PARAMS) -> MinuteBatch:
-    """Evaluate both utility functions for every row of one minute.
+def fuse_minute(p: np.ndarray, si: np.ndarray, stats: SessionStats) -> np.ndarray:
+    """Label one minute's scored rows: label codes, one per row, in row order.
 
-    The rows, one per pair direction in (i, j) order, come as columns named
-    like the MinuteBatch fields and go back as one batch in the same order.
     The whole minute enters the session distribution before any label is
-    assigned.  Only these records are ever persisted; raw samples never
-    leave the pipelines.
+    assigned.
     """
-    p = propinquity(s_s, d_m, m_i)
-    si = social_interaction(s_s, v_i, d_m, m_i, params)
     stats.add(p, si)
     labels, _provisional = nearness_label(p, si, stats)
-    return MinuteBatch(np.full(len(p), minute, dtype=np.int64), i, j, n_i, m_i, v_i,
-                       d_m, s_s, p, si, labels)
+    return labels

@@ -40,12 +40,15 @@ def rows(batch: MinuteBatch) -> list[tuple]:
     return list(zip(*batch.values()))
 
 
+# the MinuteBatch column types, in RECORD_FIELDS order
+BATCH_DTYPES = (np.int64, object, object) + (np.int64,) * 3 + (np.float64,) * 4 + (np.int64,)
+
+
 def batch_of(records) -> MinuteBatch:
     """The rows `records`, tuples as `rows` gives them, as one MinuteBatch."""
     columns = [list(c) for c in zip(*records)] or [[]] * len(RECORD_FIELDS)
     columns[-1] = [LABELS.index(label) for label in columns[-1]]
-    return MinuteBatch(*(np.array(c, dtype=empty.dtype) for c, empty
-                         in zip(columns, MinuteBatch.empty(0).columns())))
+    return MinuteBatch(*(np.array(c, dtype=dtype) for c, dtype in zip(columns, BATCH_DTYPES)))
 
 
 def append_in_blocks(log, records: MinuteBatch) -> None:

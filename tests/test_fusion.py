@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rows
-from nearness.domain import LABELS, RECORD_FIELDS
+from conftest import make_traces
+from nearness.domain import LABELS
+from nearness.engine import run_engine
 from nearness.fusion import (
     SessionStats,
     fuse_minute,
@@ -27,15 +28,18 @@ sound_classes = st.integers(min_value=0, max_value=3)
 motions = st.sampled_from([1, 2])
 
 
-def fuse(minute, stats, inputs):
-    """`fuse_minute` over `inputs`, rows of (i, j, n_i, m_i, v_i, d_m, s_s);
-    its records as {field: value} dicts."""
-    i, j, n, m, v, d, s = zip(*inputs)
-    ids = [np.array(c, dtype=object) for c in (i, j)]
-    ints = [np.array(c, dtype=np.int64) for c in (n, m, v)]
-    reals = [np.array(c, dtype=np.float64) for c in (d, s)]
-    batch = fuse_minute(minute, *ids, *ints, *reals, stats)
-    return [dict(zip(RECORD_FIELDS, row)) for row in rows(batch)]
+# peak amplitudes of sound classes 0, 1, 2 and 3
+class_amplitudes = st.sampled_from([0.0005, 0.01, 0.1, 0.5])
+
+
+def engine_run(sightings, sound=(), duration_ms=None):
+    """`run_engine` over trace rows laid out as `make_traces` takes them."""
+    return run_engine(make_traces(sightings, sound=sound), duration_ms=duration_ms).records
+
+
+def both_ways(times_ms, rssi, pairs=(("a", "b"),)):
+    """Sighting rows of each pair in `pairs`, seen from both sides at each time."""
+    return [(t, x, y, rssi) for t in times_ms for i, j in pairs for x, y in ((i, j), (j, i))]
 
 
 class TestPropinquity:
@@ -93,13 +97,15 @@ class TestMonotonicity:
         assert propinquity(s, d, 2) == propinquity(s, d, 1) / 2.0
         assert social_interaction(s, v, d, 2) == social_interaction(s, v, d, 1) / 2.0
 
-    @given(strengths, distances, motions, sound_classes, sound_classes)
-    def test_propinquity_ignores_sound(self, s, d, m, v1, v2):
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([-40.0, -55.0, -70.0]), class_amplitudes, class_amplitudes)
+    def test_propinquity_ignores_sound(self, rssi, amplitude1, amplitude2):
         # the sound class enters fusion only through si, never through p
-        stats1, stats2 = SessionStats(), SessionStats()
-        (r1,) = fuse(0, stats1, [("a", "b", 1, m, v1, d, s)])
-        (r2,) = fuse(0, stats2, [("a", "b", 1, m, v2, d, s)])
-        assert r1["p"] == r2["p"]
+        sightings = both_ways(range(0, 240_000, 30_000), rssi)
+        r1, r2 = (engine_run(sightings, [(t, "a", amplitude) for t in range(0, 240_000, 500)])
+                  for amplitude in (amplitude1, amplitude2))
+        assert (r1.v_i == r2.v_i).all() == (amplitude1 == amplitude2)
+        assert r1.p.tobytes() == r2.p.tobytes()
 
     @given(strengths, distances, motions)
     def test_si_peaks_and_is_symmetric_at_mu(self, s, d, m):
@@ -145,18 +151,34 @@ class TestNearnessLabel:
 
 class TestFuseMinute:
     def test_sentinel_rule(self):
-        stats = SessionStats()
-        (record,) = fuse(7, stats, [("a", "b", 0, 1, 0, math.inf, 500.0)])
-        assert record["p"] == 0.0 and record["si"] == 0.0 and record["d_m"] == math.inf
+        # contact in minute 0, then silence: the estimate goes stale after 5 min
+        records = engine_run(both_ways([0], -48.0), duration_ms=600_000)
+        stale = records.d_m == math.inf
+        assert stale.any() and (records.s_s[stale] > 0.0).all()
+        assert (records.p[stale] == 0.0).all() and (records.si[stale] == 0.0).all()
 
     def test_rows_keep_their_order(self):
+        pairs = (("a", "b"), ("a", "c"), ("b", "c"))
+        records = engine_run(both_ways([0, 60_000], -48.0, pairs), duration_ms=120_000)
+        keys = list(zip(records.minute.tolist(), records.i.tolist(), records.j.tolist()))
+        directions = [("a", "b"), ("a", "c"), ("b", "a"), ("b", "c"), ("c", "a"), ("c", "b")]
+        assert keys == [(minute, i, j) for minute in (0, 1) for i, j in directions]
+        # labels come back in the order of the minute's rows
+        history = np.arange(12, dtype=np.float64)
+        p, si = np.array([0.0, 11.0, 5.0]), np.array([0.0, 11.0, 11.0])
+        labels = []
+        for order in (slice(None), slice(None, None, -1)):
+            stats = SessionStats()
+            stats.add(history, history)
+            labels.append(fuse_minute(p[order], si[order], stats))
+        assert labels[0].tolist() == [0, 2, 1] and labels[1].tolist() == [1, 2, 0]
+
+    def test_minute_enters_the_session_before_labelling(self):
         stats = SessionStats()
-        pairs = (("a", "b"), ("a", "c"), ("b", "a"))
-        records = fuse(0, stats, [(i, j, 1, 1, 1, 2.0, 100.0) for i, j in pairs])
-        assert [(r["i"], r["j"]) for r in records] == list(pairs)
-        assert all(r["minute"] == 0 for r in records)
+        stats.add(np.zeros(9), np.zeros(9))
+        labels = fuse_minute(np.array([1.0]), np.array([1.0]), stats)
+        # the tenth record ends the provisional phase for its own minute
+        assert len(stats) == 10 and labels.tolist() == [2]
 
     def test_scores_positive_when_close_and_strong(self):
-        stats = SessionStats()
-        (record,) = fuse(3, stats, [("a", "b", 1, 1, 1, 2.0, 600.0)])
-        assert record["p"] > 0.0 and record["si"] > 0.0
+        assert propinquity(600.0, 2.0, 1) > 0.0 and social_interaction(600.0, 1, 2.0, 1) > 0.0

@@ -4,12 +4,15 @@ minute-by-minute reference code in `rowwise_fusion.py`."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearness.domain import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE, minute_index
+from nearness.engine import EngineConfig, run_engine
 from nearness.fusion import (
     DEFAULT_PARAMS,
+    MIN_RECORDS_FOR_RANKING,
     FusionParams,
     SessionStats,
     nearness_label,
@@ -17,6 +20,7 @@ from nearness.fusion import (
     social_interaction,
 )
 from nearness.pipelines import DEFAULT_GAP_MS, SocialStrengthState, contacts_from_times
+from nearness.simulator import AgentSpec, RfParams, ScenarioConfig, SoundPhase, Waypoint, generate
 
 from rowwise_fusion import (
     BisectSessionStats,
@@ -26,7 +30,8 @@ from rowwise_fusion import (
 )
 
 PAIR = ("a", "b")
-PARAMS = st.sampled_from([DEFAULT_PARAMS, FusionParams(sigma2=0.3, mu=2.0, s_floor=0.5)])
+ALL_PARAMS = (DEFAULT_PARAMS, FusionParams(sigma2=0.3, mu=2.0, s_floor=0.5))
+PARAMS = st.sampled_from(ALL_PARAMS)
 GAP_S = DEFAULT_GAP_MS // 1000
 
 # a sighting gap: inside a contact, right at the merge limit, between
@@ -134,3 +139,55 @@ def test_score_kernels_equal_the_scalar_definitions(case):
         got = social_interaction(*row, params)
         assert type(got) is np.float64
         assert got.tobytes() == np.float64(social_interaction_rowwise(*row, params)).tobytes()
+
+
+def arrivals(seed: int) -> ScenarioConfig:
+    """40 minutes with RSSI shadowing: a and b stand 2 m apart from the
+    start, c walks in from 80 m and d from 120 m, so the pairs first meet
+    in different minutes and the first minute holds a and b's two rows."""
+    def walker(node, x, arrive_ms, y):
+        return AgentSpec(node, (Waypoint(0, x, y), Waypoint(arrive_ms, 3.0, y)))
+    loud = (SoundPhase(600_000, 1_800_000, 0.1), SoundPhase(1_800_000, 2_400_000, 0.5))
+    return ScenarioConfig(
+        agents=(AgentSpec("a", (Waypoint(0, 0.0, 0.0),), loud),
+                AgentSpec("b", (Waypoint(0, 2.0, 0.0),), (SoundPhase(0, 2_400_000, 0.02),)),
+                walker("c", 80.0, 900_000, 1.0),
+                walker("d", 120.0, 1_500_000, -1.0)),
+        duration_ms=2_400_000,
+        rf=RfParams(shadowing_sigma_db=3.0, scan_interval_ms=15_000),
+        seed=seed)
+
+
+@pytest.mark.parametrize("params", ALL_PARAMS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_engine_records_equal_the_rowwise_definitions(seed, params):
+    config = arrivals(seed)
+    traces, _ = generate(config)
+    records = run_engine(traces, EngineConfig(rf=config.rf, fusion=params),
+                         duration_ms=config.duration_ms).records
+    minute = records.minute.tolist()
+    first_met = {}
+    for m, i, j in zip(minute, records.i.tolist(), records.j.tolist()):
+        first_met.setdefault(frozenset((i, j)), m)
+    assert len(first_met) == 6 and len(set(first_met.values())) > 2
+    assert minute.count(minute[0]) < MIN_RECORDS_FOR_RANKING
+    distance = dict(zip(zip(minute, records.i.tolist(), records.j.tolist()),
+                        records.d_m.tolist()))
+    assert any(d != distance[m, j, i] for (m, i, j), d in distance.items())    # shadowing
+
+    rows = list(zip(records.s_s.tolist(), records.v_i.tolist(), records.d_m.tolist(),
+                    records.m_i.tolist()))
+    p = np.array([propinquity_rowwise(s, d, m) for s, _, d, m in rows], dtype=np.float64)
+    si = np.array([social_interaction_rowwise(*row, params) for row in rows], dtype=np.float64)
+    assert records.p.tobytes() == p.tobytes()       # bit for bit, signbit included
+    assert records.si.tobytes() == si.tobytes()
+
+    # labels: the session fed minute by minute, each minute whole before it is ranked
+    oracle, labels = BisectSessionStats(), []
+    for m in sorted(set(minute)):
+        own = [k for k, x in enumerate(minute) if x == m]
+        for k in own:
+            oracle.add(p[k], si[k])
+        labels += [oracle.label(p[k], si[k])[0] for k in own]
+    assert records.nearness.tolist() == labels
+    assert set(labels) == {0, 1, 2}
