@@ -17,7 +17,7 @@ import time
 from datetime import datetime, timedelta, timezone
 
 from . import engine as engine_mod
-from .domain import MS_PER_DAY, MinuteBatch
+from .domain import MAX_SPAN_DAYS, MS_PER_DAY, MinuteBatch
 from .ingest import (
     ACCEL_FILENAME,
     SIGHTINGS_FILENAME,
@@ -51,9 +51,6 @@ class CliInputError(ValueError):
 
 
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-# `run` keeps arrays over every minute from the epoch to the last timestamp,
-# so traces stamped far after the epoch are refused before any is built
-MAX_SPAN_DAYS = 366
 
 
 def _parse_epoch(text: str) -> int:

@@ -17,6 +17,9 @@ import numpy as np
 MS_PER_MINUTE = 60_000
 MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 86_400_000
+# a run keeps arrays over every minute from the epoch to its end, so neither
+# a scenario nor a trace set may span more than this
+MAX_SPAN_DAYS = 366
 
 MAX_NODE_ID_LEN = 64
 RSSI_MIN_DBM = -120.0

@@ -4,9 +4,9 @@ For every minute boundary the engine gathers the four pipelines -- social
 strength, smoothed relative distance, motion code, sound class -- plus the
 node degree, one row per pair direction in (i, j) order, and fuses them
 into scores and labels.  The engine is a pure function of its traces and
-config: it writes nothing and reads no clock.  The sighting table is
-grouped into per-direction (t, rssi) slices by one stable sort of direction
-codes.  The distance, motion, sound and degree kernels run once per
+config: it writes nothing and reads no clock.  It reads each direction's
+sighting series as the trace set holds it; an empty series is a direction
+never sighted.  The distance, motion, sound and degree kernels run once per
 direction or node and the social-strength kernel once per pair, each over
 all minute boundaries.  A pair enters the record stream at its first
 contact and stays in it from then on (with zeroed scores while out of
@@ -38,7 +38,7 @@ import numpy as np
 
 from .domain import MS_PER_MINUTE, MinuteBatch, canonical_pair, minute_index
 from .fusion import FusionParams, SessionStats, fuse_minute, propinquity, social_interaction
-from .ingest import AccelSeries, SightingTable, SoundSeries, TraceSet
+from .ingest import AccelSeries, SightingSeries, SoundSeries, TraceSet
 from .pipelines import (
     DEFAULT_ALPHA,
     DEFAULT_DEGREE_WINDOW_MS,
@@ -81,6 +81,7 @@ _NO_TIMES = np.empty(0, dtype=np.int64)
 _NO_VALUES = np.empty(0, dtype=np.float64)
 _NO_ACCEL = AccelSeries(_NO_TIMES, _NO_VALUES, _NO_VALUES, _NO_VALUES)
 _NO_SOUND = SoundSeries(_NO_TIMES, _NO_VALUES)
+_NO_SIGHTINGS = SightingSeries(_NO_TIMES, _NO_VALUES)
 
 
 @dataclass
@@ -108,19 +109,6 @@ def _direction_codes(i: list[str], j: list[str], ids: list[str]) -> np.ndarray:
     return out
 
 
-def _sighting_streams(tab: SightingTable, nodes: list[str]) -> dict:
-    """Each direction's sightings (t_ms, rssi_dbm), time-sorted, keyed by
-    (observer, subject) in sorted order: slices of the table sorted stably
-    by direction code."""
-    direction = _direction_codes(tab.observer.tolist(), tab.subject.tolist(), nodes)
-    order = np.argsort(direction, kind="stable")
-    direction, t_ms, rssi = direction[order], tab.t_ms[order], tab.rssi_dbm[order]
-    starts = np.flatnonzero(np.diff(direction, prepend=-1))
-    stops = np.append(starts[1:], len(direction))
-    return {(nodes[c // len(nodes)], nodes[c % len(nodes)]): (t_ms[lo:hi], rssi[lo:hi])
-            for c, lo, hi in zip(direction[starts].tolist(), starts.tolist(), stops.tolist())}
-
-
 def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
                duration_ms: int | None = None) -> RunResult:
     """Process a trace set at one-minute ticks into the run's records."""
@@ -130,8 +118,7 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
     nodes = traces.nodes()
     boundaries = np.arange(1, minutes + 1, dtype=np.int64) * MS_PER_MINUTE
 
-    by_direction = _sighting_streams(traces.sightings, nodes)
-    times = {key: ts for key, (ts, _) in by_direction.items()}
+    times = {key: series.t_ms for key, series in traces.sightings.items() if len(series)}
 
     # contact events and coverage per canonical pair
     pair_times: dict[tuple[str, str], list[np.ndarray]] = {}
@@ -174,19 +161,19 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
     # per-minute distance of each direction, from the observer's own sightings
     distance = np.empty((len(directions), minutes))
     for row, ((i, j), _) in enumerate(directions):
-        ts, rssis = by_direction.get((i, j), (_NO_TIMES, _NO_VALUES))
+        series = traces.sightings.get((i, j), _NO_SIGHTINGS)
         state = DistanceState(alpha=config.alpha)
         ema = [ema_update(state, estimate_distance_raw(rssi, config.rf.p_ref_dbm,
                                                        config.rf.pathloss_exp))
-               for rssi in rssis.tolist()]
-        distance[row] = smoothed_distances(ts, np.asarray(ema, dtype=np.float64),
+               for rssi in series.rssi_dbm.tolist()]
+        distance[row] = smoothed_distances(series.t_ms, np.asarray(ema, dtype=np.float64),
                                            boundaries, config.staleness_ms)
-    del by_direction, times     # the run's columns take their place
 
     # the run's rows: minute m holds the directions active by m, in direction order
     minute, direction = np.nonzero(first_minute <= np.arange(minutes)[:, None])
     n_i, m_i, v_i = owner_features.transpose(1, 0, 2)[:, direction, minute]
     d_m, s_s = distance[direction, minute], strengths[pair_of[direction], minute]
+    del owner_features, distance, strengths     # gathered: free them before scoring
     p = propinquity(s_s, d_m, m_i)
     si = social_interaction(s_s, v_i, d_m, m_i, config.fusion)
     labels = np.empty(len(minute), dtype=np.int64)

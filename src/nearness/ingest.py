@@ -14,12 +14,12 @@ stores one such row per frame.  Reals are serialized with ``repr`` so that
 parse(format(x)) == x bit for bit; ``d_m`` is ``inf``, in memory as in the
 file, when the pair had no fresh distance estimate.
 Trace files need only be time-ordered within each stream (one per ordered
-observer/subject pair, one per node for accel and sound); reading sorts the
-sightings by (t_ms, observer, subject) and each node's series by time.
-Both codecs work a block at a time: the writer writes accel and sound
-node by node, nodes in name order, a block of one node's rows at a time,
-and the reader parses each file a chunk of whole lines of bytes at a time
-and splits each chunk's accel and sound rows by node as it goes.
+observer/subject pair, one per node for accel and sound), and reading gives
+one time-ordered series per stream.  Both codecs work a block at a time:
+the writer writes each file stream by stream, streams in key order, a block
+of one stream's rows at a time, and the reader parses each file a chunk of
+whole lines of bytes at a time and splits each chunk's accel and sound rows
+by node as it goes.
 Readers split text exactly as the writers join it: only LF ends a line, and
 a field is the text between two commas, verbatim and unquoted (CR and NUL
 are data).  Parsing is strict: the first malformed header, byte that is not
@@ -75,17 +75,10 @@ def fmt_float(x) -> str:
 # --- in-memory trace container ----------------------------------------------
 
 @dataclass(frozen=True)
-class SightingTable:
-    """All radio sightings, column-wise, sorted by (t_ms, observer, subject).
-
-    Files need only keep each (observer, subject) stream in time order;
-    `read_traces` sorts the rows into this canonical order (stably, so rows
-    with equal keys keep their file order).
-    """
-    t_ms: np.ndarray        # int64
-    observer: np.ndarray    # object (str)
-    subject: np.ndarray     # object (str)
-    rssi_dbm: np.ndarray    # float64
+class SightingSeries:
+    """One direction's radio sightings (its observer's of its subject), time-sorted."""
+    t_ms: np.ndarray
+    rssi_dbm: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t_ms)
@@ -144,7 +137,7 @@ class DrawnAccel(Mapping):
 
 
 def _time_columns(series: Mapping) -> list[np.ndarray]:
-    """The time column of every node's series, drawing no samples."""
+    """The time column of every stream's series, drawing no samples."""
     if isinstance(series, DrawnAccel):
         return [series.t_ms] * len(series)
     return [s.t_ms for s in series.values()]
@@ -152,46 +145,41 @@ def _time_columns(series: Mapping) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class TraceSet:
-    """The three sensor streams of one run, split per node where applicable.
+    """The three sensor streams of one run, one time-sorted series per stream:
+    sightings per direction (observer, subject), accel and sound per node.
 
     `accel` is a Mapping whose values may be drawn on lookup (`generate`
     returns a `DrawnAccel`): look a node up once per use, and keep the series
     only while using it.  `nodes`, `counts` and `max_t_ms` draw nothing.
     """
-    sightings: SightingTable
+    sightings: dict[tuple[str, str], SightingSeries] = field(default_factory=dict)
     accel: Mapping[str, AccelSeries] = field(default_factory=dict)
     sound: dict[str, SoundSeries] = field(default_factory=dict)
 
     def nodes(self) -> list[str]:
-        names = set(self.accel) | set(self.sound)
-        names.update(self.sightings.observer.tolist())
-        names.update(self.sightings.subject.tolist())
-        return sorted(names)
+        return sorted({node for pair in self.sightings for node in pair}
+                      | set(self.accel) | set(self.sound))
 
     def counts(self) -> tuple[int, int, int]:
-        return (len(self.sightings),
-                sum(map(len, _time_columns(self.accel))),
-                sum(map(len, _time_columns(self.sound))))
+        return tuple(sum(map(len, _time_columns(streams)))
+                     for streams in (self.sightings, self.accel, self.sound))
 
     def max_t_ms(self) -> int:
         """Latest timestamp over all streams, -1 when there is none."""
-        columns = [self.sightings.t_ms]
-        columns += _time_columns(self.accel)
-        columns += _time_columns(self.sound)
+        columns = [c for streams in (self.sightings, self.accel, self.sound)
+                   for c in _time_columns(streams)]
         return max((int(c.max()) for c in columns if len(c)), default=-1)
 
 
 def traces_equal(a: TraceSet, b: TraceSet) -> bool:
     """Bit-exact equality of two trace sets (float columns compared bitwise).
 
-    Each node is looked up on both sides and compared before the next, so a
-    drawn series is released before the next one is drawn.
+    Each stream is looked up on both sides and compared before the next, so
+    a drawn series is released before the next one is drawn.
     """
-    if sorted(a.accel) != sorted(b.accel) or sorted(a.sound) != sorted(b.sound):
-        return False
-    return (_columns_equal(a.sightings, b.sightings)
-            and all(_columns_equal(a.accel[node], b.accel[node]) for node in a.accel)
-            and all(_columns_equal(a.sound[node], b.sound[node]) for node in a.sound))
+    sides = [(getattr(a, f.name), getattr(b, f.name)) for f in fields(TraceSet)]
+    return (all(sorted(x) == sorted(y) for x, y in sides)
+            and all(_columns_equal(x[key], y[key]) for x, y in sides for key in x))
 
 
 def _columns_equal(a, b) -> bool:
@@ -589,8 +577,10 @@ def node_ranks(names: list[str]) -> np.ndarray:
     return rank
 
 
-def _read_sightings(path, epoch_ms: int) -> SightingTable:
-    """The sightings file as one table sorted by (t_ms, observer, subject)."""
+def _read_sightings(path, epoch_ms: int) -> dict:
+    """{(observer, subject): SightingSeries} of the sightings file, in key
+    order: the file's rows joined and sorted stably by direction once, then
+    sliced per direction."""
     names: list[str] = []
     parts = [[empty] for empty in _SIGHTINGS.read_rows(*NO_ROWS, epoch_ms, {}, names)[0]]
     for cols, _, _ in _checked_chunks(path, _SIGHTINGS, epoch_ms, names):
@@ -599,9 +589,14 @@ def _read_sightings(path, epoch_ms: int) -> SightingTable:
     t, obs, subj, rssi = map(np.concatenate, parts)
     del parts       # frees the chunks before the sort
     rank = node_ranks(names)
-    order = np.lexsort((rank[subj], rank[obs], t))
-    name_of = np.array(names, dtype=object)
-    return SightingTable(t[order], name_of[obs[order]], name_of[subj[order]], rssi[order])
+    direction = rank[obs] * len(names) + rank[subj]
+    order = np.argsort(direction, kind="stable")
+    direction, t, rssi = direction[order], t[order], rssi[order]
+    starts = np.flatnonzero(np.diff(direction, prepend=-1))
+    stops = np.append(starts[1:], len(direction))
+    by_rank, n = sorted(names), len(names)
+    return {(by_rank[c // n], by_rank[c % n]): SightingSeries(t[lo:hi], rssi[lo:hi])
+            for c, lo, hi in zip(direction[starts].tolist(), starts.tolist(), stops.tolist())}
 
 
 def _read_series(path, layout: Layout, epoch_ms: int, series) -> dict:
@@ -639,14 +634,16 @@ def read_traces(sightings_path, accel_path, sound_path, epoch_ms: int = 0) -> Tr
 
     `epoch_ms` is subtracted from every timestamp, mapping wall-clock inputs
     onto the scenario-relative axis.  Files need only be time-ordered within
-    each stream; sightings come back sorted by (t_ms, observer, subject) and
-    each node's accel and sound series by time (rows with equal keys keep
-    their file order).  The first violation of the stream contract, in file
-    order, aborts with the offending line and column.
+    each stream, and streams may interleave in any way; each comes back as
+    one time-ordered series, sightings per (observer, subject) direction and
+    accel and sound per node, all in key order (rows with equal timestamps
+    keep their file order).  The first violation of the stream contract, in
+    file order, aborts with the offending line and column.
 
-    Each file is parsed `_READ_CHUNK` bytes at a time, and accel and
-    sound rows are split by node chunk by chunk, so besides the result only
-    one chunk's rows are held.
+    Each file is parsed `_READ_CHUNK` bytes at a time.  Accel and sound rows
+    are split by node chunk by chunk, so besides the result only one chunk's
+    rows are held; the sightings' chunks are joined and sorted by direction
+    once.
     """
     return TraceSet(_read_sightings(sightings_path, epoch_ms),
                     _read_series(accel_path, _ACCEL, epoch_ms, AccelSeries),
@@ -686,50 +683,46 @@ def _write_csv(path, header: list[str], blocks, format_rows) -> None:
 def write_traces(traces: TraceSet, out_dir) -> tuple[str, str, str]:
     """Write the three trace CSVs into `out_dir`; returns their paths.
 
-    Sightings are written in table order.  Accel and sound rows are written
-    node by node, nodes in name order and each node's series in time order,
-    `_WRITE_BLOCK` rows at a time.  A node is looked up only when its turn
-    comes, so a series drawn on lookup is drawn, written and dropped before
-    the next one is drawn.  Reading the files back reproduces the TraceSet
-    exactly.
+    Each file is written stream by stream, streams in key order (sightings
+    by (observer, subject), accel and sound by node) and each series in time
+    order, `_WRITE_BLOCK` rows at a time.  A stream is looked up only when
+    its turn comes, so a series drawn on lookup is drawn, written and
+    dropped before the next one is drawn.  Reading the files back reproduces
+    the TraceSet exactly.
     """
     os.makedirs(out_dir, exist_ok=True)
     s_path = os.path.join(out_dir, SIGHTINGS_FILENAME)
     a_path = os.path.join(out_dir, ACCEL_FILENAME)
     d_path = os.path.join(out_dir, SOUND_FILENAME)
-    tab = traces.sightings
     _write_csv(s_path, SIGHTINGS_HEADER,
-               _blocks([np.asarray(tab.t_ms, dtype=np.int64), tab.observer, tab.subject,
-                        np.asarray(tab.rssi_dbm, dtype=np.float64)]),
+               _stream_blocks(traces.sightings, lambda pair: pair, ("rssi_dbm",)),
                lambda t, obs, subj, rssi: [f"{a},{b},{c},{d!r}\n" for a, b, c, d
                                            in zip(t, obs, subj, rssi)])
-    _write_csv(a_path, ACCEL_HEADER, _node_blocks(traces.accel, ("ax", "ay", "az")),
+    _write_csv(a_path, ACCEL_HEADER,
+               _stream_blocks(traces.accel, lambda node: (node,), ("ax", "ay", "az")),
                lambda t, node, ax, ay, az: [f"{a},{b},{x!r},{y!r},{z!r}\n" for a, b, x, y, z
                                             in zip(t, node, ax, ay, az)])
-    _write_csv(d_path, SOUND_HEADER, _node_blocks(traces.sound, ("amplitude",)),
+    _write_csv(d_path, SOUND_HEADER,
+               _stream_blocks(traces.sound, lambda node: (node,), ("amplitude",)),
                lambda t, node, amp: [f"{a},{b},{x!r}\n" for a, b, x in zip(t, node, amp)])
     return (s_path, a_path, d_path)
 
 
-def _blocks(columns: list[np.ndarray]):
-    """The rows of `columns`, `_WRITE_BLOCK` at a time, as Python lists."""
-    for lo in range(0, len(columns[0]), _WRITE_BLOCK):
-        yield [c[lo:lo + _WRITE_BLOCK].tolist() for c in columns]
+def _stream_blocks(streams: Mapping, key_fields: Callable, values: tuple[str, ...]):
+    """Rows [t_ms, *key_fields(key), *values] of each stream's series in
+    turn, keys in sorted order, `_WRITE_BLOCK` at a time."""
+    for key in sorted(streams):
+        yield from _series_blocks(key_fields(key), streams[key], values)
 
 
-def _node_blocks(series_by_node: Mapping, values: tuple[str, ...]):
-    """Rows [t_ms, node, *values] of each node's series in turn, nodes in
-    name order, `_WRITE_BLOCK` at a time."""
-    for node in sorted(series_by_node):
-        yield from _series_blocks(node, series_by_node[node], values)
-
-
-def _series_blocks(node: str, series, values: tuple[str, ...]):
-    """The blocks of one node's series; the series is dropped when they end."""
+def _series_blocks(key: tuple[str, ...], series, values: tuple[str, ...]):
+    """The blocks of one stream's series, each key field repeated per row;
+    the series is dropped when they end."""
     columns = [np.asarray(series.t_ms, dtype=np.int64)]
     columns += [np.asarray(getattr(series, v), dtype=np.float64) for v in values]
-    for t, *rest in _blocks(columns):
-        yield [t, [node] * len(t), *rest]
+    for lo in range(0, len(columns[0]), _WRITE_BLOCK):
+        t, *rest = (c[lo:lo + _WRITE_BLOCK].tolist() for c in columns)
+        yield [t, *([name] * len(t) for name in key), *rest]
 
 
 # --- minute-record codec -------------------------------------------------------

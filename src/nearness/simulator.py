@@ -25,8 +25,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .domain import RSSI_MAX_DBM, RSSI_MIN_DBM, DomainError, validate_node_id
-from .ingest import DrawnAccel, SightingTable, SoundSeries, TraceSet, _undecodable
+from .domain import (MAX_SPAN_DAYS, MS_PER_DAY, RSSI_MAX_DBM, RSSI_MIN_DBM, DomainError,
+                     validate_node_id)
+from .ingest import DrawnAccel, SightingSeries, SoundSeries, TraceSet, _undecodable
 
 ACCEL_INTERVAL_MS = 50      # 20 Hz
 SOUND_INTERVAL_MS = 1000    # 1 Hz
@@ -94,6 +95,9 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant; raises ConfigError naming the field."""
     if not isinstance(config.duration_ms, int) or config.duration_ms <= 0:
         raise ConfigError("duration_ms", f"must be a positive integer, got {config.duration_ms}")
+    if config.duration_ms > MAX_SPAN_DAYS * MS_PER_DAY:
+        raise ConfigError("duration_ms", f"a run spans at most {MAX_SPAN_DAYS} days "
+                          f"({MAX_SPAN_DAYS * MS_PER_DAY} ms), got {config.duration_ms}")
     if not isinstance(config.seed, int) or not 0 <= config.seed < 2 ** 64:
         raise ConfigError("seed", "must be a 64-bit unsigned integer")
     if not (math.isfinite(config.accel_noise_sigma) and config.accel_noise_sigma >= 0):
@@ -236,24 +240,23 @@ def _stream_rng(seed: int, *labels: str) -> np.random.Generator:
 def generate(config: ScenarioConfig) -> tuple[TraceSet, GroundTruth]:
     """Run a scenario and return its sensor traces plus the ground truth.
 
-    Sightings and sound are built here.  Accelerometer series are not: the
-    traces' `accel` draws a node's series from its own substream each time
-    it is looked up, so only the series in use is held, and every lookup
-    gives the same bits.
+    Sightings and sound are built here: one series per direction that is
+    ever in range, at the scan ticks where it is, and one per node.
+    Accelerometer series are not: the traces' `accel` draws a node's series
+    from its own substream each time it is looked up, so only the series in
+    use is held, and every lookup gives the same bits.
     """
     validate_config(config)
     gt = GroundTruth(config)
     names = sorted(a.id for a in config.agents)
     rf = config.rf
 
-    # radio sightings at every scan tick, one stream per ordered pair
+    # radio sightings at every scan tick in range, one series per ordered pair
     t_scan = np.arange(0, config.duration_ms, rf.scan_interval_ms, dtype=np.int64)
     pos = {n: gt.positions(n, t_scan) for n in names}
-    # one typed empty piece each, so a scenario without sightings concatenates too
-    sig_t, sig_obs, sig_subj, sig_rssi = ([np.empty(0, dtype)] for dtype in
-                                          (np.int64, np.int32, np.int32, np.float64))
-    for oc, observer in enumerate(names):
-        for sc, subject in enumerate(names):
+    sightings = {}
+    for observer in names:
+        for subject in names:
             if observer == subject:
                 continue
             dist = np.hypot(pos[observer][0] - pos[subject][0],
@@ -265,15 +268,8 @@ def generate(config: ScenarioConfig) -> tuple[TraceSet, GroundTruth]:
                 noise = 0.0
             rssi = rssi_from_distance(dist, rf, noise)
             mask = dist <= rf.max_range_m
-            sig_t.append(t_scan[mask])
-            sig_obs.append(np.full(mask.sum(), oc, dtype=np.int32))
-            sig_subj.append(np.full(mask.sum(), sc, dtype=np.int32))
-            sig_rssi.append(rssi[mask])
-    all_t, all_obs, all_subj, all_rssi = map(np.concatenate, (sig_t, sig_obs, sig_subj, sig_rssi))
-    order = np.lexsort((all_subj, all_obs, all_t))
-    name_arr = np.array(names, dtype=object)
-    table = SightingTable(all_t[order], name_arr[all_obs[order]],
-                          name_arr[all_subj[order]], all_rssi[order])
+            if mask.any():
+                sightings[(observer, subject)] = SightingSeries(t_scan[mask], rssi[mask])
 
     # accelerometer at 20 Hz: gravity plus noise, a 2 Hz tone while moving.
     # The tone rides the gravity axis so the magnitude-std feature sees its
@@ -299,7 +295,7 @@ def generate(config: ScenarioConfig) -> tuple[TraceSet, GroundTruth]:
     sound = {node: SoundSeries(t_snd.copy(), gt.amplitudes(node, t_snd))
              for node in names}
 
-    return TraceSet(table, DrawnAccel(t_acc, names, draw_accel), sound), gt
+    return TraceSet(sightings, DrawnAccel(t_acc, names, draw_accel), sound), gt
 
 
 # --- scenario file grammar -------------------------------------------------------

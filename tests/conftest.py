@@ -8,7 +8,7 @@ import pytest
 
 from nearness.domain import LABELS, RECORD_FIELDS, MinuteBatch
 from nearness.engine import EngineConfig, RunResult, run_engine
-from nearness.ingest import _WRITE_BLOCK, AccelSeries, SightingTable, SoundSeries, TraceSet
+from nearness.ingest import _WRITE_BLOCK, AccelSeries, SightingSeries, SoundSeries, TraceSet
 from nearness.simulator import GroundTruth, ScenarioConfig, generate, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -17,21 +17,21 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 def make_traces(sightings=(), accel=(), sound=()) -> TraceSet:
     """A TraceSet from rows laid out as the trace CSV columns: sightings
     (t_ms, observer, subject, rssi_dbm), accel (t_ms, node, ax, ay, az) and
-    sound (t_ms, node, amplitude), in any order; they come back sorted as
-    `read_traces` sorts them."""
-    columns = list(zip(*sorted(sightings, key=lambda row: row[:3]))) or [()] * 4
-    table = SightingTable(*(np.array(c, dtype=dtype) for c, dtype
-                            in zip(columns, (np.int64, object, object, np.float64))))
+    sound (t_ms, node, amplitude), in any order; each stream's rows come
+    back as `read_traces` gives them, one series sorted stably by time,
+    keyed by (observer, subject) or by node."""
 
-    def per_node(rows, series):
+    def per_stream(rows, width, series):
         out = {}
-        for node in sorted({row[1] for row in rows}):
-            t, _, *values = zip(*sorted((r for r in rows if r[1] == node), key=lambda r: r[0]))
-            out[node] = series(np.array(t, dtype=np.int64),
-                               *(np.array(v, dtype=np.float64) for v in values))
+        for key in sorted({row[1:1 + width] for row in rows}):
+            t, *values = zip(*sorted(((r[0], *r[1 + width:]) for r in rows
+                                      if r[1:1 + width] == key), key=lambda r: r[0]))
+            out[key if width > 1 else key[0]] = series(
+                np.array(t, dtype=np.int64), *(np.array(v, dtype=np.float64) for v in values))
         return out
 
-    return TraceSet(table, per_node(accel, AccelSeries), per_node(sound, SoundSeries))
+    return TraceSet(per_stream(sightings, 2, SightingSeries), per_stream(accel, 1, AccelSeries),
+                    per_stream(sound, 1, SoundSeries))
 
 
 def rows(batch: MinuteBatch) -> list[tuple]:

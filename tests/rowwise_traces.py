@@ -3,15 +3,15 @@
 The reader is the one `nearness.ingest.read_traces` replaced: one row at a
 time, every field checked in order, with its own split of the same dialect
 (LF ends a line, commas separate verbatim fields, and nothing is quoted).
-It keeps the rows in file order, so `canonical` puts its result into the
-order the columnar reader promises before the two are compared.  Tests use
-it as an oracle for the accepted values and for the exact ParseError of a
-rejected file.
+It appends each row to its stream's list in file order, which per-stream
+monotone files make time order, so its series are the ones the columnar
+reader promises.  Tests use it as an oracle for the accepted values and for
+the exact ParseError of a rejected file.
 
 The writer writes each file's rows in the order `nearness.ingest.write_traces`
-promises, node-major for accel and sound, but all of a node's rows in one
-write where `write_traces` writes them a block at a time.  Tests use it as
-an oracle for the bytes of each file.
+promises, stream-major (sightings per direction, accel and sound per node),
+but all of a stream's rows in one write where `write_traces` writes them a
+block at a time.  Tests use it as an oracle for the bytes of each file.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from nearness.ingest import (
     SOUND_HEADER,
     AccelSeries,
     ParseError,
-    SightingTable,
+    SightingSeries,
     SoundSeries,
     TraceSet,
 )
@@ -110,8 +110,9 @@ def _check_monotone(path, line, last_t: dict, key, t: int) -> None:
 
 def read_traces_rowwise(sightings_path, accel_path, sound_path,
                         epoch_ms: int = 0) -> TraceSet:
-    """Parse the three trace files row by row; sightings stay in file order."""
-    s_t, s_obs, s_subj, s_rssi = [], [], [], []
+    """Parse the three trace files row by row, each row into its stream's
+    series in file order."""
+    sight_data: dict[tuple[str, str], list] = {}
     handle, rows = _open_rows(sightings_path)
     with handle:
         last_t: dict = {}
@@ -131,7 +132,7 @@ def read_traces_rowwise(sightings_path, accel_path, sound_path,
                 raise ParseError(sightings_path, line, 4,
                                  f"rssi {row[3]} outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]")
             _check_monotone(sightings_path, line, last_t, (obs, subj), t)
-            s_t.append(t); s_obs.append(obs); s_subj.append(subj); s_rssi.append(rssi)
+            sight_data.setdefault((obs, subj), []).append((t, rssi))
 
     accel_data: dict[str, list] = {}
     handle, rows = _open_rows(accel_path)
@@ -168,37 +169,18 @@ def read_traces_rowwise(sightings_path, accel_path, sound_path,
             _check_monotone(sound_path, line, last_t, node, t)
             sound_data.setdefault(node, []).append((t, amp))
 
-    accel_series = {}
-    for node in sorted(accel_data):
-        t, ax, ay, az = zip(*accel_data[node])
-        accel_series[node] = AccelSeries(np.asarray(t, dtype=np.int64),
-                                         np.asarray(ax, dtype=np.float64),
-                                         np.asarray(ay, dtype=np.float64),
-                                         np.asarray(az, dtype=np.float64))
-    sound_series = {}
-    for node in sorted(sound_data):
-        t, amp = zip(*sound_data[node])
-        sound_series[node] = SoundSeries(np.asarray(t, dtype=np.int64),
-                                         np.asarray(amp, dtype=np.float64))
-    table = SightingTable(np.asarray(s_t, dtype=np.int64),
-                          np.asarray(s_obs, dtype=object),
-                          np.asarray(s_subj, dtype=object),
-                          np.asarray(s_rssi, dtype=np.float64))
-    return TraceSet(table, accel_series, sound_series)
+    return TraceSet(_series(sight_data, SightingSeries), _series(accel_data, AccelSeries),
+                    _series(sound_data, SoundSeries))
 
 
-def canonical(traces: TraceSet) -> TraceSet:
-    """Sightings stably sorted by (t_ms, observer, subject), with a plain sort."""
-    tab = traces.sightings
-    rows = sorted(zip(tab.t_ms.tolist(), tab.observer.tolist(),
-                      tab.subject.tolist(), tab.rssi_dbm.tolist()),
-                  key=lambda r: r[:3])
-    t, obs, subj, rssi = zip(*rows) if rows else ((), (), (), ())
-    table = SightingTable(np.asarray(t, dtype=np.int64),
-                          np.asarray(obs, dtype=object),
-                          np.asarray(subj, dtype=object),
-                          np.asarray(rssi, dtype=np.float64))
-    return TraceSet(table, traces.accel, traces.sound)
+def _series(rows_by_key: dict, series) -> dict:
+    """{key: series(t_ms, values...)} of each stream's rows (t, values...)."""
+    out = {}
+    for key in sorted(rows_by_key):
+        t, *values = zip(*rows_by_key[key])
+        out[key] = series(np.asarray(t, dtype=np.int64),
+                          *(np.asarray(v, dtype=np.float64) for v in values))
+    return out
 
 
 def _write_csv(path, header, parts, format_rows) -> None:
@@ -210,32 +192,33 @@ def _write_csv(path, header, parts, format_rows) -> None:
             handle.writelines(format_rows(*columns))
 
 
-def _node_parts(series_by_node, values):
-    """Columns [t_ms, node, *values] of each node's whole series, nodes in
-    name order."""
-    for node in sorted(series_by_node):
-        series = series_by_node[node]
+def _stream_parts(streams, key_fields, values):
+    """Columns [t_ms, *key_fields(key), *values] of each stream's whole
+    series, keys in sorted order."""
+    for key in sorted(streams):
+        series = streams[key]
         t = np.asarray(series.t_ms, dtype=np.int64).tolist()
-        yield [t, [node] * len(t)] + [np.asarray(getattr(series, v), dtype=np.float64).tolist()
-                                      for v in values]
+        yield [t, *([name] * len(t) for name in key_fields(key))] + \
+            [np.asarray(getattr(series, v), dtype=np.float64).tolist() for v in values]
 
 
-def write_traces_node_major(traces: TraceSet, out_dir) -> tuple[str, str, str]:
-    """Write the three trace CSVs into `out_dir`: all sightings at once, then
-    all of one node's accel or sound rows at once, nodes in name order."""
+def write_traces_stream_major(traces: TraceSet, out_dir) -> tuple[str, str, str]:
+    """Write the three trace CSVs into `out_dir`: all of one stream's rows
+    at once, sightings direction by direction, accel and sound node by
+    node, keys in sorted order."""
     os.makedirs(out_dir, exist_ok=True)
     s_path = os.path.join(out_dir, SIGHTINGS_FILENAME)
     a_path = os.path.join(out_dir, ACCEL_FILENAME)
     d_path = os.path.join(out_dir, SOUND_FILENAME)
-    tab = traces.sightings
     _write_csv(s_path, SIGHTINGS_HEADER,
-               [[np.asarray(tab.t_ms, dtype=np.int64).tolist(), tab.observer.tolist(),
-                 tab.subject.tolist(), np.asarray(tab.rssi_dbm, dtype=np.float64).tolist()]],
+               _stream_parts(traces.sightings, lambda pair: pair, ("rssi_dbm",)),
                lambda t, obs, subj, rssi: [f"{a},{b},{c},{d!r}\n" for a, b, c, d
                                            in zip(t, obs, subj, rssi)])
-    _write_csv(a_path, ACCEL_HEADER, _node_parts(traces.accel, ("ax", "ay", "az")),
+    _write_csv(a_path, ACCEL_HEADER,
+               _stream_parts(traces.accel, lambda node: (node,), ("ax", "ay", "az")),
                lambda t, node, ax, ay, az: [f"{a},{b},{x!r},{y!r},{z!r}\n" for a, b, x, y, z
                                             in zip(t, node, ax, ay, az)])
-    _write_csv(d_path, SOUND_HEADER, _node_parts(traces.sound, ("amplitude",)),
+    _write_csv(d_path, SOUND_HEADER,
+               _stream_parts(traces.sound, lambda node: (node,), ("amplitude",)),
                lambda t, node, amp: [f"{a},{b},{x!r}\n" for a, b, x in zip(t, node, amp)])
     return (s_path, a_path, d_path)

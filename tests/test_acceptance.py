@@ -208,9 +208,8 @@ def test_07_distance_estimator_roundtrip_and_smoothing():
         rf=RfParams(shadowing_sigma_db=2.0),
         seed=1234)
     traces, _ = generate(config)
-    tab = traces.sightings
     raw = [estimate_distance_raw(rssi, config.rf.p_ref_dbm, config.rf.pathloss_exp)
-           for rssi in tab.rssi_dbm[tab.observer == "a"].tolist()]
+           for rssi in traces.sightings[("a", "b")].rssi_dbm.tolist()]
     # the engine's per-minute distance for a -> b: one sighting per minute
     result = run_engine(traces, EngineConfig(rf=config.rf), duration_ms=config.duration_ms)
     records = result.records

@@ -227,6 +227,24 @@ class TestRun:
         assert "--epoch" in child.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_scenario_span_past_a_year_is_input_error(self, tmp_path, command):
+        # 1e15 ms would take some 1.7e10 scan ticks; the child's address
+        # space is capped, so a command that sizes its arrays by that span
+        # fails with MemoryError instead of filling the host's memory
+        scn = tmp_path / "long.scn"
+        scn.write_text("duration_ms = 1000000000000000\n"
+                       "[agent a]\nwaypoint = 0 0.0 0.0\n[agent b]\nwaypoint = 0 3.0 0.0\n")
+        out = tmp_path / "out"
+        capped = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from nearness.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        child = run_child(capped, command, "--scenario", str(scn), "--out", str(out))
+        assert child.returncode == 2, child.stderr
+        assert "duration_ms: a run spans at most 366 days" in child.stderr
+        assert not out.exists()
+
     def test_traces_in_per_stream_order_run_in_full(self, tmp_path, capsys):
         # a->b for 10 minutes, then a->c for the first 5: each stream is in
         # time order, the file as a whole is not

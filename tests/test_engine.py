@@ -1,8 +1,11 @@
 import math
 import tracemalloc
 
+import numpy as np
+
 from conftest import append_in_blocks, by_key, make_traces, rows
 from nearness.engine import EngineConfig, build_report, run_engine
+from nearness.ingest import SightingSeries, TraceSet
 from nearness.simulator import AgentSpec, ScenarioConfig, Waypoint, generate, load_scenario
 from nearness.store import RecordLog
 from test_simulator import walking_crowd
@@ -80,6 +83,19 @@ class TestMinuteLoop:
         assert by_dir[("a", "b")]["d_m"] < math.inf
         assert by_dir[("b", "a")]["d_m"] == math.inf and by_dir[("b", "a")]["p"] == 0.0
         assert by_dir[("a", "b")]["n_i"] == 1 and by_dir[("b", "a")]["n_i"] == 0
+
+    def test_empty_series_acts_as_a_missing_direction(self):
+        # b never sees a and c never sees b: series of no rows, one in a pair
+        # that has contacts and one in a pair that has none
+        traces = make_traces([(0, "a", "b", -48.0), (60_000, "a", "b", -48.0),
+                              (90_000, "c", "a", -50.0)])
+        empty = SightingSeries(np.empty(0, dtype=np.int64), np.empty(0))
+        padded = TraceSet({**traces.sightings, ("b", "a"): empty, ("c", "b"): empty})
+        want, got = (run_engine(t, duration_ms=180_000) for t in (traces, padded))
+        assert rows(got.records) == rows(want.records)
+        assert (got.minutes, got.nodes) == (want.minutes, want.nodes)
+        assert got.contacts == want.contacts and got.contact_seconds == want.contact_seconds
+        assert sorted(got.contacts) == [("a", "b"), ("a", "c")]
 
     def test_node_degree_counts_neighbours(self):
         traces = make_traces([(0, "a", "b", -50.0), (100, "a", "c", -50.0),

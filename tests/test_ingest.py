@@ -17,7 +17,7 @@ from nearness.ingest import (
     AccelSeries,
     DrawnAccel,
     ParseError,
-    SightingTable,
+    SightingSeries,
     SoundSeries,
     TraceSet,
     format_record_row,
@@ -79,10 +79,8 @@ class TestRoundtrip:
         assert traces_equal(traces, write_then_read(traces, out))
 
     def test_max_t_ms_looks_past_the_last_row(self):
-        traces = TraceSet(SightingTable(np.array([90_000, 30_000]),
-                                        np.array(["a", "a"], dtype=object),
-                                        np.array(["b", "c"], dtype=object),
-                                        np.array([-50.0, -50.0])),
+        traces = TraceSet({("a", "b"): SightingSeries(np.array([90_000]), np.array([-50.0])),
+                           ("a", "c"): SightingSeries(np.array([30_000]), np.array([-50.0]))},
                           accel={"a": AccelSeries(np.array([5, 1]), np.zeros(2),
                                                   np.zeros(2), np.zeros(2))},
                           sound={"a": SoundSeries(np.array([120_000, 7]), np.zeros(2))})
@@ -96,9 +94,9 @@ class TestRoundtrip:
             accel="50,b,0,0,3\n0,a,0,0,2\n100,b,0,0,1\n",
             sound="9,b,0.5\n1,a,0.25\n")
         traces = read_traces(*paths)
-        tab = traces.sightings
-        assert list(zip(tab.t_ms.tolist(), tab.observer, tab.subject)) == [
-            (0, "B", "a"), (0, "a", "c"), (300, "b", "a"), (600, "a", "b")]
+        assert {key: s.t_ms.tolist() for key, s in traces.sightings.items()} == {
+            ("B", "a"): [0], ("a", "c"): [0], ("b", "a"): [300], ("a", "b"): [600]}
+        assert list(traces.sightings) == [("B", "a"), ("a", "b"), ("a", "c"), ("b", "a")]
         assert list(traces.accel) == ["a", "b"]
         assert traces.accel["b"].t_ms.tolist() == [50, 100]
         assert traces.accel["b"].az.tolist() == [3.0, 1.0]
@@ -280,13 +278,13 @@ class TestDialect:
         paths[2].write_text("t_ms,node,amplitude\n0,a,0.5")
         with mock.patch.object(ingest, "_READ_CHUNK", chunk):
             traces = read_traces(*paths)
-        assert traces.sightings.subject.tolist() == ["b", "zé"]
-        assert traces.sightings.rssi_dbm.tolist() == [-40.0, -41.5]
+        assert {key: s.rssi_dbm.tolist() for key, s in traces.sightings.items()} == {
+            ("a", "b"): [-40.0], ("a", "zé"): [-41.5]}
         assert traces.sound["a"].amplitude.tolist() == [0.5]
 
     def test_nul_is_data(self, tmp_path):
         paths = trace_files(tmp_path, sightings="0,a\0,b,-40.0\n")
-        assert read_traces(*paths).sightings.observer.tolist() == ["a\0"]
+        assert list(read_traces(*paths).sightings) == [("a\0", "b")]
         paths = trace_files(tmp_path, sightings="0,a,b,-40.0\0\n")
         with pytest.raises(ParseError) as err:
             read_traces(*paths)
@@ -302,7 +300,7 @@ class TestEpochMapping:
             sightings=f"{epoch},a,b,-40.0\n{epoch + 60_000},a,b,-41.0\n",
             sound=f"{epoch},a,0.5\n")
         traces = read_traces(*paths, epoch_ms=epoch)
-        assert traces.sightings.t_ms.tolist() == [0, 60_000]
+        assert traces.sightings[("a", "b")].t_ms.tolist() == [0, 60_000]
         assert traces.sound["a"].t_ms.tolist() == [0]
 
     def test_timestamp_before_epoch_rejected(self, tmp_path):
@@ -404,7 +402,7 @@ def counting_accel(nodes, samples):
 
 def trace_bytes(traces) -> int:
     """Bytes of every column of `traces` (node ids count as references)."""
-    parts = [traces.sightings, *traces.accel.values(), *traces.sound.values()]
+    parts = [*traces.sightings.values(), *traces.accel.values(), *traces.sound.values()]
     return sum(getattr(part, f.name).nbytes for part in parts for f in fields(part))
 
 

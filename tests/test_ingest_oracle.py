@@ -1,12 +1,13 @@
 """The trace codecs against their reference implementations.
 
 Valid files must read to the same TraceSet as the row-at-a-time reference
-reader (after its rows are put in canonical order) and write back
-byte-stably.  Corrupted files must fail with the identical ParseError: same
+reader and write back byte-stably.  Corrupted files must fail with the identical ParseError: same
 path, line, column and message.  Each case also runs with tiny read chunks,
 so rules and errors that cross a chunk boundary are exercised on small
-files.  The block-wise writer must write the same bytes as the reference
-writer, which writes all of a node's rows at once, for any block size.
+files.  The same rows read to the same TraceSet, and run to the same
+records, whatever order the file's streams interleave in.  The block-wise
+writer must write the same bytes as the reference writer, which writes all
+of a stream's rows at once, for any block size.
 """
 
 import random
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearness import ingest
+from nearness.engine import EngineConfig, run_engine
 from nearness.ingest import (
     AccelSeries,
     DrawnAccel,
@@ -29,8 +31,9 @@ from nearness.ingest import (
     traces_equal,
     write_traces,
 )
-from conftest import make_traces
-from rowwise_traces import canonical, read_traces_rowwise, write_traces_node_major
+from nearness.simulator import AgentSpec, RfParams, ScenarioConfig, Waypoint, generate
+from conftest import make_traces, rows
+from rowwise_traces import read_traces_rowwise, write_traces_stream_major
 
 NODES = ["a", "b", "c", "B", "n 1", "zé"]
 HEADERS = ("t_ms,observer,subject,rssi_dbm", "t_ms,node,ax,ay,az", "t_ms,node,amplitude")
@@ -113,7 +116,7 @@ def assert_same_outcome(new, old):
         assert new == old
     else:
         assert not isinstance(new, str), new
-        assert traces_equal(new, canonical(old))
+        assert traces_equal(new, old)
 
 
 @settings(max_examples=120, deadline=None)
@@ -240,15 +243,47 @@ def test_field_error_before_an_order_breach_wins(tmp_path):
 def test_quoted_fields_read_verbatim(tmp_path):
     paths = write_files(tmp_path, [['0,"a",b,-40.0', '1,a,"b",-4e1'], [], []])
     new, old = read_both(paths, 0, 1 << 20)
-    assert traces_equal(new, canonical(old))
-    assert new.sightings.observer.tolist() == ['"a"', "a"]
-    assert new.sightings.subject.tolist() == ["b", '"b"']
+    assert traces_equal(new, old)
+    assert list(new.sightings) == [('"a"', "b"), ("a", '"b"')]
 
 
 def test_quotes_do_not_protect_a_comma(tmp_path):
     paths = write_files(tmp_path, [['0,"a,b",c,-40.0'], [], []])
     new, old = read_both(paths, 0, 1 << 20)
     assert new == old and ":2:1: expected 4 fields, got 5" in new
+
+
+def test_any_interleaving_of_sighting_streams_reads_and_runs_alike(tmp_path):
+    # b walks into range of a and c, d walks out of it: directions start and
+    # stop at different scans, and 3 dB shadowing sets each direction apart
+    agents = (AgentSpec("a", (Waypoint(0, 0.0, 0.0),)),
+              AgentSpec("b", (Waypoint(0, 50.0, 0.0), Waypoint(1_800_000, 0.0, 0.0))),
+              AgentSpec("c", (Waypoint(0, 5.0, 0.0),)),
+              AgentSpec("d", (Waypoint(0, 0.0, 5.0), Waypoint(1_800_000, 60.0, 5.0))))
+    config = ScenarioConfig(agents, 1_800_000, RfParams(shadowing_sigma_db=3.0,
+                                                        scan_interval_ms=20_000), seed=7)
+    engine = EngineConfig(rf=config.rf)
+    traces = TraceSet(generate(config)[0].sightings)    # only the sightings file varies
+    want = rows(run_engine(traces, engine, duration_ms=config.duration_ms).records)
+    written = write_traces(traces, tmp_path)
+    header, *lines = Path(written[0]).read_text().splitlines()
+    fields = [line.split(",") for line in lines]
+    time_major = sorted(fields, key=lambda f: (int(f[0]), f[1], f[2]))
+    assert time_major != fields        # `write_traces` writes direction-major
+    # a random interleaving that keeps each direction's rows in order
+    streams = {}
+    for f in fields:
+        streams.setdefault((f[1], f[2]), []).append(f)
+    tokens = [key for key, stream in streams.items() for _ in stream]
+    random.Random(3).shuffle(tokens)
+    interleaved = [streams[key].pop(0) for key in tokens]
+    for order in (fields, time_major, interleaved):
+        Path(written[0]).write_text("\n".join([header] + [",".join(f) for f in order]) + "\n")
+        for chunk in (50, 4096, 1 << 17):
+            with mock.patch.object(ingest, "_READ_CHUNK", chunk):
+                read = read_traces(*written)
+            assert traces_equal(read, traces)
+            assert rows(run_engine(read, engine, duration_ms=config.duration_ms).records) == want
 
 
 
@@ -297,6 +332,6 @@ def test_writer_writes_the_reference_bytes(traces, block):
     with tempfile.TemporaryDirectory() as tmp:
         with mock.patch.object(ingest, "_WRITE_BLOCK", block):
             got = write_traces(traces, Path(tmp) / "got")
-        want = write_traces_node_major(traces, Path(tmp) / "want")
+        want = write_traces_stream_major(traces, Path(tmp) / "want")
         for a, b in zip(got, want):
             assert Path(a).read_bytes() == Path(b).read_bytes()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearness import simulator
-from nearness.domain import DomainError
+from nearness.domain import MAX_SPAN_DAYS, MS_PER_DAY, DomainError
 from nearness.ingest import traces_equal, write_traces
 from nearness.simulator import (
     AgentSpec,
@@ -45,13 +45,6 @@ def distance(gt, i, j, t_ms):
     """Exact distance between two agents at `t_ms`, from their positions."""
     (xi, yi), (xj, yj) = gt.positions(i, [t_ms]), gt.positions(j, [t_ms])
     return float(np.hypot(xi - xj, yi - yj)[0])
-
-
-def sighting_rows(traces):
-    """(t_ms, observer, subject, rssi_dbm) per sighting, in table order."""
-    tab = traces.sightings
-    return zip(tab.t_ms.tolist(), tab.observer.tolist(), tab.subject.tolist(),
-               tab.rssi_dbm.tolist())
 
 
 class TestRssiModel:
@@ -154,23 +147,22 @@ class TestGroundTruth:
 class TestGenerate:
     def test_fixed_pair_at_reference_distance(self):
         traces, _ = generate(two_agent_config(distance_m=1.0))
-        assert len(traces.sightings) == 20  # 10 scans, two directions
-        assert all(r == -40.0 for r in traces.sightings.rssi_dbm)
+        assert traces.counts()[0] == 20  # 10 scans, two directions
+        assert all(r == -40.0 for s in traces.sightings.values() for r in s.rssi_dbm)
 
     def test_single_agent_yields_no_sightings(self):
         config = ScenarioConfig(agents=(fixed_agent("a", 0.0, 0.0),),
                                 duration_ms=300_000)
         traces, _ = generate(config)
-        assert len(traces.sightings) == 0
-        tab = traces.sightings
-        assert [c.dtype for c in (tab.t_ms, tab.observer, tab.subject, tab.rssi_dbm)] == \
-            [np.int64, object, object, np.float64]
+        assert traces.counts()[0] == 0
+        assert traces.sightings == {}
         assert len(traces.accel["a"]) == 300_000 // 50
         assert len(traces.sound["a"]) == 300
 
     def test_out_of_range_pair_never_sighted(self):
         traces, _ = generate(two_agent_config(distance_m=50.0, max_range_m=30.0))
-        assert len(traces.sightings) == 0
+        assert traces.counts()[0] == 0
+        assert traces.sightings == {}       # as a file of no sightings reads back
 
     def test_sampling_cadence(self):
         traces, _ = generate(two_agent_config(duration_ms=10_000))
@@ -198,17 +190,14 @@ class TestGenerate:
 
     def test_sighting_symmetry_without_shadowing(self):
         traces, _ = generate(two_agent_config(distance_m=3.7))
-        by_dir = {}
-        for t, obs, subj, rssi in sighting_rows(traces):
-            by_dir.setdefault((obs, subj), []).append((t, rssi))
-        assert by_dir[("a", "b")] == by_dir[("b", "a")]
+        ab, ba = traces.sightings[("a", "b")], traces.sightings[("b", "a")]
+        assert list(zip(ab.t_ms.tolist(), ab.rssi_dbm.tolist())) == \
+            list(zip(ba.t_ms.tolist(), ba.rssi_dbm.tolist()))
 
     def test_shadowing_breaks_direction_symmetry(self):
         traces, _ = generate(two_agent_config(distance_m=3.7, shadowing_sigma_db=4.0))
-        by_dir = {}
-        for _, obs, subj, rssi in sighting_rows(traces):
-            by_dir.setdefault((obs, subj), []).append(rssi)
-        assert by_dir[("a", "b")] != by_dir[("b", "a")]
+        ab, ba = traces.sightings[("a", "b")], traces.sightings[("b", "a")]
+        assert ab.rssi_dbm.tolist() != ba.rssi_dbm.tolist()
 
     def test_rssi_values_match_model(self):
         # coincident agents, clamped at 0 dBm, clamped at -120 dBm, in range
@@ -218,16 +207,16 @@ class TestGenerate:
                                            (6.25, {}, None)):
             config = two_agent_config(distance_m=distance_m, **rf)
             traces, gt = generate(config)
-            tab = traces.sightings
-            assert len(tab) == 20
+            assert traces.counts()[0] == 20
             for obs, subj in (("a", "b"), ("b", "a")):
-                rows = (tab.observer == obs) & (tab.subject == subj)
-                t = tab.t_ms[rows]
+                series = traces.sightings[(obs, subj)]
+                t = series.t_ms
                 (xo, yo), (xs, ys) = gt.positions(obs, t), gt.positions(subj, t)
                 model = rssi_from_distance(np.hypot(xo - xs, yo - ys), config.rf)
-                assert tab.rssi_dbm[rows].tolist() == model.tolist()
+                assert series.rssi_dbm.tolist() == model.tolist()
             if clamped_to is not None:
-                assert set(tab.rssi_dbm.tolist()) == {clamped_to}
+                assert {r for s in traces.sightings.values() for r in s.rssi_dbm.tolist()} \
+                    == {clamped_to}
 
     def test_moving_agent_gets_lively_gravity_axis(self):
         mover = AgentSpec(id="m", waypoints=(Waypoint(0, 0.0, 0.0),
@@ -346,6 +335,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             validate_config(ScenarioConfig(agents=(agent,), duration_ms=1000))
         assert err.value.field == "agents[0].sound[0].to_ms"
+
+    def test_duration_past_the_span_limit(self):
+        longest = MAX_SPAN_DAYS * MS_PER_DAY
+        assert validate_config(two_agent_config(duration_ms=longest)).duration_ms == longest
+        with pytest.raises(ConfigError) as err:
+            validate_config(two_agent_config(duration_ms=longest + 1))
+        assert err.value.field == "duration_ms"
 
     def test_bad_seed(self):
         with pytest.raises(ConfigError) as err:
