@@ -16,6 +16,8 @@ import sys
 import time
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
+
 from . import engine as engine_mod
 from .domain import MAX_SPAN_DAYS, MS_PER_DAY, MinuteBatch
 from .ingest import (
@@ -158,16 +160,6 @@ def _metric_text(value) -> str:
     return str(value) if isinstance(value, int) else fmt_float(value)
 
 
-def _series(batch, field: str) -> list[tuple]:
-    """(minute, value of `field`) of each row of `batch`, as Python values."""
-    return list(zip(batch.minute.tolist(), getattr(batch, field).tolist()))
-
-
-def _finite_by_minute(series) -> dict[int, float]:
-    """{minute: value} over the (minute, value) rows whose value is finite."""
-    return {m: float(v) for m, v in series if v != float("inf")}
-
-
 def _require_known(log: RecordLog, pair: tuple[str, str]) -> None:
     known = log.node_ids()
     for node in pair:
@@ -180,30 +172,28 @@ def cmd_analyze(args) -> int:
     log = RecordLog.open(args.log)
     _require_known(log, pair)
     field = METRIC_FIELDS[args.metric]
-    series = _series(log.query(pair, args.from_min, args.to_min), field)
+    forward, reverse = (log.query(p, args.from_min, args.to_min) for p in (pair, pair[::-1]))
+    values = getattr(forward, field)
     lines = ["minute,metric_value"]
-    lines += [f"{minute},{_metric_text(value)}" for minute, value in series]
+    lines += [f"{minute},{_metric_text(value)}"
+              for minute, value in zip(forward.minute.tolist(), values.tolist())]
 
-    forward = _finite_by_minute(series)
-    reverse = _finite_by_minute(_series(log.query(pair[::-1], args.from_min, args.to_min),
-                                        field))
-    both = sorted(forward.keys() & reverse.keys())
-    corr = engine_mod.pearson_correlation([forward[m] for m in both],
-                                          [reverse[m] for m in both])
+    corr = engine_mod.symmetry(forward.minute, values, reverse.minute, getattr(reverse, field))
     corr_text = "n/a" if corr is None else fmt_float(corr)
-    mean_text = ("n/a" if not forward
-                 else fmt_float(sum(forward.values()) / len(forward)))
+    finite = values[np.isfinite(values)].tolist()
+    # Python's in-order sum, not numpy's pairwise one
+    mean_text = "n/a" if not finite else fmt_float(sum(finite) / len(finite))
 
     if args.out:
         with (naming_write_errors(args.out),
               open(args.out, "w", newline="", encoding="utf-8") as handle):
             handle.write("\n".join(lines) + "\n")
-        print(f"wrote {len(series)} rows to {args.out}")
+        print(f"wrote {len(forward)} rows to {args.out}")
     else:
         for line in lines:
             print(line)
     print(f"# pair {pair[0]},{pair[1]}  metric {args.metric}  "
-          f"records {len(series)}  mean {mean_text}")
+          f"records {len(forward)}  mean {mean_text}")
     print(f"# symmetry correlation vs {pair[1]},{pair[0]}: {corr_text}")
     return EXIT_OK
 

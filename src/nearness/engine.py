@@ -15,7 +15,7 @@ columns are gathered from those per-minute arrays in one index each, in
 minute order and direction order within a minute, and both scores are
 computed once over the whole run; the minute loop only labels, passing
 each minute's scores to `fuse_minute`.  The run's records are held once,
-as those eleven columns.
+as those eleven columns, with each row's direction index beside them.
 
 Distance smoothing is kept per direction: the (i, j) record carries the
 estimate built from i's own sightings of j.  With noiseless sensing both
@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import MS_PER_MINUTE, MinuteBatch, canonical_pair, minute_index
+from .domain import (MAX_SPAN_DAYS, MS_PER_DAY, MS_PER_MINUTE, DomainError, MinuteBatch,
+                     canonical_pair, minute_index)
 from .fusion import FusionParams, SessionStats, fuse_minute, propinquity, social_interaction
 from .ingest import AccelSeries, SightingSeries, SoundSeries, TraceSet
 from .pipelines import (
@@ -87,6 +88,8 @@ _NO_SIGHTINGS = SightingSeries(_NO_TIMES, _NO_VALUES)
 @dataclass
 class RunResult:
     records: MinuteBatch             # the whole run, in key order
+    # per row, its index into the sorted (i, j) directions of the pairs in `contacts`
+    direction: np.ndarray
     minutes: int
     nodes: list[str]
     contacts: dict[tuple[str, str], list[ContactEvent]]
@@ -100,20 +103,16 @@ def _motion(accel: AccelSeries, boundaries: np.ndarray, config: EngineConfig) ->
                         config.motion_window_ms, config.motion_threshold)
 
 
-def _direction_codes(i: list[str], j: list[str], ids: list[str]) -> np.ndarray:
-    """A code per direction (i[k], j[k]) of nodes in the sorted list `ids`;
-    codes order as the directions do."""
-    code = {node: k for k, node in enumerate(ids)}
-    out = np.fromiter(map(code.__getitem__, i), dtype=np.int64, count=len(i)) * len(ids)
-    out += np.fromiter(map(code.__getitem__, j), dtype=np.int64, count=len(j))
-    return out
-
-
 def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
                duration_ms: int | None = None) -> RunResult:
-    """Process a trace set at one-minute ticks into the run's records."""
+    """Process a trace set at one-minute ticks into the run's records.
+    Raises DomainError, before it sizes anything, on a run whose last
+    millisecond lies past `MAX_SPAN_DAYS` from the epoch."""
     if duration_ms is None:
         duration_ms = traces.max_t_ms() + 1
+    if duration_ms - 1 > MAX_SPAN_DAYS * MS_PER_DAY:
+        raise DomainError(f"a run spans at most {MAX_SPAN_DAYS} days "
+                          f"({MAX_SPAN_DAYS * MS_PER_DAY} ms), got {duration_ms} ms")
     minutes = max(0, minute_index(duration_ms - 1) + 1) if duration_ms > 0 else 0
     nodes = traces.nodes()
     boundaries = np.arange(1, minutes + 1, dtype=np.int64) * MS_PER_MINUTE
@@ -187,7 +186,7 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
 
     contact_seconds = {pair: int(state.covered_ms(boundaries[-1:]).sum()) / 1000.0
                        for pair, state in strength.items()}
-    return RunResult(records=records, minutes=minutes, nodes=nodes,
+    return RunResult(records=records, direction=direction, minutes=minutes, nodes=nodes,
                      contacts=contacts, contact_seconds=contact_seconds)
 
 
@@ -212,29 +211,38 @@ def pearson_correlation(a, b) -> float | None:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def symmetry(fwd_minute, fwd_value, rev_minute, rev_value) -> float | None:
+    """The symmetry of a pair: the Pearson correlation of its two directions'
+    values over the minutes where both are finite, matched by minute.  Each
+    direction's minutes are unique; None when fewer than two minutes match
+    or either side is constant over them."""
+    fwd_value, rev_value = (np.asarray(v, dtype=np.float64) for v in (fwd_value, rev_value))
+    fwd_ok, rev_ok = np.isfinite(fwd_value), np.isfinite(rev_value)
+    _, fwd, rev = np.intersect1d(np.asarray(fwd_minute)[fwd_ok], np.asarray(rev_minute)[rev_ok],
+                                 assume_unique=True, return_indices=True)
+    return pearson_correlation(fwd_value[fwd_ok][fwd], rev_value[rev_ok][rev])
+
+
 def build_report(result: RunResult, config_echo: dict, seed: int | None) -> dict:
     """Deterministic per-pair run summary: a function of the run alone."""
     batch = result.records
     # the rows of each direction, in minute order, from one stable sort
-    direction = _direction_codes(batch.i.tolist(), batch.j.tolist(), result.nodes)
-    order = np.argsort(direction, kind="stable")
-    direction = direction[order]
-    keys = [d for pair in sorted(result.contacts) for d in (pair, pair[::-1])]
-    wanted = _direction_codes([i for i, _ in keys], [j for _, j in keys], result.nodes)
-    rows = [order[lo:hi] for lo, hi in zip(np.searchsorted(direction, wanted, "left").tolist(),
-                                           np.searchsorted(direction, wanted, "right").tolist())]
+    directions = sorted(d for pair in result.contacts for d in (pair, pair[::-1]))
+    order = np.argsort(result.direction, kind="stable")
+    bounds = np.searchsorted(result.direction[order], np.arange(len(directions) + 1)).tolist()
+    rows = {d: order[lo:hi] for d, lo, hi in zip(directions, bounds[:-1], bounds[1:])}
 
     pairs = {}
-    for k, pair in enumerate(sorted(result.contacts)):
+    for pair in sorted(result.contacts):
         a, b = pair
-        fwd, rev = rows[2 * k], rows[2 * k + 1]
+        fwd, rev = rows[pair], rows[pair[::-1]]
         pairs[f"{a},{b}"] = {
             "contact_seconds": result.contact_seconds[pair],
             "directions": {key: {name: _series_summary(getattr(batch, name)[own])
                                  for name in ("p", "si")}
                            for key, own in ((f"{a},{b}", fwd), (f"{b},{a}", rev))},
-            "symmetry": {name: pearson_correlation(getattr(batch, name)[fwd],
-                                                   getattr(batch, name)[rev])
+            "symmetry": {name: symmetry(batch.minute[fwd], getattr(batch, name)[fwd],
+                                        batch.minute[rev], getattr(batch, name)[rev])
                          for name in ("p", "si")},
         }
     return {

@@ -344,6 +344,24 @@ class TestAnalyze:
         assert f"symmetry correlation vs b,a: {fmt_float(want)}" in out
         assert f"mean {fmt_float((1.0 + 3.0 + 4.5 + 5.0) / 4)}" in out
 
+    @pytest.mark.parametrize("name", ["experiment1", "experiment2", "experiment3"])
+    def test_symmetry_is_the_reports(self, name, scenarios_dir, tmp_path, capsys):
+        # analyze over the whole run and the report share one symmetry rule
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", str(scenarios_dir / f"{name}.scn"),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        for key, pair in report["pairs"].items():
+            for metric in ("p", "si"):
+                capsys.readouterr()
+                assert main(["analyze", "--log", str(out / "records.log"), "--pair", key,
+                             "--metric", metric]) == 0
+                want = pair["symmetry"][metric]
+                want_text = "n/a" if want is None else fmt_float(want)
+                b, a = key.split(",")[::-1]
+                assert capsys.readouterr().out.splitlines()[-1] == \
+                    f"# symmetry correlation vs {b},{a}: {want_text}"
+
     def test_bad_pair_flag_is_input_error(self, run_dir):
         assert main(["analyze", "--log", str(run_dir / "records.log"),
                      "--pair", "a"]) == 2

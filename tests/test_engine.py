@@ -2,12 +2,17 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import append_in_blocks, by_key, make_traces, rows
-from nearness.engine import EngineConfig, build_report, run_engine
+from nearness.domain import MAX_SPAN_DAYS, MS_PER_DAY, DomainError
+from nearness.engine import EngineConfig, build_report, run_engine, symmetry
 from nearness.ingest import SightingSeries, TraceSet
 from nearness.simulator import AgentSpec, ScenarioConfig, Waypoint, generate, load_scenario
 from nearness.store import RecordLog
+from rowwise_symmetry import symmetry_by_minute
 from test_simulator import walking_crowd
 
 
@@ -96,6 +101,22 @@ class TestMinuteLoop:
         assert (got.minutes, got.nodes) == (want.minutes, want.nodes)
         assert got.contacts == want.contacts and got.contact_seconds == want.contact_seconds
         assert sorted(got.contacts) == [("a", "b"), ("a", "c")]
+
+    @pytest.mark.parametrize("t_ms", [MAX_SPAN_DAYS * MS_PER_DAY + 1, 2 ** 62])
+    def test_span_past_the_limit_is_refused_before_sizing(self, t_ms):
+        # the last millisecond past MAX_SPAN_DAYS once ran (a year of minute
+        # arrays), or at 2**62 asked numpy for hundreds of TiB
+        traces = make_traces([(t_ms, "a", "b", -48.0), (t_ms, "b", "a", -48.0)])
+        with pytest.raises(DomainError, match=f"at most {MAX_SPAN_DAYS} days"):
+            run_engine(traces)
+        with pytest.raises(DomainError):
+            run_engine(make_traces(), duration_ms=t_ms + 1)
+
+    def test_span_at_the_limit_is_admitted(self):
+        # the longest run a scenario may ask for, sized without running it
+        limit_ms = MAX_SPAN_DAYS * MS_PER_DAY
+        result = run_engine(make_traces(), duration_ms=limit_ms)
+        assert result.minutes == limit_ms // 60_000 and len(result.records) == 0
 
     def test_node_degree_counts_neighbours(self):
         traces = make_traces([(0, "a", "b", -50.0), (100, "a", "c", -50.0),
@@ -220,3 +241,46 @@ class TestReport:
         result = run_engine(traces, duration_ms=60_000)
         report = build_report(result, {}, seed=0)
         assert report["pairs"]["a,b"]["symmetry"]["p"] is None
+
+    def test_rows_carry_their_direction_index(self):
+        traces = make_traces([(0, "a", "b", -48.0), (0, "b", "c", -50.0),
+                              (60_000, "c", "a", -52.0)])
+        result = run_engine(traces, duration_ms=180_000)
+        directions = sorted(d for pair in result.contacts for d in (pair, pair[::-1]))
+        batch = result.records
+        assert [directions[k] for k in result.direction.tolist()] == \
+            list(zip(batch.i.tolist(), batch.j.tolist()))
+
+
+# one direction's rows: unique minutes in order, each value finite or inf
+# (the values a log holds), from a small pool so that minutes, ties and
+# constant runs recur
+_VALUE = st.one_of(st.sampled_from([0.0, 1.0, 2.5, math.inf]),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+                   st.integers(0, 3))
+
+
+@st.composite
+def direction_rows(draw):
+    minutes = sorted(draw(st.sets(st.integers(0, 12), max_size=10)))
+    return [(m, draw(_VALUE)) for m in minutes]
+
+
+class TestSymmetry:
+    @settings(max_examples=400, deadline=None)
+    @given(direction_rows(), direction_rows())
+    def test_matches_the_per_minute_rule(self, forward, reverse):
+        def columns(rows):
+            minutes = np.array([m for m, _ in rows], dtype=np.int64)
+            return minutes, np.array([v for _, v in rows], dtype=np.float64)
+
+        got = symmetry(*columns(forward), *columns(reverse))
+        assert repr(got) == repr(symmetry_by_minute(forward, reverse))
+
+    def test_integer_columns_read_as_floats(self):
+        # n_i, m_i and v_i reach the rule as int64 columns
+        minutes = np.arange(6, dtype=np.int64)
+        fwd, rev = np.array([1, 2, 2, 3, 1, 0]), np.array([0, 2, 3, 3, 1, 1])
+        assert symmetry(minutes, fwd, minutes, rev) == \
+            symmetry_by_minute(zip(minutes.tolist(), fwd.tolist()),
+                               zip(minutes.tolist(), rev.tolist()))
