@@ -19,7 +19,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from . import engine as engine_mod
-from .domain import MAX_SPAN_DAYS, MS_PER_DAY, MinuteBatch
+from .domain import MAX_SPAN_DAYS, MAX_SPAN_MS, MS_PER_DAY, MinuteBatch
 from .ingest import (
     ACCEL_FILENAME,
     SIGHTINGS_FILENAME,
@@ -119,7 +119,7 @@ def _run_sources(args):
                          os.path.join(args.traces, SOUND_FILENAME),
                          epoch_ms=epoch_ms)
     last_ms = traces.max_t_ms()
-    if last_ms > MAX_SPAN_DAYS * MS_PER_DAY:
+    if last_ms + 1 > MAX_SPAN_MS:
         raise CliInputError(
             f"last trace timestamp {last_ms + epoch_ms} is {last_ms / MS_PER_DAY:.1f} days "
             f"after the epoch {epoch_ms}; a run spans at most {MAX_SPAN_DAYS} days, "
@@ -156,10 +156,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _metric_text(value) -> str:
-    return str(value) if isinstance(value, int) else fmt_float(value)
-
-
 def _require_known(log: RecordLog, pair: tuple[str, str]) -> None:
     known = log.node_ids()
     for node in pair:
@@ -175,7 +171,7 @@ def cmd_analyze(args) -> int:
     forward, reverse = (log.query(p, args.from_min, args.to_min) for p in (pair, pair[::-1]))
     values = getattr(forward, field)
     lines = ["minute,metric_value"]
-    lines += [f"{minute},{_metric_text(value)}"
+    lines += [f"{minute},{value}"
               for minute, value in zip(forward.minute.tolist(), values.tolist())]
 
     corr = engine_mod.symmetry(forward.minute, values, reverse.minute, getattr(reverse, field))

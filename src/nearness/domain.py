@@ -18,8 +18,10 @@ MS_PER_MINUTE = 60_000
 MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 86_400_000
 # a run keeps arrays over every minute from the epoch to its end, so neither
-# a scenario nor a trace set may span more than this
+# a scenario nor a trace set may span more than this: a run's duration_ms (its
+# last millisecond plus one) is at most MAX_SPAN_MS
 MAX_SPAN_DAYS = 366
+MAX_SPAN_MS = MAX_SPAN_DAYS * MS_PER_DAY
 
 MAX_NODE_ID_LEN = 64
 RSSI_MIN_DBM = -120.0
@@ -98,10 +100,9 @@ class MinuteBatch:
     def columns(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in RECORD_FIELDS]
 
-    def values(self, rows=slice(None)) -> list[list]:
-        """Python field values of the rows `rows` (an index array or slice),
-        one list per field, with labels as their texts."""
-        *values, label = (c[rows].tolist() for c in self.columns())
+    def values(self) -> list[list]:
+        """Python field values, one list per field, with labels as their texts."""
+        *values, label = (c.tolist() for c in self.columns())
         return [*values, [LABELS[c] for c in label]]
 
 

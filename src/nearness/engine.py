@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import (MAX_SPAN_DAYS, MS_PER_DAY, MS_PER_MINUTE, DomainError, MinuteBatch,
+from .domain import (MAX_SPAN_DAYS, MAX_SPAN_MS, MS_PER_MINUTE, DomainError, MinuteBatch,
                      canonical_pair, minute_index)
 from .fusion import FusionParams, SessionStats, fuse_minute, propinquity, social_interaction
 from .ingest import AccelSeries, SightingSeries, SoundSeries, TraceSet
@@ -106,13 +106,13 @@ def _motion(accel: AccelSeries, boundaries: np.ndarray, config: EngineConfig) ->
 def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
                duration_ms: int | None = None) -> RunResult:
     """Process a trace set at one-minute ticks into the run's records.
-    Raises DomainError, before it sizes anything, on a run whose last
-    millisecond lies past `MAX_SPAN_DAYS` from the epoch."""
+    Raises DomainError, before it sizes anything, on a run longer than
+    `MAX_SPAN_MS`: one whose last millisecond is at or past it."""
     if duration_ms is None:
         duration_ms = traces.max_t_ms() + 1
-    if duration_ms - 1 > MAX_SPAN_DAYS * MS_PER_DAY:
+    if duration_ms > MAX_SPAN_MS:
         raise DomainError(f"a run spans at most {MAX_SPAN_DAYS} days "
-                          f"({MAX_SPAN_DAYS * MS_PER_DAY} ms), got {duration_ms} ms")
+                          f"({MAX_SPAN_MS} ms), got {duration_ms} ms")
     minutes = max(0, minute_index(duration_ms - 1) + 1) if duration_ms > 0 else 0
     nodes = traces.nodes()
     boundaries = np.arange(1, minutes + 1, dtype=np.int64) * MS_PER_MINUTE

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .domain import (MAX_SPAN_DAYS, MS_PER_DAY, RSSI_MAX_DBM, RSSI_MIN_DBM, DomainError,
+from .domain import (MAX_SPAN_DAYS, MAX_SPAN_MS, RSSI_MAX_DBM, RSSI_MIN_DBM, DomainError,
                      validate_node_id)
 from .ingest import DrawnAccel, SightingSeries, SoundSeries, TraceSet, _undecodable
 
@@ -95,9 +95,9 @@ def validate_config(config: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant; raises ConfigError naming the field."""
     if not isinstance(config.duration_ms, int) or config.duration_ms <= 0:
         raise ConfigError("duration_ms", f"must be a positive integer, got {config.duration_ms}")
-    if config.duration_ms > MAX_SPAN_DAYS * MS_PER_DAY:
+    if config.duration_ms > MAX_SPAN_MS:
         raise ConfigError("duration_ms", f"a run spans at most {MAX_SPAN_DAYS} days "
-                          f"({MAX_SPAN_DAYS * MS_PER_DAY} ms), got {config.duration_ms}")
+                          f"({MAX_SPAN_MS} ms), got {config.duration_ms}")
     if not isinstance(config.seed, int) or not 0 <= config.seed < 2 ** 64:
         raise ConfigError("seed", "must be a 64-bit unsigned integer")
     if not (math.isfinite(config.accel_noise_sigma) and config.accel_noise_sigma >= 0):

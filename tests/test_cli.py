@@ -11,6 +11,7 @@ import pytest
 from conftest import batch_of, make_traces
 import nearness
 from nearness.cli import build_parser, main
+from nearness.domain import MAX_SPAN_MS
 from nearness.ingest import _WRITE_BLOCK, fmt_float, read_traces, write_traces
 from nearness.store import RecordLog
 
@@ -225,6 +226,24 @@ class TestRun:
         assert child.returncode == 2, child.stderr
         assert "1780000000000 is 20601.9 days" in child.stderr
         assert "--epoch" in child.stderr
+        assert not out.exists()
+
+    def test_row_at_the_span_limit_is_input_error(self, tmp_path, capsys):
+        # a row at epoch + MAX_SPAN_MS is the last millisecond of a run one
+        # millisecond longer than the longest scenario; it once ran in full
+        epoch = 1_780_000_000_000
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "sightings.csv").write_text(
+            f"t_ms,observer,subject,rssi_dbm\n{epoch + MAX_SPAN_MS},a,b,-50.0\n")
+        (traces / "accel.csv").write_text("t_ms,node,ax,ay,az\n")
+        (traces / "sound.csv").write_text("t_ms,node,amplitude\n")
+        out = tmp_path / "out"
+        assert main(["run", "--traces", str(traces), "--out", str(out),
+                     "--epoch", str(epoch)]) == 2
+        err = capsys.readouterr().err
+        assert f"{epoch + MAX_SPAN_MS} is 366.0 days after the epoch {epoch}" in err
+        assert "a run spans at most 366 days" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "run"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import append_in_blocks, by_key, make_traces, rows
-from nearness.domain import MAX_SPAN_DAYS, MS_PER_DAY, DomainError
+from nearness.domain import MAX_SPAN_DAYS, MAX_SPAN_MS, MS_PER_DAY, DomainError
 from nearness.engine import EngineConfig, build_report, run_engine, symmetry
 from nearness.ingest import SightingSeries, TraceSet
 from nearness.simulator import AgentSpec, ScenarioConfig, Waypoint, generate, load_scenario
@@ -111,6 +111,13 @@ class TestMinuteLoop:
             run_engine(traces)
         with pytest.raises(DomainError):
             run_engine(make_traces(), duration_ms=t_ms + 1)
+
+    def test_sighting_at_the_limit_is_refused(self):
+        # a last millisecond at MAX_SPAN_MS makes a run one millisecond longer
+        # than the longest scenario; it once sized 527 041 minutes
+        traces = make_traces([(MAX_SPAN_MS, "a", "b", -48.0)])
+        with pytest.raises(DomainError, match=f"at most {MAX_SPAN_DAYS} days"):
+            run_engine(traces)
 
     def test_span_at_the_limit_is_admitted(self):
         # the longest run a scenario may ask for, sized without running it
