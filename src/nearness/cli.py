@@ -102,6 +102,9 @@ def cmd_simulate(args) -> int:
 def _run_sources(args):
     """Build (traces, duration, engine config, config echo, seed) for `run`."""
     if args.scenario:
+        if args.epoch is not None:
+            raise CliInputError("--epoch applies to --traces only: a scenario's "
+                                "timestamps already start at its epoch")
         config = _load_config_with_seed(args)
         traces, _gt = generate(config)
         engine_cfg = engine_mod.EngineConfig(rf=config.rf)
@@ -113,7 +116,7 @@ def _run_sources(args):
             "engine": dataclasses.asdict(engine_cfg),
         }
         return traces, config.duration_ms, engine_cfg, echo, config.seed
-    epoch_ms = _parse_epoch(args.epoch) if args.epoch else 0
+    epoch_ms = 0 if args.epoch is None else _parse_epoch(args.epoch)
     traces = read_traces(os.path.join(args.traces, SIGHTINGS_FILENAME),
                          os.path.join(args.traces, ACCEL_FILENAME),
                          os.path.join(args.traces, SOUND_FILENAME),
@@ -229,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory for log and report")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_run.add_argument("--epoch", default=None,
-                       help="scenario epoch for wall-clock trace timestamps "
+                       help="scenario epoch for wall-clock trace timestamps, --traces only "
                             "(integer ms or ISO-8601, a trailing Z is UTC); wall-clock "
                             "traces need it, as the run spans every minute from the epoch "
                             f"to the last timestamp, at most {MAX_SPAN_DAYS} days")

@@ -195,10 +195,12 @@ def _columns_equal(a, b) -> bool:
 # fields, splits a chunk of rows (the lines of a trace file, the payloads of
 # the record log) and runs every step over its whole columns to find its
 # first bad row; `Layout.check_row` runs the steps on that one row's Python
-# values, in table order, and the first that fails words the error.  Trace
-# tables go column by column; a trace file's stream order is checked chunk
-# by chunk against each stream's last timestamp so far, and an order breach
-# before a bad row wins.
+# values, in table order, and the first that fails words the error.  Each
+# field has one `Convert`, whose first part, in `check_row`, rejects bytes
+# that were not UTF-8; on whole columns the conversion itself rejects them.
+# Trace tables go column by column; a trace file's stream order is checked
+# chunk by chunk against each stream's last timestamp so far, and an order
+# breach before a bad row wins.
 
 _READ_CHUNK = 1 << 17      # bytes of CSV text converted per step
 _T_MAX = int(np.iinfo(np.int64).max)
@@ -218,7 +220,9 @@ class Kind:
     """`one(text, epoch_ms)` converts one field or raises ValueError;
     `many(text, epoch_ms, codes, names)` converts a column to an array that
     ends before the first field `one` rejects, or (node ids, labels) holds
-    a code there that `valid` rejects."""
+    a code there that `valid` rejects.  A field holding bytes that were not
+    UTF-8 never reaches `one`, as `Layout.check_row` rejects it first, and
+    `many` rejects it as `one` would any other bad field."""
     one: Callable
     many: Callable | None = None
     valid: Callable | None = None
@@ -298,7 +302,8 @@ class Layout:
 
     def check_row(self, fields: list[str], epoch_ms: int = 0) -> dict:
         """One row's Python values by column, from its fields; the steps run
-        in table order, and the first that fails raises its RowError."""
+        in table order, and the first that fails raises its RowError.  A
+        conversion rejects a field holding bytes that were not UTF-8 first."""
         if len(fields) != len(self.header):
             raise RowError(0, f"expected {len(self.header)} fields, got {len(fields)}")
         values = {}
@@ -306,6 +311,8 @@ class Layout:
             column = self._index[step.column]
             text = fields[column]
             if isinstance(step, Convert):
+                if _undecodable(text):
+                    raise RowError(column, f"invalid UTF-8 in {text!r}")
                 try:
                     values[step.column] = step.kind.one(text, epoch_ms)
                 except ValueError as exc:
@@ -332,13 +339,7 @@ def _undecodable(text: str) -> bool:
     return not text.isascii() and any("\udc80" <= c <= "\udcff" for c in text)
 
 
-def _utf8(text: str, _epoch_ms: int) -> str:
-    if _undecodable(text):
-        raise ValueError("not UTF-8")
-    return text
-
-
-def _int_prefix(text: list[str], offset: int) -> np.ndarray:
+def _int_prefix(text: list[str], offset: int, *_) -> np.ndarray:
     """int(x) - offset for the fields x of `text`, up to the first that is
     not an integer or whose value leaves the int64 range."""
     values: list[int] = []
@@ -363,22 +364,17 @@ def _real_prefix(text: list[str], *_) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def _ints(text: list[str], *_) -> np.ndarray:
-    """`_int_prefix(text, 0)`, converting each distinct field once."""
-    try:
-        value = {x: int(x) for x in set(text)}
-        return np.fromiter(map(value.__getitem__, text), dtype=np.int64, count=len(text))
-    except (ValueError, OverflowError):     # the prefix scan finds the first bad field
-        return _int_prefix(text, 0)
-
-
-def _reals(text: list[str], *_) -> np.ndarray:
-    """`_real_prefix(text)`, converting each distinct field once."""
-    try:
-        value = {x: float(x) for x in set(text)}
-        return np.fromiter(map(value.__getitem__, text), dtype=np.float64, count=len(text))
-    except ValueError:      # the prefix scan finds the first bad field
-        return _real_prefix(text)
+def _repeated(convert: Callable, dtype, prefix: Callable) -> Callable:
+    """A column converter for a column of few distinct texts: `prefix(text,
+    0)`, the values up to the first bad field, but with `convert` run on
+    each distinct field once."""
+    def many(text: list[str], *_) -> np.ndarray:
+        try:
+            value = {x: convert(x) for x in set(text)}
+            return np.fromiter(map(value.__getitem__, text), dtype=dtype, count=len(text))
+        except (ValueError, OverflowError):     # the prefix scan finds the first bad field
+            return prefix(text, 0)
+    return many
 
 
 def _distance(text: str, _epoch_ms: int = 0) -> float:
@@ -427,14 +423,10 @@ def _label(text: str, _epoch_ms: int) -> str:
         raise ValueError(text)      # RECORDS words the error
     return text
 
-# int, float and node_codes all reject a field holding a lone surrogate, so
-# TEXT needs no column pass; it only puts the UTF-8 message before theirs.
-TEXT = Kind(_utf8)
-INT = Kind(lambda text, _: int(text), _ints)
-TIME = Kind(lambda text, epoch_ms: int(text) - epoch_ms,
-            lambda text, epoch_ms, *_: _int_prefix(text, epoch_ms))
+INT = Kind(lambda text, _: int(text), _repeated(int, np.int64, _int_prefix))
+TIME = Kind(lambda text, epoch_ms: int(text) - epoch_ms, _int_prefix)
 REAL = Kind(lambda text, _: float(text), _real_prefix)
-REPEATED_REAL = Kind(REAL.one, _reals)      # for a column of few distinct texts
+REPEATED_REAL = Kind(REAL.one, _repeated(float, np.float64, _real_prefix))
 DISTANCE = Kind(_distance, _distances)
 NODE = Kind(_node_id,
             lambda text, _, codes, names: node_codes(text, codes, names),
@@ -461,33 +453,24 @@ def _within(lo, hi):
     return lambda x: (x >= lo) & (x <= hi)
 
 
-def _decoded(column: str) -> Convert:
-    """Every trace field is checked for bytes that are not UTF-8 first."""
-    return Convert(column, TEXT, "invalid UTF-8 in {text!r}")
-
-
-def _node(column: str) -> tuple:
-    return _decoded(column), Convert(column, NODE)
-
-
 def _real(column: str) -> tuple:
-    return (_decoded(column), Convert(column, REAL, "invalid number {text!r}"),
+    return (Convert(column, REAL, "invalid number {text!r}"),
             Rule(column, np.isfinite, "non-finite value {text!r}"))
 
 
-_TIMESTAMP = (_decoded("t_ms"), Convert("t_ms", TIME, "invalid integer {text!r}"),
+_TIMESTAMP = (Convert("t_ms", TIME, "invalid integer {text!r}"),
               Rule("t_ms", _not_negative, "timestamp {text} before the scenario epoch"),
               Rule("t_ms", _fits_int64, "timestamp {text} beyond the 64-bit range"))
 
 _SIGHTINGS = Layout(
-    SIGHTINGS_HEADER, *_TIMESTAMP, *_node("observer"), *_node("subject"),
+    SIGHTINGS_HEADER, *_TIMESTAMP, Convert("observer", NODE), Convert("subject", NODE),
     Rule("subject", operator.ne, "{subject!r} sighted itself", also=("observer",)),
     *_real("rssi_dbm"),
     Rule("rssi_dbm", _within(RSSI_MIN_DBM, RSSI_MAX_DBM),
          f"rssi {{text}} outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]"))
-_ACCEL = Layout(ACCEL_HEADER, *_TIMESTAMP, *_node("node"), *_real("ax"), *_real("ay"),
+_ACCEL = Layout(ACCEL_HEADER, *_TIMESTAMP, Convert("node", NODE), *_real("ax"), *_real("ay"),
                 *_real("az"))
-_SOUND = Layout(SOUND_HEADER, *_TIMESTAMP, *_node("node"), *_real("amplitude"),
+_SOUND = Layout(SOUND_HEADER, *_TIMESTAMP, Convert("node", NODE), *_real("amplitude"),
                 Rule("amplitude", _within(0.0, 1.0), "amplitude {text} outside [0, 1]"))
 
 

@@ -237,7 +237,6 @@ class RecordLog:
         self._pending: list[list[np.ndarray]] = []   # appended since the last read
         self._names = names              # node id of each code, first seen first
         self._codes = {name: code for code, name in enumerate(names)}
-        self._rank = node_ranks(names)   # of each code, by id
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -274,14 +273,17 @@ class RecordLog:
     def append(self, batch: MinuteBatch) -> None:
         """Append a batch of records; empty batches are a no-op.
 
-        Every record must pass the checks a reopen makes: the record rules,
-        and a key above the last stored key (minutes only move forward, and
-        within a minute only new pairs may arrive).  A rejected batch leaves
-        the file, the node ids and the columns as they were.  The log keeps
+        The batch's columns must be of one length, and every record must
+        pass the checks a reopen makes: the record rules, and a key above
+        the last stored key (minutes only move forward, and within a minute
+        only new pairs may arrive).  A rejected batch leaves the file, the
+        node ids and the columns as they were.  The log keeps
         the batch's arrays as its own, so they must not change afterwards:
         `run` hands it views of the finished run's columns, one block of
         `_WRITE_BLOCK` records at a time.
         """
+        if len({len(c) for c in batch.columns()}) > 1:
+            raise StoreError(f"{self.path}: batch columns differ in length")
         if not len(batch):
             return
         if self._handle is None:
@@ -295,8 +297,7 @@ class RecordLog:
             raise StoreError(f"{self.path}: batch column types differ from MinuteBatch's")
         bad = RECORDS.breach(cols)
         last = [c[-1:] for c in (self._pending or [self._columns])[-1][:3]]   # last stored key
-        rank = self._rank if len(names) == len(self._names) else node_ranks(names)
-        breach = _key_breach(last, [c[:bad] for c in cols[:3]], rank)
+        breach = _key_breach(last, [c[:bad] for c in cols[:3]], node_ranks(names))
         if breach < bad:
             raise StoreError(f"{self.path}: keys not increasing at record #{len(self) + breach}")
         if bad < len(batch):
@@ -308,7 +309,7 @@ class RecordLog:
             frames += payload
         _write_whole(self._handle, frames)
         self._pending.append(cols)
-        self._codes, self._names, self._rank = codes, names, rank
+        self._codes, self._names = codes, names
 
     # -- reads ------------------------------------------------------------------
 

@@ -246,6 +246,26 @@ class TestRun:
         assert "a run spans at most 366 days" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("epoch", ["0", "garbage", ""])
+    def test_epoch_with_a_scenario_is_input_error(self, tiny_scn, tmp_path, capsys, epoch):
+        # a scenario's timestamps start at its epoch, so --epoch would be ignored
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(tiny_scn), "--out", str(out),
+                     "--epoch", epoch]) == 2
+        assert "--epoch applies to --traces only" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epoch", ["garbage", ""])
+    def test_bad_epoch_is_input_error(self, tmp_path, capsys, epoch):
+        # an empty value is refused too, not read as no epoch
+        traces = tmp_path / "traces"
+        write_traces(make_traces(), traces)
+        out = tmp_path / "out"
+        assert main(["run", "--traces", str(traces), "--out", str(out),
+                     "--epoch", epoch]) == 2
+        assert f"--epoch expects integer ms or ISO-8601, got {epoch!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "run"])
     def test_scenario_span_past_a_year_is_input_error(self, tmp_path, command):
         # 1e15 ms would take some 1.7e10 scan ticks; the child's address

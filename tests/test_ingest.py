@@ -240,6 +240,46 @@ class TestUndecodableBytes:
             read_traces(*paths)
         assert (err.value.line, err.value.column) == (3, 2)
 
+    # each layout's file, a good row, and a field that fails each column's
+    # conversion (an empty node id is invalid)
+    LAYOUTS = [(0, [b"0", b"a", b"b", b"-40.0"], [b"x", b"", b"", b"x"]),
+               (1, [b"0", b"a", b"0.0", b"0.0", b"9.81"], [b"x", b"", b"x", b"x", b"x"]),
+               (2, [b"0", b"a", b"0.5"], [b"x", b"", b"x"])]
+
+    @pytest.mark.parametrize("file, good, bad, column", [
+        (file, good, bad, column) for file, good, bad in LAYOUTS for column in range(len(good))])
+    def test_every_column_names_its_own_bad_byte(self, tmp_path, chunk, file, good, bad,
+                                                 column):
+        paths = trace_files(tmp_path)
+        header = paths[file].read_bytes()
+
+        def error(row):     # of reading the good row, then `row`
+            paths[file].write_bytes(header + b",".join(good) + b"\n" + b",".join(row) + b"\n")
+            with pytest.raises(ParseError) as err:
+                read_traces(*paths)
+            return (err.value.line, err.value.column), str(err.value)
+
+        row = list(good)
+        row[column] += b"\xff"
+        where, message = error(row)
+        assert where == (3, column + 1) and "invalid UTF-8" in message
+        if column:      # a bad field in an earlier column still wins
+            row[column - 1] = bad[column - 1]
+            where, message = error(row)
+            assert where == (3, column) and "invalid UTF-8" not in message
+
+    @pytest.mark.parametrize("column, text", [(0, "1\udc80"), (1, "a\udcff"), (8, "1.0\udcff")],
+                             ids=["minute", "node-id", "real"])
+    def test_record_field_holding_an_escaped_byte(self, column, text):
+        # a byte that was not UTF-8, as a `surrogateescape` decode leaves it
+        row = format_record_row(*ROWS[0]).split(",")
+        row[column] = text
+        with pytest.raises(ingest.RowError) as err:
+            parse_record_row(",".join(row))
+        assert err.value.column == column
+        assert str(err.value) == f"invalid UTF-8 in {text!r}"
+
+
 class TestDialect:
     """Only LF ends a line; a field is the text between two commas, verbatim."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -176,6 +177,25 @@ class TestAppendAndQuery:
             log.append(batch_of([]))
             assert len(log) == 0
         assert rows(RecordLog.open(log_path).query()) == []
+
+    @pytest.mark.parametrize("field, keep", [("p", 1), ("minute", 0), ("nearness", 2)],
+                             ids=["one-row-p", "empty-minute", "short-label"])
+    def test_ragged_batch_rejected(self, log_path, field, keep):
+        # a one-row column would broadcast through the vectorised rules, and
+        # an empty minute column would make the batch read as empty
+        with RecordLog.create(log_path) as log:
+            log.append(batch_of([record(0)]))
+            blob = log_path.read_bytes()
+            batch = batch_of([record(1), record(1, "a", "c"), record(1, "a", "d")])
+            ragged = dataclasses.replace(batch, **{field: getattr(batch, field)[:keep]})
+            with pytest.raises(StoreError) as caught:
+                log.append(ragged)
+            assert str(caught.value) == f"{log_path}: batch columns differ in length"
+            assert log_path.read_bytes() == blob
+            assert log.node_ids() == {"a", "b"} and len(log) == 1
+            assert rows(log.query()) == [record(0)]
+            log.append(batch)
+        assert rows(RecordLog.open(log_path).query()) == [record(0), *rows(batch)]
 
     def test_query_empty_log(self, log_path):
         with RecordLog.create(log_path) as log:
