@@ -116,6 +116,8 @@ def _run_sources(args):
             "engine": dataclasses.asdict(engine_cfg),
         }
         return traces, config.duration_ms, engine_cfg, echo, config.seed
+    if args.seed is not None:
+        raise CliInputError("--seed applies to --scenario only: a trace run draws no randomness")
     epoch_ms = 0 if args.epoch is None else _parse_epoch(args.epoch)
     traces = read_traces(os.path.join(args.traces, SIGHTINGS_FILENAME),
                          os.path.join(args.traces, ACCEL_FILENAME),
@@ -133,7 +135,7 @@ def _run_sources(args):
         "epoch_ms": epoch_ms,
         "engine": dataclasses.asdict(engine_cfg),
     }
-    return traces, None, engine_cfg, echo, args.seed
+    return traces, None, engine_cfg, echo, None
 
 
 def cmd_run(args) -> int:
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--scenario", help="scenario file to simulate and process")
     source.add_argument("--traces", help="directory holding the three trace CSVs")
     p_run.add_argument("--out", required=True, help="output directory for log and report")
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run.add_argument("--seed", type=int, default=None, help="scenario seed, --scenario only")
     p_run.add_argument("--epoch", default=None,
                        help="scenario epoch for wall-clock trace timestamps, --traces only "
                             "(integer ms or ISO-8601, a trailing Z is UTC); wall-clock "

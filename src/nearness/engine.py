@@ -20,7 +20,9 @@ as those eleven columns, with each row's direction index beside them.
 Distance smoothing is kept per direction: the (i, j) record carries the
 estimate built from i's own sightings of j.  With noiseless sensing both
 directions see identical values; with shadowing enabled they diverge, which
-is exactly the asymmetry the symmetric-scenario analysis studies.
+is exactly the asymmetry the symmetric-scenario analysis studies.  No call
+is made per sighting: a direction calls `estimate_distance_raw` once per
+distinct RSSI value, then `ema_update` and `smoothed_distances` once each.
 
 Per-minute feature windows are half-open intervals ending at the minute
 boundary: motion uses the last 5 s of the minute, sound the last second,
@@ -48,7 +50,6 @@ from .pipelines import (
     DEFAULT_MOTION_THRESHOLD,
     DEFAULT_STALENESS_MS,
     ContactEvent,
-    DistanceState,
     SocialStrengthState,
     SoundThresholds,
     contacts_from_times,
@@ -161,11 +162,10 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
     distance = np.empty((len(directions), minutes))
     for row, ((i, j), _) in enumerate(directions):
         series = traces.sightings.get((i, j), _NO_SIGHTINGS)
-        state = DistanceState(alpha=config.alpha)
-        ema = [ema_update(state, estimate_distance_raw(rssi, config.rf.p_ref_dbm,
-                                                       config.rf.pathloss_exp))
-               for rssi in series.rssi_dbm.tolist()]
-        distance[row] = smoothed_distances(series.t_ms, np.asarray(ema, dtype=np.float64),
+        levels, level_of = np.unique(series.rssi_dbm, return_inverse=True)
+        raw = np.array([estimate_distance_raw(rssi, config.rf.p_ref_dbm, config.rf.pathloss_exp)
+                        for rssi in levels.tolist()], dtype=np.float64)
+        distance[row] = smoothed_distances(series.t_ms, ema_update(raw[level_of], config.alpha),
                                            boundaries, config.staleness_ms)
 
     # the run's rows: minute m holds the directions active by m, in direction order

@@ -17,7 +17,8 @@ boundary.  A boundary `b` sees the samples in the half-open window
 `[b - window, b)`: a sample stamped exactly `b` counts from the next minute
 on.  `SocialStrengthState(contacts)` holds one pair's contact coverage, and
 its `accrue` is the social-strength kernel over the same boundaries.  The
-distance average is built one sighting at a time by `ema_update`.
+distance pipeline is `ema_update`, the running average of one direction's
+raw estimates, read out at the boundaries by `smoothed_distances`.
 
 State is held per pair or per node; pipelines for disjoint pairs never share
 state and may run concurrently.
@@ -129,22 +130,16 @@ def estimate_distance_raw(rssi_dbm: float, p_ref_dbm: float, pathloss_exp: float
     return 10.0 ** ((p_ref_dbm - rssi_dbm) / (10.0 * pathloss_exp))
 
 
-@dataclass
-class DistanceState:
-    """Running distance average for one pair stream; moves only on sightings."""
-    alpha: float = DEFAULT_ALPHA
-    ema_m: float | None = None
-
-
-def ema_update(state: DistanceState, raw_m: float) -> float:
-    """Blend one raw estimate into the state's running average."""
-    if raw_m < 0:
-        raise DomainError(f"negative distance estimate {raw_m}")
-    if state.ema_m is None:
-        state.ema_m = raw_m
-    else:
-        state.ema_m = state.alpha * raw_m + (1.0 - state.alpha) * state.ema_m
-    return state.ema_m
+def ema_update(raw_m: np.ndarray, alpha: float) -> np.ndarray:
+    """Running average of one direction's raw estimates, in sighting order:
+    the average after each one.  The first estimate seeds it; each later one
+    blends in with weight `alpha`.  Raises DomainError on a negative estimate."""
+    if (raw_m < 0).any():
+        raise DomainError(f"negative distance estimate {raw_m[raw_m < 0][0]}")
+    ema = raw_m.tolist()
+    for k in range(1, len(ema)):
+        ema[k] = alpha * ema[k] + (1.0 - alpha) * ema[k - 1]
+    return np.array(ema, dtype=np.float64)
 
 
 def smoothed_distances(t_ms: np.ndarray, ema_m: np.ndarray, boundaries: np.ndarray,

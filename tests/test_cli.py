@@ -255,6 +255,15 @@ class TestRun:
         assert "--epoch applies to --traces only" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_with_traces_is_input_error(self, tmp_path, capsys):
+        # a trace run draws no randomness, so --seed would only be echoed
+        traces = tmp_path / "traces"
+        write_traces(make_traces(), traces)
+        out = tmp_path / "out"
+        assert main(["run", "--traces", str(traces), "--out", str(out), "--seed", "7"]) == 2
+        assert "--seed applies to --scenario only" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("epoch", ["garbage", ""])
     def test_bad_epoch_is_input_error(self, tmp_path, capsys, epoch):
         # an empty value is refused too, not read as no epoch

@@ -6,12 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_traces
-from nearness.domain import MS_PER_MINUTE
+from nearness.domain import MS_PER_MINUTE, DomainError
 from nearness.engine import run_engine
 from nearness.pipelines import (
     MIN_MOTION_SAMPLES,
     ContactEvent,
-    DistanceState,
     SocialStrengthState,
     SoundThresholds,
     contacts_from_times,
@@ -166,27 +165,27 @@ class TestDistanceEstimate:
 
 class TestEmaUpdate:
     def test_blend(self):
-        state = DistanceState(alpha=0.3, ema_m=10.0)
-        assert ema_update(state, 20.0) == pytest.approx(13.0, rel=1e-12)
+        assert ema_update(np.array([10.0, 20.0]), 0.3)[-1] == pytest.approx(13.0, rel=1e-12)
 
     def test_alpha_one_is_identity(self):
-        state = DistanceState(alpha=1.0, ema_m=10.0)
-        assert ema_update(state, 42.0) == 42.0
+        assert ema_update(np.array([10.0, 42.0]), 1.0).tolist() == [10.0, 42.0]
 
     def test_first_observation_seeds(self):
-        state = DistanceState(alpha=0.3)
-        assert ema_update(state, 7.5) == 7.5
+        assert ema_update(np.array([7.5]), 0.3).tolist() == [7.5]
 
     @given(st.floats(min_value=0.01, max_value=0.99),
            st.floats(min_value=0.0, max_value=100.0),
            st.floats(min_value=0.0, max_value=100.0),
            st.integers(min_value=1, max_value=40))
     def test_geometric_convergence(self, alpha, x0, c, k):
-        state = DistanceState(alpha=alpha, ema_m=x0)
-        for _ in range(k):
-            ema_update(state, c)
+        ema = ema_update(np.array([x0] + [c] * k), alpha)
         expected = (1 - alpha) ** k * abs(x0 - c)
-        assert abs(state.ema_m - c) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert abs(ema[-1] - c) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("raw", [[-0.5], [3.0, 0.0, -0.5, -2.0]])
+    def test_negative_estimate_is_domain_error(self, raw):
+        with pytest.raises(DomainError, match="negative distance estimate -0.5"):
+            ema_update(np.array(raw), 0.3)
 
     def test_staleness_reads_out_of_range(self):
         values = smoothed_distances(times_ms(0), np.array([5.0]),
