@@ -155,7 +155,7 @@ def cmd_run(args) -> int:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"minutes: {result.minutes}  records: {len(result.records)}  "
-          f"pairs: {len(result.contacts)}  nodes: {len(result.nodes)}")
+          f"pairs: {len(result.contact_seconds)}  nodes: {len(result.nodes)}")
     print(f"log:    {log_path}")
     print(f"report: {report_path}")
     return EXIT_OK

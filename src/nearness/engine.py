@@ -7,15 +7,17 @@ into scores and labels.  The engine is a pure function of its traces and
 config: it writes nothing and reads no clock.  It reads each direction's
 sighting series as the trace set holds it; an empty series is a direction
 never sighted.  The distance, motion, sound and degree kernels run once per
-direction or node and the social-strength kernel once per pair, each over
-all minute boundaries.  A pair enters the record stream at its first
-contact and stays in it from then on (with zeroed scores while out of
-range), so absence windows are visible in the output.  The run's record
-columns are gathered from those per-minute arrays in one index each, in
-minute order and direction order within a minute, and both scores are
-computed once over the whole run; the minute loop only labels, passing
-each minute's scores to `fuse_minute`.  The run's records are held once,
-as those eleven columns, with each row's direction index beside them.
+direction or node, each over all minute boundaries.  A pair makes one call
+of the contact kernel, whose `[start, end)` coverage spans go straight into
+its `SocialStrengthState`, the social-strength kernel.  A pair enters the
+record stream at its first contact and stays in it from then on (with
+zeroed scores while out of range), so absence windows are visible in the
+output.  The run's record columns are gathered from those per-minute
+arrays in one index each, in minute order and direction order within a
+minute, and both scores are computed once over the whole run; the minute
+loop only labels, passing each minute's scores to `fuse_minute`.  The
+run's records are held once, as those eleven columns, with each row's
+index into the run's sorted direction table beside them.
 
 Distance smoothing is kept per direction: the (i, j) record carries the
 estimate built from i's own sightings of j.  With noiseless sensing both
@@ -49,7 +51,6 @@ from .pipelines import (
     DEFAULT_GAP_MS,
     DEFAULT_MOTION_THRESHOLD,
     DEFAULT_STALENESS_MS,
-    ContactEvent,
     SocialStrengthState,
     SoundThresholds,
     contacts_from_times,
@@ -89,12 +90,11 @@ _NO_SIGHTINGS = SightingSeries(_NO_TIMES, _NO_VALUES)
 @dataclass
 class RunResult:
     records: MinuteBatch             # the whole run, in key order
-    # per row, its index into the sorted (i, j) directions of the pairs in `contacts`
-    direction: np.ndarray
+    directions: list[tuple[str, str]]  # both (i, j) of every active pair, sorted
+    direction: np.ndarray            # per row, its index into `directions`
     minutes: int
     nodes: list[str]
-    contacts: dict[tuple[str, str], list[ContactEvent]]
-    contact_seconds: dict[tuple[str, str], float]
+    contact_seconds: dict[tuple[str, str], float]   # per active pair, in pair order
 
 
 def _motion(accel: AccelSeries, boundaries: np.ndarray, config: EngineConfig) -> np.ndarray:
@@ -120,19 +120,18 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
 
     times = {key: series.t_ms for key, series in traces.sightings.items() if len(series)}
 
-    # contact events and coverage per canonical pair
+    # contact coverage per canonical pair
     pair_times: dict[tuple[str, str], list[np.ndarray]] = {}
     for (obs, subj), ts in times.items():
         pair_times.setdefault(canonical_pair(obs, subj), []).append(ts)
-    contacts: dict[tuple[str, str], list[ContactEvent]] = {}
     strength: dict[tuple[str, str], SocialStrengthState] = {}
     activation: dict[tuple[str, str], int] = {}
     for pair, chunks in pair_times.items():
         merged = np.sort(np.concatenate(chunks))
-        contacts[pair] = contacts_from_times(merged, pair, config.gap_ms, config.dwell_s)
-        strength[pair] = SocialStrengthState(contacts[pair])
+        strength[pair] = SocialStrengthState(contacts_from_times(merged, config.gap_ms,
+                                                                 config.dwell_s))
         activation[pair] = minute_index(int(merged[0]))
-    active_pairs = sorted(contacts)
+    active_pairs = sorted(strength)
 
     # per-minute node features (degree, motion code, sound class) of every paired node
     features: dict[str, list[np.ndarray]] = {}
@@ -151,17 +150,17 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
 
     # every direction (i, j) of every active pair, sorted: the row order within
     # each minute; per direction, its first minute and per-minute inputs
-    directions = sorted((d, k) for k, pair in enumerate(active_pairs)
-                        for d in (pair, pair[::-1]))
-    ids_i, ids_j = (np.array([d[side] for d, _ in directions], dtype=object) for side in (0, 1))
-    pair_of = np.array([k for _, k in directions], dtype=np.int64)
-    first_minute = np.array([activation[active_pairs[k]] for _, k in directions], dtype=np.int64)
+    keyed = sorted((d, k) for k, pair in enumerate(active_pairs) for d in (pair, pair[::-1]))
+    directions = [d for d, _ in keyed]
+    ids_i, ids_j = (np.array([d[side] for d in directions], dtype=object) for side in (0, 1))
+    pair_of = np.array([k for _, k in keyed], dtype=np.int64)
+    first_minute = np.array([activation[active_pairs[k]] for _, k in keyed], dtype=np.int64)
     owner_features = np.array([features[i] for i in ids_i.tolist()],
                               dtype=np.int64).reshape(len(directions), 3, minutes)
     # per-minute distance of each direction, from the observer's own sightings
     distance = np.empty((len(directions), minutes))
-    for row, ((i, j), _) in enumerate(directions):
-        series = traces.sightings.get((i, j), _NO_SIGHTINGS)
+    for row, d in enumerate(directions):
+        series = traces.sightings.get(d, _NO_SIGHTINGS)
         levels, level_of = np.unique(series.rssi_dbm, return_inverse=True)
         raw = np.array([estimate_distance_raw(rssi, config.rf.p_ref_dbm, config.rf.pathloss_exp)
                         for rssi in levels.tolist()], dtype=np.float64)
@@ -184,10 +183,10 @@ def run_engine(traces: TraceSet, config: EngineConfig = EngineConfig(),
     records = MinuteBatch(minute, ids_i[direction], ids_j[direction], n_i, m_i, v_i,
                           d_m, s_s, p, si, labels)
 
-    contact_seconds = {pair: int(state.covered_ms(boundaries[-1:]).sum()) / 1000.0
-                       for pair, state in strength.items()}
-    return RunResult(records=records, direction=direction, minutes=minutes, nodes=nodes,
-                     contacts=contacts, contact_seconds=contact_seconds)
+    contact_seconds = {pair: int(strength[pair].covered_ms(boundaries[-1:]).sum()) / 1000.0
+                       for pair in active_pairs}
+    return RunResult(records=records, directions=directions, direction=direction,
+                     minutes=minutes, nodes=nodes, contact_seconds=contact_seconds)
 
 
 # --- run report ------------------------------------------------------------------
@@ -227,17 +226,17 @@ def build_report(result: RunResult, config_echo: dict, seed: int | None) -> dict
     """Deterministic per-pair run summary: a function of the run alone."""
     batch = result.records
     # the rows of each direction, in minute order, from one stable sort
-    directions = sorted(d for pair in result.contacts for d in (pair, pair[::-1]))
+    directions = result.directions
     order = np.argsort(result.direction, kind="stable")
     bounds = np.searchsorted(result.direction[order], np.arange(len(directions) + 1)).tolist()
     rows = {d: order[lo:hi] for d, lo, hi in zip(directions, bounds[:-1], bounds[1:])}
 
     pairs = {}
-    for pair in sorted(result.contacts):
+    for pair, seconds in result.contact_seconds.items():
         a, b = pair
         fwd, rev = rows[pair], rows[pair[::-1]]
         pairs[f"{a},{b}"] = {
-            "contact_seconds": result.contact_seconds[pair],
+            "contact_seconds": seconds,
             "directions": {key: {name: _series_summary(getattr(batch, name)[own])
                                  for name in ("p", "si")}
                            for key, own in ((f"{a},{b}", fwd), (f"{b},{a}", rev))},

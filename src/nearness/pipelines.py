@@ -3,7 +3,7 @@
 Each pipeline turns one raw sensor stream into the per-minute quantity
 consumed by the fusion step:
 
-* radio sightings   -> contact events -> social strength (seconds)
+* radio sightings   -> contact spans -> social strength (seconds)
 * sighting RSSI     -> raw path-loss distance -> smoothed relative distance
 * accelerometer     -> motion code m in {1 stationary, 2 moving}
 * sound amplitude   -> sound class v in {0 quiet, 1 normal, 2 alert, 3 noisy}
@@ -15,10 +15,12 @@ The per-minute kernels `motion_codes`, `sound_classes`, `node_degrees` and
 and an ascending array of minute boundaries, and return one value per
 boundary.  A boundary `b` sees the samples in the half-open window
 `[b - window, b)`: a sample stamped exactly `b` counts from the next minute
-on.  `SocialStrengthState(contacts)` holds one pair's contact coverage, and
-its `accrue` is the social-strength kernel over the same boundaries.  The
-distance pipeline is `ema_update`, the running average of one direction's
-raw estimates, read out at the boundaries by `smoothed_distances`.
+on.  `contacts_from_times` turns one pair's sighting instants into its
+contacts, an array of `[start, end)` coverage spans; `SocialStrengthState`
+holds those spans, and its `accrue` is the social-strength kernel over the
+same boundaries.  The distance pipeline is `ema_update`, the running
+average of one direction's raw estimates, read out at the boundaries by
+`smoothed_distances`.
 
 State is held per pair or per node; pipelines for disjoint pairs never share
 state and may run concurrently.
@@ -52,52 +54,36 @@ def _windows(t_ms: np.ndarray, boundaries: np.ndarray, window_ms: int):
 
 # --- proximity pipeline: contacts and social strength -----------------------
 
-@dataclass(frozen=True, slots=True)
-class ContactEvent:
-    """A merged encounter interval between one canonical pair."""
-    pair: tuple[str, str]
-    start_ms: int
-    end_ms: int
-    duration_s: float
-
-
-def contacts_from_times(times_ms: np.ndarray, pair: tuple[str, str],
-                        gap_ms: int, dwell_s: float) -> list[ContactEvent]:
-    """Merge one pair's sorted sighting instants into disjoint contacts.
+def contacts_from_times(times_ms: np.ndarray, gap_ms: int, dwell_s: float) -> np.ndarray:
+    """One pair's contacts, from its sorted sighting instants, as an `(n, 2)`
+    int64 array of `[start, end)` ms coverage spans in start order.
 
     Consecutive sightings separated by at most `gap_ms` belong to the same
-    contact; the contact duration is its sighting span plus `dwell_s` so a
-    lone sighting still counts as `dwell_s` seconds of contact.
+    contact.  A contact covers its sighting span plus `dwell_s`, so a lone
+    sighting still counts as `dwell_s` seconds, cut at the next contact's
+    start so a dwell tail never spills into it.
     """
-    if len(times_ms) == 0:
-        return []
+    if not len(times_ms):
+        return np.empty((0, 2), dtype=np.int64)
     breaks = np.flatnonzero(np.diff(times_ms) > gap_ms)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [len(times_ms) - 1]))
-    return [
-        ContactEvent(pair, int(times_ms[a]), int(times_ms[b]),
-                     (int(times_ms[b]) - int(times_ms[a])) / 1000.0 + dwell_s)
-        for a, b in zip(starts, ends)
-    ]
+    start = times_ms[np.concatenate(([0], breaks + 1))]
+    last = times_ms[np.append(breaks, len(times_ms) - 1)]
+    # np.round rounds half to even, as Python's round does
+    end = start + np.round(((last - start) / 1000.0 + dwell_s) * 1000.0).astype(np.int64)
+    end[:-1] = np.minimum(end[:-1], start[1:])
+    return np.column_stack((start, end))
 
 
 class SocialStrengthState:
-    """One pair's contact coverage as sorted, disjoint `[start, end)` ms spans.
+    """One pair's contact coverage: the sorted, disjoint `[start, end)` ms
+    spans that `contacts_from_times` returns."""
 
-    A contact covers `duration_s` from its start, cut at the next contact's
-    start so a dwell tail never spills into it.  `contacts` come in start
-    order, as `contacts_from_times` returns them.
-    """
-
-    def __init__(self, contacts):
-        self.start_ms = np.array([c.start_ms for c in contacts], dtype=np.int64)
-        self.end_ms = self.start_ms + np.array([round(c.duration_s * 1000.0) for c in contacts],
-                                               dtype=np.int64)
-        self.end_ms[:-1] = np.minimum(self.end_ms[:-1], self.start_ms[1:])
+    def __init__(self, spans: np.ndarray):
+        self.start_ms, end_ms = spans.T.copy()
         # coverage of the first k spans, and span k-1's end with a never-open
         # span in front so that k = 0 needs no special case
-        self._covered = np.concatenate(([0], np.cumsum(self.end_ms - self.start_ms)))
-        self._open_end = np.concatenate(([np.iinfo(np.int64).min // 2], self.end_ms))
+        self._covered = np.concatenate(([0], np.cumsum(end_ms - self.start_ms)))
+        self._open_end = np.concatenate(([np.iinfo(np.int64).min // 2], end_ms))
 
     def covered_ms(self, t_ms: np.ndarray) -> np.ndarray:
         """Integer ms of coverage before each instant of `t_ms`."""

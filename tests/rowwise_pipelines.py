@@ -9,6 +9,12 @@ threshold set to a window's exact standard deviation.
 `DistanceState` and `ema_update` are the per-sighting running average the
 `ema_update` kernel replaced: the engine called the step once per sighting.
 The kernel must give the same average, bit for bit, after every estimate.
+
+`ContactEvent` and `contacts_from_times` are the per-contact objects the
+span kernel `contacts_from_times` replaced: the engine's strength state
+rebuilt each contact's coverage as `[start_ms, start_ms +
+round(duration_s * 1000))`, cut at the next contact's start.  The kernel
+must give those spans, to the millisecond.
 """
 
 from __future__ import annotations
@@ -56,3 +62,32 @@ def ema_update(state: DistanceState, raw_m: float) -> float:
     else:
         state.ema_m = state.alpha * raw_m + (1.0 - state.alpha) * state.ema_m
     return state.ema_m
+
+
+@dataclass(frozen=True, slots=True)
+class ContactEvent:
+    """A merged encounter interval between one canonical pair."""
+    pair: tuple[str, str]
+    start_ms: int
+    end_ms: int
+    duration_s: float
+
+
+def contacts_from_times(times_ms: np.ndarray, pair: tuple[str, str],
+                        gap_ms: int, dwell_s: float) -> list[ContactEvent]:
+    """Merge one pair's sorted sighting instants into disjoint contacts.
+
+    Consecutive sightings separated by at most `gap_ms` belong to the same
+    contact; the contact duration is its sighting span plus `dwell_s` so a
+    lone sighting still counts as `dwell_s` seconds of contact.
+    """
+    if len(times_ms) == 0:
+        return []
+    breaks = np.flatnonzero(np.diff(times_ms) > gap_ms)
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [len(times_ms) - 1]))
+    return [
+        ContactEvent(pair, int(times_ms[a]), int(times_ms[b]),
+                     (int(times_ms[b]) - int(times_ms[a])) / 1000.0 + dwell_s)
+        for a, b in zip(starts, ends)
+    ]

@@ -148,6 +148,11 @@ class TestRun:
         assert len(RecordLog.open(tmp_path / "run" / "records.log")) == 20
         assert read_bytes(tmp_path / "run" / "records.log") == \
             read_bytes(tmp_path / "direct" / "records.log")
+        # the config echo and the seed tell the two sources apart by design
+        run, direct = (json.loads((tmp_path / name / "report.json").read_text())
+                       for name in ("run", "direct"))
+        keys = ("pairs", "minutes", "nodes", "record_count")
+        assert [run[key] for key in keys] == [direct[key] for key in keys]
 
     def test_empty_traces_note_zero_pairs(self, tmp_path, capsys):
         write_traces(make_traces(), tmp_path / "tr")

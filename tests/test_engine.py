@@ -99,8 +99,8 @@ class TestMinuteLoop:
         want, got = (run_engine(t, duration_ms=180_000) for t in (traces, padded))
         assert rows(got.records) == rows(want.records)
         assert (got.minutes, got.nodes) == (want.minutes, want.nodes)
-        assert got.contacts == want.contacts and got.contact_seconds == want.contact_seconds
-        assert sorted(got.contacts) == [("a", "b"), ("a", "c")]
+        assert got.directions == want.directions and got.contact_seconds == want.contact_seconds
+        assert list(got.contact_seconds) == [("a", "b"), ("a", "c")]
 
     @pytest.mark.parametrize("t_ms", [MAX_SPAN_DAYS * MS_PER_DAY + 1, 2 ** 62])
     def test_span_past_the_limit_is_refused_before_sizing(self, t_ms):
@@ -253,9 +253,10 @@ class TestReport:
         traces = make_traces([(0, "a", "b", -48.0), (0, "b", "c", -50.0),
                               (60_000, "c", "a", -52.0)])
         result = run_engine(traces, duration_ms=180_000)
-        directions = sorted(d for pair in result.contacts for d in (pair, pair[::-1]))
+        assert result.directions == [("a", "b"), ("a", "c"), ("b", "a"),
+                                     ("b", "c"), ("c", "a"), ("c", "b")]
         batch = result.records
-        assert [directions[k] for k in result.direction.tolist()] == \
+        assert [result.directions[k] for k in result.direction.tolist()] == \
             list(zip(batch.i.tolist(), batch.j.tolist()))
 
 

@@ -28,6 +28,7 @@ from rowwise_fusion import (
     social_interaction_rowwise,
     strengths_minutewise,
 )
+from rowwise_pipelines import contacts_from_times as contacts_rowwise
 
 PAIR = ("a", "b")
 ALL_PARAMS = (DEFAULT_PARAMS, FusionParams(sigma2=0.3, mu=2.0, s_floor=0.5))
@@ -59,12 +60,12 @@ def sighting_times(draw):
 @settings(max_examples=60, deadline=None)
 @given(sighting_times(), st.sampled_from([0.0, 30.0, 60.0, 300.0]), st.integers(0, 120))
 def test_strength_kernel_matches_minutewise_accrual(times, dwell_s, tail_minutes):
-    contacts = contacts_from_times(times, PAIR, DEFAULT_GAP_MS, dwell_s)
     first = minute_index(int(times[0]))
     minutes = minute_index(int(times[-1])) + 1 + tail_minutes
     boundaries = np.arange(1, minutes + 1, dtype=np.int64) * MS_PER_MINUTE
-    state = SocialStrengthState(contacts)
-    expected, contact_seconds = strengths_minutewise(contacts, first, minutes)
+    state = SocialStrengthState(contacts_from_times(times, DEFAULT_GAP_MS, dwell_s))
+    expected, contact_seconds = strengths_minutewise(
+        contacts_rowwise(times, PAIR, DEFAULT_GAP_MS, dwell_s), first, minutes)
     assert state.accrue(boundaries)[first:].tolist() == expected
     assert int(state.covered_ms(boundaries[-1:]).sum()) / 1000.0 == contact_seconds
 
@@ -77,12 +78,12 @@ def test_strength_kernel_on_millisecond_stamps_is_within_summation_error(times, 
     # chunks is off by at most n * eps relative, and n <= minutes.
     times = times + np.array(data.draw(st.lists(st.integers(0, 999), min_size=len(times),
                                                  max_size=len(times))), dtype=np.int64)
-    contacts = contacts_from_times(times, PAIR, DEFAULT_GAP_MS, 60.0)
     first = minute_index(int(times[0]))
     minutes = minute_index(int(times[-1])) + 61
     boundaries = np.arange(1, minutes + 1, dtype=np.int64) * MS_PER_MINUTE
-    state = SocialStrengthState(contacts)
-    expected, contact_seconds = strengths_minutewise(contacts, first, minutes)
+    state = SocialStrengthState(contacts_from_times(times, DEFAULT_GAP_MS, 60.0))
+    expected, contact_seconds = strengths_minutewise(
+        contacts_rowwise(times, PAIR, DEFAULT_GAP_MS, 60.0), first, minutes)
     bound = minutes * np.finfo(np.float64).eps
     got = state.accrue(boundaries)[first:]
     assert (np.abs(got - expected) <= bound * np.array(expected)).all()

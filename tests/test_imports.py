@@ -1,4 +1,4 @@
-"""Every import in `src/` and `tests/` is used.
+"""Every import in `src/`, `tests/` and `tools/` is used.
 
 Each module is parsed with `ast`; a name an import binds must appear as a
 name somewhere else in the module (string annotations included).  A
@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(path for folder in ("src", "tests") for path in (ROOT / folder).rglob("*.py")
-                 if path.name != "__init__.py")
+MODULES = sorted(path for folder in ("src", "tests", "tools")
+                 for path in (ROOT / folder).rglob("*.py") if path.name != "__init__.py")
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:

@@ -10,7 +10,6 @@ from nearness.domain import MS_PER_MINUTE, DomainError
 from nearness.engine import run_engine
 from nearness.pipelines import (
     MIN_MOTION_SAMPLES,
-    ContactEvent,
     SocialStrengthState,
     SoundThresholds,
     contacts_from_times,
@@ -35,47 +34,50 @@ def boundaries(*values):
     return np.array(values, dtype=np.int64)
 
 
+def spans(*rows):
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
 class TestDetectContacts:
     def test_merges_within_gap(self):
-        (contact,) = contacts_from_times(times_ms(0, 60, 120), PAIR, 120_000, 60)
-        assert contact.pair == PAIR
-        assert contact.start_ms == 0 and contact.end_ms == 120_000
-        assert contact.duration_s == 180.0
+        assert contacts_from_times(times_ms(0, 60, 120), 120_000, 60).tolist() == \
+            [[0, 180_000]]
 
     def test_splits_beyond_gap(self):
-        contacts = contacts_from_times(times_ms(0, 400), PAIR, 120_000, 60)
-        assert [(c.start_ms, c.end_ms) for c in contacts] == [(0, 0), (400_000, 400_000)]
-        assert [c.duration_s for c in contacts] == [60.0, 60.0]
+        assert contacts_from_times(times_ms(0, 400), 120_000, 60).tolist() == \
+            [[0, 60_000], [400_000, 460_000]]
 
     def test_empty_input(self):
-        assert contacts_from_times(times_ms(), PAIR, 120_000, 60) == []
+        empty = contacts_from_times(times_ms(), 120_000, 60)
+        assert empty.shape == (0, 2) and empty.dtype == np.int64
 
     def test_both_directions_form_one_pair(self):
+        # a sees b at 0 s, b sees a at 30 s: one contact of 30 s + 60 s dwell,
+        # all of it before the run's last boundary
         traces = make_traces([(0, "a", "b", -50.0), (30_000, "b", "a", -50.0)])
-        result = run_engine(traces, duration_ms=60_000)
-        (contact,) = result.contacts[PAIR]
-        assert contact.pair == PAIR and contact.duration_s == 90.0
+        result = run_engine(traces, duration_ms=120_000)
+        assert result.contact_seconds == {PAIR: 90.0}
 
     @given(st.lists(st.integers(min_value=0, max_value=10 ** 7), min_size=1, max_size=40))
     def test_contacts_disjoint_and_ordered(self, times):
-        times = sorted(times)
-        contacts = contacts_from_times(np.array(times, dtype=np.int64), PAIR, 90_000, 30)
-        assert contacts
-        for first, second in zip(contacts, contacts[1:]):
-            assert first.end_ms < second.start_ms
-            assert second.start_ms - first.end_ms > 90_000
-        covered = {t for c in contacts for t in times if c.start_ms <= t <= c.end_ms}
-        assert covered == set(times)
+        times = np.array(sorted(times), dtype=np.int64)
+        starts, ends = contacts_from_times(times, 90_000, 30).T
+        assert (ends > starts).all() and (starts[1:] >= ends[:-1]).all()
+        # every sighting lies in a span
+        k = np.searchsorted(starts, times, side="right") - 1
+        assert (k >= 0).all() and (times < ends[k]).all()
+        # a new contact starts only after a gap longer than gap_ms
+        before = np.searchsorted(times, starts[1:]) - 1
+        assert (starts[1:] - times[before] > 90_000).all()
 
     def test_duration_invariant_under_stream_split(self):
         # splitting at a point farther than gap_ms from both neighbours
-        # must not change the summed contact duration
+        # must not change the summed contact coverage
         seconds = [0, 60, 120, 700, 760, 1500]
-        full = contacts_from_times(times_ms(*seconds), PAIR, 120_000, 60)
-        head = contacts_from_times(times_ms(*seconds[:3]), PAIR, 120_000, 60)
-        tail = contacts_from_times(times_ms(*seconds[3:]), PAIR, 120_000, 60)
-        total = sum(c.duration_s for c in full)
-        assert total == sum(c.duration_s for c in head) + sum(c.duration_s for c in tail)
+        full, head, tail = (contacts_from_times(times_ms(*part), 120_000, 60)
+                            for part in (seconds, seconds[:3], seconds[3:]))
+        covered = [int(np.diff(part).sum()) for part in (full, head, tail)]
+        assert covered[0] == covered[1] + covered[2] == 360_000
         assert len(full) == len(head) + len(tail) == 3
 
 
@@ -90,55 +92,46 @@ def strength_at(contacts, boundary_ms):
 class TestSocialStrength:
     def test_single_day_single_slot(self):
         # 600 s of contact inside hour slot 10 of day 0
-        contact = ContactEvent(PAIR, 36_000_000, 36_540_000, 600.0)
-        assert strength_at([contact], 39_000_000) == pytest.approx(600.0)
+        assert strength_at(spans((36_000_000, 36_600_000)), 39_000_000) == pytest.approx(600.0)
 
     def test_cross_day_average(self):
         # 600 s in slot 10 on day 0, 1200 s in slot 10 on day 1 -> (600+1200)/2
-        contacts = [
-            ContactEvent(PAIR, 36_000_000, 36_540_000, 600.0),
-            ContactEvent(PAIR, 122_400_000, 123_540_000, 1200.0),
-        ]
+        contacts = spans((36_000_000, 36_600_000), (122_400_000, 123_600_000))
         assert strength_at(contacts, 123_800_000) == pytest.approx(900.0)
 
     def test_never_in_contact(self):
-        assert strength_at([], 50_000_000) == 0.0
+        assert strength_at(spans(), 50_000_000) == 0.0
 
     def test_other_slot_reads_zero(self):
-        contact = ContactEvent(PAIR, 36_000_000, 36_540_000, 600.0)
         # queried in slot 12, where the pair has never met
-        assert strength_at([contact], 45_000_000) == 0.0
+        assert strength_at(spans((36_000_000, 36_600_000)), 45_000_000) == 0.0
 
     def test_non_decreasing_within_slot(self):
-        contact = ContactEvent(PAIR, 36_000_000, 38_000_000, 2060.0)
-        state = SocialStrengthState([contact])
+        state = SocialStrengthState(spans((36_000_000, 38_060_000)))
         s = state.accrue(np.arange(36_060_000, 39_600_001, 60_000))
         assert (np.diff(s) >= 0.0).all()
 
     def test_last_minute_of_hour_reads_its_own_slot(self):
         # minute 59 ends at the slot 0 / slot 1 edge; it reads slot 0
-        contact = ContactEvent(PAIR, 0, 3_540_000, 3600.0)
-        assert strength_at([contact], 3_600_000) == 3600.0
+        assert strength_at(spans((0, 3_600_000)), 3_600_000) == 3600.0
 
     def test_coverage_splits_across_slot_boundary(self):
         # one hour of contact straddling the slot 9 / slot 10 edge; the last
         # minute of each slot reads that slot's whole day-0 coverage
-        contact = ContactEvent(PAIR, 34_200_000, 37_740_000, 3600.0)
-        state = SocialStrengthState([contact])
+        state = SocialStrengthState(spans((34_200_000, 37_800_000)))
         assert state.accrue(boundaries(36_000_000, 39_600_000)).tolist() == \
             pytest.approx([1800.0, 1800.0])
         assert state.covered_ms(boundaries(86_400_000)).tolist() == [3_600_000]
 
     def test_slot_bucket_never_exceeds_hour(self):
-        contact = ContactEvent(PAIR, 0, 86_000_000, 86_060.0)
-        state = SocialStrengthState([contact])
+        state = SocialStrengthState(spans((0, 86_060_000)))
         assert (state.accrue(np.arange(1, 1501) * MS_PER_MINUTE) <= 3600.0).all()
 
     def test_dwell_tail_stops_at_next_contact(self):
         # the first contact's 60 s dwell would run 15 s into the second one
-        contacts = contacts_from_times(times_ms(0, 45), PAIR, 30_000, 60)
+        contacts = contacts_from_times(times_ms(0, 45), 30_000, 60)
+        assert contacts.tolist() == [[0, 45_000], [45_000, 105_000]]
         state = SocialStrengthState(contacts)
-        assert state.end_ms.tolist() == [45_000, 105_000]
         assert state.covered_ms(boundaries(30_000, 60_000, 300_000)).tolist() == \
             [30_000, 60_000, 105_000]
 

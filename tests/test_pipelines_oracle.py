@@ -1,5 +1,5 @@
-"""The windowed motion kernel and the distance average against the reference
-loops in `rowwise_pipelines.py`."""
+"""The windowed motion kernel, the distance average and the contact spans
+against the reference code in `rowwise_pipelines.py`."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from nearness.domain import MS_PER_MINUTE
 from nearness.engine import EngineConfig
-from nearness.pipelines import (ema_update, estimate_distance_raw, motion_codes,
-                                smoothed_distances)
+from nearness.pipelines import (contacts_from_times, ema_update, estimate_distance_raw,
+                                motion_codes, smoothed_distances)
 
 from rowwise_pipelines import DistanceState, motion_codes_windowwise, window_stds
+from rowwise_pipelines import contacts_from_times as contacts_rowwise
 from rowwise_pipelines import ema_update as ema_update_rowwise
 
 WINDOW_MS = 50_000
@@ -84,9 +85,8 @@ def test_engine_distances_equal_the_per_sighting_chain(bundle, request):
     result, rf, config = run.result, run.config.rf, EngineConfig()
     records = result.records
     boundaries = MS_PER_MINUTE * np.arange(1, result.minutes + 1, dtype=np.int64)
-    directions = sorted(d for pair in result.contacts for d in (pair, pair[::-1]))
-    assert len(directions) == 2
-    for k, direction in enumerate(directions):
+    assert len(result.directions) == 2
+    for k, direction in enumerate(result.directions):
         series = run.traces.sightings[direction]
         raw = [estimate_distance_raw(rssi, rf.p_ref_dbm, rf.pathloss_exp)
                for rssi in series.rssi_dbm.tolist()]
@@ -98,3 +98,36 @@ def test_engine_distances_equal_the_per_sighting_chain(bundle, request):
         assert records.d_m[own].tobytes() == expected[records.minute[own]].tobytes()
     forward, backward = (records.d_m[result.direction == k] for k in (0, 1))
     assert (forward != backward).any() == (bundle == "exp3_noisy_run")
+
+
+# sighting instants from a small pool as well, so that duplicates and exact
+# gap_ms steps recur; dwells whose ms value lands on a half, where rounding
+# half to even and half up differ
+_INSTANT = st.one_of(st.integers(0, 10 ** 7), st.sampled_from([0, 1, 1_000, 121_000]))
+_DWELL_S = st.one_of(st.sampled_from([0.0, 0.0005, 0.0015, 0.0025, 60.0]),
+                     st.floats(0.0, 3600.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_INSTANT, max_size=40), st.sampled_from([0, 1, 1_000, 120_000]), _DWELL_S)
+@example([], 120_000, 60.0)
+@example([5_000], 120_000, 0.0005)
+@example([0, 0, 3, 3], 0, 0.0025)
+def test_spans_equal_the_contact_objects(times, gap_ms, dwell_s):
+    times = np.array(sorted(times), dtype=np.int64)
+    contacts = contacts_rowwise(times, ("a", "b"), gap_ms, dwell_s)
+    expected = []
+    for k, contact in enumerate(contacts):
+        end = contact.start_ms + round(contact.duration_s * 1000.0)
+        if k + 1 < len(contacts):
+            end = min(end, contacts[k + 1].start_ms)
+        expected.append([contact.start_ms, end])
+    spans = contacts_from_times(times, gap_ms, dwell_s)
+    assert spans.dtype == np.int64 and spans.shape == (len(contacts), 2)
+    assert spans.tolist() == expected
+
+
+def test_half_millisecond_dwell_rounds_to_even():
+    # a lone sighting's 0.5 ms and 2.5 ms of dwell round down, 1.5 ms up
+    assert [contacts_from_times(np.array([0], dtype=np.int64), 0, dwell).tolist()
+            for dwell in (0.0005, 0.0015, 0.0025)] == [[[0, 0]], [[0, 2]], [[0, 2]]]
